@@ -28,19 +28,6 @@ N_STATES = 150
 SEEDS = {"cue": 1001, "symmetric": 1002}
 
 
-def ensemble_run(kind, seed):
-    ek = bl.EnsembleKind(kind)
-    values = np.empty((N_MAPS, N_STATES))
-    for m in range(N_MAPS):
-        u = bl.sample_ensemble(ek, D, bl.RngStream(seed, m))
-        cols = np.column_stack([
-            bl.product_state(PART, bl.RngStream(seed, N_MAPS + m * N_STATES + s))
-            for s in range(N_STATES)
-        ])
-        values[m] = bl.linear_entropies(u @ cols, PART)
-    return values
-
-
 outdir = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(outdir, exist_ok=True)
 
@@ -51,7 +38,7 @@ print()
 
 stats = {}
 for kind, seed in SEEDS.items():
-    values = ensemble_run(kind, seed)
+    values = bl.ensemble_entropies(kind, D, PART, N_MAPS, N_STATES, bl.RngStream(seed))
     per_map = values.mean(axis=1)
     mean = per_map.mean()
     se = per_map.std(ddof=1) / np.sqrt(N_MAPS)

@@ -5,132 +5,26 @@ The package builds the baker family of unitary maps on even-dimensional
 Hilbert spaces, samples random states and circular-ensemble matrices
 reproducibly, measures linear entropy under iteration, and evaluates the
 closed-form time-asymptotic entangling power from a map's eigenvectors.
+
+Every public name of the submodules (their ``__all__``) is re-exported here.
 """
 
 __version__ = "0.1.0"
 
-from .ensembles import (
-    EnsembleKind,
-    RngStream,
-    haar_state,
-    product_state,
-    sample_coe,
-    sample_cue,
-    sample_ensemble,
-    sample_symmetric,
-)
-from .entropy import (
-    AsymptoticValue,
-    CommensurabilityReport,
-    EntropySample,
-    EntropySamples,
-    ReducedEigenData,
-    asymptotic_entangling_power,
-    asymptotic_entropy,
-    asymptotic_power_mc,
-    commensurability_check,
-    cue_mean_entropy,
-    empirical_asymptotic_distribution,
-    entangling_power_mc,
-    entropy_timeseries,
-    linear_entropies,
-    linear_entropy,
-)
-from .linalg import (
-    EIGEN_TOL,
-    NORM_TOL,
-    UNITARY_TOL,
-    Bipartition,
-    EigenSystem,
-    as_matrix,
-    assert_unitary,
-    dagger,
-    eigensystem,
-    eigensystem_diagnostics,
-    is_unitary,
-    kron,
-    matmul,
-    max_abs,
-    partial_trace,
-    unitarity_defect,
-)
-from .maps import (
-    MapKind,
-    antiperiodic_fourier,
-    baker,
-    bbar,
-    d_map,
-    lambda_basis,
-    make_map,
-    reduce_by_symmetry,
-    reflection,
-    reflection_commutator,
-)
-from .matrixio import cmatrix_from_dict, cmatrix_to_dict, load_cmatrix, save_cmatrix
-from .reports import ENTROPY_CSV_HEADER, HistogramSummary, read_entropy_csv, write_entropy_csv
+from . import ensembles, entropy, linalg, maps, matrixio, reports
+from .ensembles import *  # noqa: F401,F403
+from .entropy import *  # noqa: F401,F403
+from .linalg import *  # noqa: F401,F403
+from .maps import *  # noqa: F401,F403
+from .matrixio import *  # noqa: F401,F403
+from .reports import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    # linalg
-    "EIGEN_TOL",
-    "NORM_TOL",
-    "UNITARY_TOL",
-    "Bipartition",
-    "EigenSystem",
-    "as_matrix",
-    "assert_unitary",
-    "dagger",
-    "eigensystem",
-    "eigensystem_diagnostics",
-    "is_unitary",
-    "kron",
-    "matmul",
-    "max_abs",
-    "partial_trace",
-    "unitarity_defect",
-    # maps
-    "MapKind",
-    "antiperiodic_fourier",
-    "baker",
-    "bbar",
-    "d_map",
-    "lambda_basis",
-    "make_map",
-    "reduce_by_symmetry",
-    "reflection",
-    "reflection_commutator",
-    # ensembles
-    "EnsembleKind",
-    "RngStream",
-    "haar_state",
-    "product_state",
-    "sample_coe",
-    "sample_cue",
-    "sample_ensemble",
-    "sample_symmetric",
-    # entropy
-    "AsymptoticValue",
-    "CommensurabilityReport",
-    "EntropySample",
-    "EntropySamples",
-    "ReducedEigenData",
-    "asymptotic_entangling_power",
-    "asymptotic_entropy",
-    "asymptotic_power_mc",
-    "commensurability_check",
-    "cue_mean_entropy",
-    "empirical_asymptotic_distribution",
-    "entangling_power_mc",
-    "entropy_timeseries",
-    "linear_entropies",
-    "linear_entropy",
-    # io + reports
-    "ENTROPY_CSV_HEADER",
-    "HistogramSummary",
-    "cmatrix_from_dict",
-    "cmatrix_to_dict",
-    "load_cmatrix",
-    "read_entropy_csv",
-    "save_cmatrix",
-    "write_entropy_csv",
+    *linalg.__all__,
+    *maps.__all__,
+    *ensembles.__all__,
+    *entropy.__all__,
+    *matrixio.__all__,
+    *reports.__all__,
 ]

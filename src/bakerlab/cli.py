@@ -16,13 +16,15 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import __version__
-from .ensembles import EnsembleKind, RngStream, haar_state, product_state, sample_ensemble
+from .ensembles import EnsembleKind, RngStream, haar_state, product_state
 from .entropy import (
+    ENSEMBLE_STREAM_LAYOUT,
     asymptotic_entangling_power,
     asymptotic_power_mc,
     commensurability_check,
     cue_mean_entropy,
     empirical_asymptotic_distribution,
+    ensemble_entropies,
     entropy_timeseries,
     linear_entropies,
     EntropySamples,
@@ -31,7 +33,7 @@ from .entropy import (
 from .linalg import Bipartition, assert_unitary, eigensystem, eigensystem_diagnostics
 from .maps import MapKind, make_map
 from .matrixio import load_cmatrix, save_cmatrix
-from .reports import HistogramSummary, write_entropy_csv
+from .reports import HistogramSummary, atomic_write, write_entropy_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -97,7 +99,7 @@ def _write_json(path, obj):
         json.dump(obj, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(obj, f, indent=2)
         f.write("\n")
 
@@ -196,15 +198,7 @@ def cmd_ensemble(args) -> int:
     part = _require_split(args)
     n_maps = _resolve(args.samples, profile, "ensemble_samples")
     n_states = _resolve(args.states, profile, "ensemble_states")
-    if n_maps < 1 or n_states < 1:
-        raise ValueError("--samples and --states must both be >= 1")
-    values = np.empty((n_maps, n_states))
-    for m in range(n_maps):
-        u = sample_ensemble(kind, args.d, RngStream(args.seed, m))
-        cols = np.column_stack(
-            [product_state(part, RngStream(args.seed, n_maps + m * n_states + s)) for s in range(n_states)]
-        )
-        values[m] = linear_entropies(u @ cols, part)
+    values = ensemble_entropies(kind, args.d, part, n_maps, n_states, RngStream(args.seed))
     metadata = {
         "command": "ensemble",
         "ensemble": kind.value,
@@ -215,6 +209,7 @@ def cmd_ensemble(args) -> int:
         "bins": args.bins,
         "seed": args.seed,
         "profile": args.profile,
+        "stream_layout": ENSEMBLE_STREAM_LAYOUT,
         "version": __version__,
     }
     summary = HistogramSummary.from_values(values.ravel(), args.bins, metadata)

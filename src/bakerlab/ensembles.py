@@ -22,6 +22,7 @@ __all__ = [
     "RngStream",
     "haar_state",
     "product_state",
+    "product_states",
     "sample_coe",
     "sample_cue",
     "sample_ensemble",
@@ -64,9 +65,15 @@ class EnsembleKind(enum.Enum):
     SYMMETRIC = "symmetric"
 
 
-def _haar_state(gen: np.random.Generator, d: int) -> np.ndarray:
-    z = gen.standard_normal(d) + 1j * gen.standard_normal(d)
-    return z / np.linalg.norm(z)
+def _haar_rows(gen: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """``n`` Haar states on ``d`` levels as rows: all real parts, then all imaginary parts."""
+    z = gen.standard_normal((n, d)) + 1j * gen.standard_normal((n, d))
+    # row norms as sqrt(re.re + im.im) from batched matmuls round exactly like
+    # the 1-d np.linalg.norm, so single-row draws keep the bits that stored
+    # artifacts were made with; norm(axis=1) and einsum differ in the last bit
+    re, im = z.real[:, None, :], z.imag[:, None, :]
+    sq = re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)
+    return z / np.sqrt(sq[:, 0])
 
 
 def _cue(gen: np.random.Generator, d: int) -> np.ndarray:
@@ -87,13 +94,27 @@ def haar_state(d: int, rng: RngStream) -> np.ndarray:
     """A Haar-random pure state on ``d`` levels."""
     if d < 1:
         raise ValueError(f"state dimension must be >= 1, got {d}")
-    return _haar_state(rng.generator(), d)
+    return _haar_rows(rng.generator(), 1, d)[0]
+
+
+def product_states(part: Bipartition, n: int, rng: RngStream) -> np.ndarray:
+    """``n`` independent random product states as the columns of a (d, n) array.
+
+    One generator serves the whole batch: the ``n`` A-factors are drawn
+    first, then the ``n`` B-factors.  :func:`product_state` is the ``n = 1``
+    case.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one state, got n = {n}")
+    gen = rng.generator()
+    za = _haar_rows(gen, n, part.d_a)
+    zb = _haar_rows(gen, n, part.d_b)
+    return (za[:, :, None] * zb[:, None, :]).reshape(n, part.d).T
 
 
 def product_state(part: Bipartition, rng: RngStream) -> np.ndarray:
     """Tensor product of independent Haar states on the two subsystems."""
-    gen = rng.generator()
-    return np.kron(_haar_state(gen, part.d_a), _haar_state(gen, part.d_b))
+    return product_states(part, 1, rng)[:, 0]
 
 
 def sample_cue(d: int, rng: RngStream) -> np.ndarray:

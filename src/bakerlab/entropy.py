@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .ensembles import RngStream, product_state
+from .ensembles import RngStream, product_state, product_states, sample_ensemble
 from .linalg import NORM_TOL, Bipartition, EigenSystem, as_matrix, assert_unitary, max_abs
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "commensurability_check",
     "cue_mean_entropy",
     "empirical_asymptotic_distribution",
+    "ensemble_entropies",
     "entangling_power_mc",
     "entropy_timeseries",
     "linear_entropies",
@@ -169,6 +170,34 @@ def entangling_power_mc(u, part: Bipartition, n_samples: int, rng: RngStream):
         psi = u @ product_state(part, rng.offset(i))
         values[i] = 1.0 - _purity(psi.reshape(part.d_a, part.d_b))
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n_samples))
+
+
+#: version of the stream layout of :func:`ensemble_entropies`, echoed in
+#: ``ensemble`` metadata.  Layout 1 (unrecorded) gave every state its own
+#: stream ``n_maps + m * n_states + s``; layout 2 draws each map's states as
+#: one batch.
+ENSEMBLE_STREAM_LAYOUT = 2
+
+
+def ensemble_entropies(
+    kind, d: int, part: Bipartition, n_maps: int, n_states: int, rng: RngStream
+) -> np.ndarray:
+    """Single-application entropies over a random-map ensemble, shape (n_maps, n_states).
+
+    Map ``m`` is drawn from ``rng.offset(m)`` and applied to a batch of
+    ``n_states`` random product states drawn from ``rng.offset(n_maps + m)``
+    (see :func:`bakerlab.ensembles.product_states`).  Row ``m`` holds that
+    map's entropies.
+    """
+    if n_maps < 1 or n_states < 1:
+        raise ValueError(f"need n_maps >= 1 and n_states >= 1, got {n_maps} and {n_states}")
+    if part.d != d:
+        raise ValueError(f"split {part.d_a}x{part.d_b} does not multiply to d = {d}")
+    values = np.empty((n_maps, n_states))
+    for m in range(n_maps):
+        u = sample_ensemble(kind, d, rng.offset(m))
+        values[m] = linear_entropies(u @ product_states(part, n_states, rng.offset(n_maps + m)), part)
+    return values
 
 
 def empirical_asymptotic_distribution(

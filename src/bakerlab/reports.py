@@ -8,6 +8,9 @@ timestamps, so identical runs produce identical bytes.
 
 from __future__ import annotations
 
+import os
+import threading
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,13 +107,34 @@ class HistogramSummary:
         return summary
 
 
+@contextmanager
+def atomic_write(path, newline=None):
+    """Open a text file that replaces ``path`` only once the block completes.
+
+    Writes go to a temporary file beside ``path``; it is moved into place
+    with :func:`os.replace` on success and deleted on any error, so readers
+    see either the previous file or the complete new one.
+    """
+    head, tail = os.path.split(os.fspath(path))
+    # unique per writing thread; opened like a plain output file, so the
+    # result keeps the usual umask-derived permissions
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "x", newline=newline) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def write_entropy_csv(path, samples: EntropySamples, metadata: dict | None = None):
-    """Write entropy samples as ``state_id,n,S_L`` rows.
+    """Write entropy samples as ``state_id,n,S_L`` rows, atomically.
 
     Metadata is echoed as ``# key = value`` header lines.  Values use the
     shortest round-trip float repr.
     """
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, newline="") as f:
         for key, value in (metadata or {}).items():
             f.write(f"# {key} = {value}\n")
         f.write(ENTROPY_CSV_HEADER + "\n")

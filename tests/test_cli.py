@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import bakerlab as bl
-from bakerlab.cli import main
+from bakerlab.cli import _write_json, main
 
 
 def run(*argv):
@@ -158,6 +158,27 @@ class TestEnsemble:
         assert sum(report["counts"]) == 1
         assert report["mean_std_error"] is None
 
+    def test_reruns_are_byte_identical_and_record_the_stream_layout(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["ensemble", "--ensemble", "symmetric", "--d", 8, "--split", "2x4",
+                "--samples", 4, "--states", 6, "--seed", 12]
+        assert run(*argv, "--out", a) == 0
+        assert run(*argv, "--out", b) == 0
+        assert a.read_bytes() == b.read_bytes()
+        report = json.loads(a.read_text())
+        assert report["metadata"]["stream_layout"] == 2
+        values = bl.ensemble_entropies("symmetric", 8, bl.Bipartition(2, 4), 4, 6, bl.RngStream(12))
+        assert report["mean"] == float(values.mean())
+
+    @pytest.mark.parametrize("samples,states", [(0, 3), (3, 0)])
+    def test_empty_run_is_a_config_error(self, tmp_path, samples, states):
+        rc = run(
+            "ensemble", "--ensemble", "cue", "--d", 4, "--split", "2x2",
+            "--samples", samples, "--states", states, "--out", tmp_path / "x.json",
+        )
+        assert rc == 2
+        assert not (tmp_path / "x.json").exists()
+
     def test_symmetric_needs_even_dimension(self, tmp_path):
         rc = run(
             "ensemble", "--ensemble", "symmetric", "--d", 9, "--split", "3x3",
@@ -276,3 +297,29 @@ class TestParsing:
         )
         assert proc.returncode == 0
         assert "bakerlab" in proc.stdout
+
+
+class TestAtomicWrites:
+    def test_failed_json_dump_keeps_the_previous_file(self, tmp_path):
+        out = tmp_path / "report.json"
+        _write_json(out, {"metadata": {"seed": 1}})
+        before = out.read_bytes()
+        with pytest.raises(TypeError):
+            # the dump gets partway before reaching the unserialisable value
+            _write_json(out, {"counts": list(range(100)), "metadata": {"seed": object()}})
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    def test_failed_csv_write_keeps_the_previous_file(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("cannot format")
+
+        out = tmp_path / "s.csv"
+        samples = bl.EntropySamples(np.array([0]), np.array([1]), np.array([0.25]))
+        bl.write_entropy_csv(out, samples, {"seed": 1})
+        before = out.read_bytes()
+        with pytest.raises(RuntimeError):
+            bl.write_entropy_csv(out, samples, {"seed": 2, "bad": Unprintable()})
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]

@@ -7,6 +7,12 @@ import bakerlab as bl
 from bakerlab.ensembles import _coe
 
 
+def reference_haar(gen, d):
+    """The per-state draw every stored artifact was made with."""
+    z = gen.standard_normal(d) + 1j * gen.standard_normal(d)
+    return z / np.linalg.norm(z)
+
+
 class TestRngStream:
     def test_same_address_same_draws(self):
         a = bl.haar_state(8, bl.RngStream(42, 3))
@@ -36,6 +42,12 @@ class TestHaarState:
         for d in (1, 2, 7, 64):
             psi = bl.haar_state(d, bl.RngStream(1, d))
             assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 64, 256, 1024])
+    def test_bitwise_equal_to_reference_draw(self, d):
+        for stream in range(10):
+            rng = bl.RngStream(30, stream)
+            assert bl.haar_state(d, rng).tobytes() == reference_haar(rng.generator(), d).tobytes()
 
     def test_one_dimensional_state_is_a_phase(self):
         psi = bl.haar_state(1, bl.RngStream(9))
@@ -76,6 +88,41 @@ class TestProductState:
             bl.product_state(part, bl.RngStream(5, 1)),
             bl.product_state(part, bl.RngStream(5, 1)),
         )
+
+
+class TestProductStates:
+    SPLITS = [(2, 2), (2, 4), (3, 5), (4, 4), (8, 8), (5, 2), (16, 16)]
+
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_single_state_batch_is_bitwise_product_state(self, split):
+        part = bl.Bipartition(*split)
+        for stream in range(20):
+            rng = bl.RngStream(31, stream)
+            gen = rng.generator()
+            expected = np.kron(reference_haar(gen, part.d_a), reference_haar(gen, part.d_b))
+            batch = bl.product_states(part, 1, rng)
+            assert batch.shape == (part.d, 1)
+            assert batch[:, 0].tobytes() == expected.tobytes()
+            assert bl.product_state(part, rng).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_columns_are_normalized_product_states(self, split):
+        part = bl.Bipartition(*split)
+        cols = bl.product_states(part, 40, bl.RngStream(32, split[0]))
+        assert cols.shape == (part.d, 40)
+        assert_allclose(np.linalg.norm(cols, axis=0), 1.0, atol=1e-13)
+        assert (np.abs(bl.linear_entropies(cols, part)) < 1e-12).all()
+
+    def test_columns_are_distinct_and_deterministic(self):
+        part = bl.Bipartition(4, 4)
+        cols = bl.product_states(part, 5, bl.RngStream(33))
+        assert np.array_equal(cols, bl.product_states(part, 5, bl.RngStream(33)))
+        assert np.linalg.matrix_rank(cols) == 5
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_empty_batch(self, n):
+        with pytest.raises(ValueError, match="at least one state"):
+            bl.product_states(bl.Bipartition(2, 2), n, bl.RngStream(1))
 
 
 class TestCue:

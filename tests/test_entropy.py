@@ -211,6 +211,35 @@ class TestEntanglingPowerMc:
             bl.entangling_power_mc(np.eye(4), bl.Bipartition(2, 2), 1, bl.RngStream(1))
 
 
+class TestEnsembleEntropies:
+    def test_cue_mean_matches_random_state_mean(self):
+        part = bl.Bipartition(4, 4)
+        values = bl.ensemble_entropies("cue", 16, part, 200, 100, bl.RngStream(50))
+        assert values.shape == (200, 100)
+        per_map = values.mean(axis=1)
+        se = per_map.std(ddof=1) / np.sqrt(per_map.size)
+        assert abs(per_map.mean() - bl.cue_mean_entropy(part)) < 4.0 * se
+
+    def test_stream_layout(self):
+        # map m on stream m, its whole state batch on stream n_maps + m
+        part = bl.Bipartition(2, 4)
+        rng = bl.RngStream(51, 7)
+        values = bl.ensemble_entropies("symmetric", 8, part, 3, 5, rng)
+        for m in range(3):
+            u = bl.sample_symmetric(8, rng.offset(m))
+            cols = bl.product_states(part, 5, rng.offset(3 + m))
+            assert np.array_equal(values[m], bl.linear_entropies(u @ cols, part))
+
+    @pytest.mark.parametrize("n_maps,n_states", [(0, 3), (3, 0)])
+    def test_rejects_empty_runs(self, n_maps, n_states):
+        with pytest.raises(ValueError):
+            bl.ensemble_entropies("cue", 4, bl.Bipartition(2, 2), n_maps, n_states, bl.RngStream(1))
+
+    def test_rejects_split_mismatch(self):
+        with pytest.raises(ValueError, match="multiply"):
+            bl.ensemble_entropies("cue", 8, bl.Bipartition(2, 2), 1, 1, bl.RngStream(1))
+
+
 class TestEmpiricalAsymptoticDistribution:
     def test_identity_map_keeps_initial_entropies(self):
         part = bl.Bipartition(2, 2)

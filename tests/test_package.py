@@ -1,0 +1,29 @@
+import bakerlab as bl
+
+# the public names bakerlab exported before it re-exported the module __all__s
+LEGACY_EXPORTS = {
+    "__version__",
+    "EIGEN_TOL", "NORM_TOL", "UNITARY_TOL", "Bipartition", "EigenSystem", "as_matrix", "assert_unitary",
+    "dagger", "eigensystem", "eigensystem_diagnostics", "is_unitary", "kron", "matmul", "max_abs",
+    "partial_trace", "unitarity_defect",
+    "MapKind", "antiperiodic_fourier", "baker", "bbar", "d_map", "lambda_basis", "make_map",
+    "reduce_by_symmetry", "reflection", "reflection_commutator",
+    "EnsembleKind", "RngStream", "haar_state", "product_state", "sample_coe", "sample_cue",
+    "sample_ensemble", "sample_symmetric",
+    "AsymptoticValue", "CommensurabilityReport", "EntropySample", "EntropySamples", "ReducedEigenData",
+    "asymptotic_entangling_power", "asymptotic_entropy", "asymptotic_power_mc", "commensurability_check",
+    "cue_mean_entropy", "empirical_asymptotic_distribution", "entangling_power_mc", "entropy_timeseries",
+    "linear_entropies", "linear_entropy",
+    "ENTROPY_CSV_HEADER", "HistogramSummary", "cmatrix_from_dict", "cmatrix_to_dict", "load_cmatrix",
+    "read_entropy_csv", "save_cmatrix", "write_entropy_csv",
+}
+
+
+def test_exports_are_the_legacy_names_plus_batched_sampling():
+    assert len(bl.__all__) == len(set(bl.__all__))
+    assert set(bl.__all__) == LEGACY_EXPORTS | {"product_states", "ensemble_entropies"}
+
+
+def test_every_export_resolves():
+    for name in bl.__all__:
+        assert hasattr(bl, name), name
