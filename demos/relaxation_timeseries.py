@@ -24,16 +24,8 @@ def main(d, n_states, n_max, seed):
         raise ValueError("this demo wants a square split; pick d a perfect square")
 
     u = bl.baker(d)
-    batches = []
-    for s in range(n_states):
-        psi0 = bl.product_state(part, bl.RngStream(seed, s))
-        batches.append(bl.entropy_timeseries(u, psi0, part, n_max, state_id=s))
-
-    samples = bl.EntropySamples(
-        state_id=np.concatenate([b.state_id for b in batches]),
-        time_step=np.concatenate([b.time_step for b in batches]),
-        value=np.concatenate([b.value for b in batches]),
-    )
+    # state s starts from stream s of the seed; rows are state-major
+    samples = bl.empirical_asymptotic_distribution(u, part, 1, n_max, n_states, bl.RngStream(seed))
 
     outdir = os.path.join(os.path.dirname(__file__), "out")
     os.makedirs(outdir, exist_ok=True)

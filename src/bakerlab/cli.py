@@ -16,7 +16,9 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import __version__
-from .ensembles import EnsembleKind, RngStream, haar_state, product_state
+# product_state is no longer called here; bench/test_smoke.py checks that it
+# stays bound in this module
+from .ensembles import EnsembleKind, RngStream, haar_state, product_state  # noqa: F401
 from .entropy import (
     ENSEMBLE_STREAM_LAYOUT,
     asymptotic_entangling_power,
@@ -25,9 +27,7 @@ from .entropy import (
     cue_mean_entropy,
     empirical_asymptotic_distribution,
     ensemble_entropies,
-    entropy_timeseries,
     linear_entropies,
-    EntropySamples,
     ReducedEigenData,
 )
 from .linalg import Bipartition, assert_unitary, eigensystem, eigensystem_diagnostics
@@ -104,14 +104,6 @@ def _write_json(path, obj):
         f.write("\n")
 
 
-def _concat(batches) -> EntropySamples:
-    return EntropySamples(
-        state_id=np.concatenate([b.state_id for b in batches]),
-        time_step=np.concatenate([b.time_step for b in batches]),
-        value=np.concatenate([b.value for b in batches]),
-    )
-
-
 def cmd_gen_map(args) -> int:
     matrix = make_map(args.kind, args.d)
     save_cmatrix(args.out, matrix)
@@ -125,13 +117,7 @@ def cmd_timeseries(args) -> int:
     u = make_map(args.kind, args.d)
     n_states = _resolve(args.states, profile, "timeseries_states")
     n_max = _resolve(args.nmax, profile, "timeseries_nmax")
-    if n_states < 1:
-        raise ValueError(f"--states must be >= 1, got {n_states}")
-    batches = []
-    for s in range(n_states):
-        psi0 = product_state(part, RngStream(args.seed, s))
-        batches.append(entropy_timeseries(u, psi0, part, n_max, state_id=s))
-    samples = _concat(batches)
+    samples = empirical_asymptotic_distribution(u, part, 1, n_max, n_states, RngStream(args.seed))
     metadata = {
         "command": "timeseries",
         "kind": args.kind,
@@ -252,7 +238,7 @@ def cmd_epinf(args) -> int:
         raise ValueError(f"split {part.d_a}x{part.d_b} does not multiply to map dimension {d}")
     assert_unitary(u, name="map")
     eig = eigensystem(u)
-    resonance = commensurability_check(eig.phases, tol=args.tol, budget=args.budget)
+    resonance = commensurability_check(eig.phases, tol=args.tol)
     reduced = ReducedEigenData.from_eigensystem(eig, part)
     power = asymptotic_entangling_power(eig, part, reduced=reduced, resonance=resonance)
     report = {
@@ -262,7 +248,6 @@ def cmd_epinf(args) -> int:
             "d": d,
             "split": f"{part.d_a}x{part.d_b}",
             "tol": args.tol,
-            "budget": args.budget,
             "seed": args.seed,
             "profile": args.profile,
             "version": __version__,
@@ -303,14 +288,13 @@ def cmd_spectrum_check(args) -> int:
         raise ValueError(f"map file holds a non-square {u.shape[0]}x{u.shape[1]} matrix")
     assert_unitary(u, name="map")
     eig = eigensystem(u)
-    resonance = commensurability_check(eig.phases, tol=args.tol, budget=args.budget)
+    resonance = commensurability_check(eig.phases, tol=args.tol)
     report = {
         "metadata": {
             "command": "spectrum-check",
             "map_file": args.map_file,
             "d": int(u.shape[0]),
             "tol": args.tol,
-            "budget": args.budget,
             "version": __version__,
         },
         "phases": [float(p) for p in eig.phases],
@@ -318,11 +302,10 @@ def cmd_spectrum_check(args) -> int:
         "resonance": resonance.to_dict(),
     }
     _write_json(args.out, report)
-    mode = "exhaustive" if resonance.exhaustive else f"sampled ({resonance.checked} quadruples)"
     if resonance.has_nontrivial_resonance:
-        line = f"d={resonance.dim}: {resonance.violation_count} nontrivial resonances within {args.tol:g} ({mode})"
+        line = f"d={resonance.dim}: {resonance.violation_count} nontrivial resonances within {args.tol:g}"
     else:
-        line = f"d={resonance.dim}: no nontrivial resonances within {args.tol:g} ({mode})"
+        line = f"d={resonance.dim}: no nontrivial resonances within {args.tol:g}"
     print(line, file=sys.stderr if args.out is None else sys.stdout)
     return EXIT_OK
 
@@ -387,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map-file", default=None, help="cmatrix-json map to analyze instead of --kind/--d")
     p.add_argument("--split", required=True)
     p.add_argument("--tol", type=float, default=1e-8, help="resonance tolerance")
-    p.add_argument("--budget", type=int, default=10_000_000, help="sampled quadruples when d > 64")
     p.add_argument("--cross-check", action="store_true",
                    help="also run the brute-force late-time Monte-Carlo estimate")
     p.add_argument("--states", type=int, default=None, help="cross-check states")
@@ -401,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum-check", help="eigenphase resonance scan of a stored map")
     p.add_argument("map_file", help="cmatrix-json file holding a unitary matrix")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--budget", type=int, default=10_000_000)
     p.add_argument("--out", default=None, help="output JSON path (stdout when omitted)")
     p.set_defaults(func=cmd_spectrum_check)
 

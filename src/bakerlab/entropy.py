@@ -157,18 +157,12 @@ def entangling_power_mc(u, part: Bipartition, n_samples: int, rng: RngStream):
     """Monte-Carlo entangling power of a single map application.
 
     Averages ``S_L(u psi)`` over random product states ``psi``; sample ``i``
-    draws from ``rng.offset(i)``.  Returns ``(mean, std_error)``.
+    draws from ``rng.offset(i)``.  This is the one-step window of
+    :func:`empirical_asymptotic_distribution`.  Returns ``(mean, std_error)``.
     """
-    u = as_matrix(u)
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {n_samples}")
-    if u.shape != (part.d, part.d):
-        raise ValueError(f"map shape {u.shape} does not match split {part.d_a}x{part.d_b}")
-    assert_unitary(u, name="map")
-    values = np.empty(n_samples)
-    for i in range(n_samples):
-        psi = u @ product_state(part, rng.offset(i))
-        values[i] = 1.0 - _purity(psi.reshape(part.d_a, part.d_b))
+    values = empirical_asymptotic_distribution(u, part, 1, 1, n_samples, rng).value
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n_samples))
 
 
@@ -289,6 +283,10 @@ class ReducedEigenData:
         return cls(rho_a=rho_a, rho_b=rho_b, gram_a=gram_a, gram_b=gram_b)
 
 
+#: cap on the example quadruples a :class:`CommensurabilityReport` carries
+MAX_RESONANCE_EXAMPLES = 32
+
+
 @dataclass(frozen=True)
 class CommensurabilityReport:
     """Outcome of an eigenphase resonance scan.
@@ -296,9 +294,9 @@ class CommensurabilityReport:
     A nontrivial resonance is a quadruple ``(k, l, m, n)`` with
     ``phi_k - phi_l + phi_m - phi_n = 0 (mod 2 pi)`` within ``tol``,
     excluding the always-true patterns ``k = l, m = n`` and ``k = n, l = m``.
-    ``checked`` counts ordered quadruples covered: all ``d**4`` when
-    ``exhaustive``, otherwise the sampling budget.  ``violations`` holds up
-    to a capped number of examples as ``(k, l, m, n, residual)`` tuples.
+    The scan is complete, so ``exhaustive`` is always set and ``checked``
+    is ``d**4``.  ``violations`` holds up to :data:`MAX_RESONANCE_EXAMPLES`
+    examples as ``(k, l, m, n, residual)`` tuples.
     """
 
     dim: int
@@ -326,23 +324,12 @@ class CommensurabilityReport:
         }
 
 
-def commensurability_check(
-    phases,
-    tol: float = 1e-8,
-    *,
-    exhaustive_limit: int = 64,
-    budget: int = 10_000_000,
-    rng: RngStream | None = None,
-    max_examples: int = 32,
-) -> CommensurabilityReport:
+def commensurability_check(phases, tol: float = 1e-8) -> CommensurabilityReport:
     """Scan eigenphases for nontrivial resonances.
 
-    For ``d <= exhaustive_limit`` the scan is complete: a quadruple resonates
-    exactly when two ordered pairwise differences collide, so sorting the
-    ``d**2`` circular differences and counting near-collisions covers all
-    ``d**4`` quadruples in ``O(d^2 log d)``.  Larger spectra are probed with
-    ``budget`` uniformly sampled quadruples from ``rng`` (a fixed default
-    stream keeps the result deterministic).
+    A quadruple resonates exactly when two ordered pairwise differences
+    collide, so sorting the ``d**2`` circular differences and counting
+    near-collisions covers all ``d**4`` quadruples in ``O(d^2 log d)``.
     """
     phases = np.mod(np.asarray(phases, dtype=np.float64).ravel(), TWO_PI)
     if not (0.0 < tol < 1.0):
@@ -350,66 +337,51 @@ def commensurability_check(
     d = phases.size
     if d == 0:
         raise ValueError("need at least one phase")
-    if d <= exhaustive_limit:
-        count, examples = _exhaustive_resonance_scan(phases, tol, max_examples)
-        return CommensurabilityReport(d, tol, True, d**4, count, tuple(examples))
-    if budget < 1:
-        raise ValueError(f"sampling budget must be >= 1, got {budget}")
-    rng = rng if rng is not None else RngStream(0, 0)
-    count, examples = _sampled_resonance_scan(phases, tol, budget, rng.generator(), max_examples)
-    return CommensurabilityReport(d, tol, False, budget, count, tuple(examples))
+    count, examples = _exhaustive_resonance_scan(phases, tol)
+    return CommensurabilityReport(d, tol, True, d**4, count, examples)
 
 
-def _exhaustive_resonance_scan(phases, tol, max_examples):
-    """Collision count among sorted circular phase differences.
+def _exhaustive_resonance_scan(phases, tol):
+    """Collision count among sorted circular phase differences, plus examples.
 
     ``phi_k - phi_l + phi_m - phi_n ~ 0`` iff the differences of the ordered
     pairs ``(k, l)`` and ``(n, m)`` collide mod 2 pi.  Each unordered
     collision of distinct pairs stands for one resonance family (the mirrored
-    quadruple is counted once).
+    quadruple is counted once).  The examples are the first nontrivial
+    collisions ``(i, j)``, ``i < j``, in sorted order of ``i`` then ``j``.
     """
     d = phases.size
+    n_pairs = d * d
     diff = np.mod(phases[:, None] - phases[None, :], TWO_PI).ravel()
     order = np.argsort(diff, kind="stable")
     ds = diff[order]
     ext = np.concatenate([ds, ds + TWO_PI])  # wrap-around: 2 pi - eps collides with 0
+    rows = np.arange(n_pairs)
     ends = np.searchsorted(ext, ds + tol, side="left")
-    total = int((ends - np.arange(d * d) - 1).sum())
-    count = total - d * (d - 1) // 2  # the d zero differences k = l collide pairwise, trivially
+    partners = ends - rows - 1  # j in (i, ends[i]) collide with sorted pair i
+    # the d zero differences k = l collide pairwise, trivially: drop those
+    # partners of a k = l pair that are k = l pairs too
+    diag = order % (d + 1) == 0
+    diag_before = np.concatenate([[0], np.cumsum(np.tile(diag, 2))])
+    trivial = np.where(diag, diag_before[ends] - diag_before[rows + 1], 0)
+    nontrivial = partners - trivial
+    count = int(nontrivial.sum())
 
-    examples = []
-    n_pairs = d * d
-    for i in range(n_pairs):
-        if len(examples) >= max_examples:
-            break
-        for j in range(i + 1, ends[i]):
-            if len(examples) >= max_examples:
-                break
-            k, l = divmod(int(order[i]), d)
-            n, m = divmod(int(order[j % n_pairs]), d)
-            if k == l and n == m:
-                continue
-            examples.append((k, l, m, n, float(ext[j] - ds[i])))
-    return count, examples
-
-
-def _sampled_resonance_scan(phases, tol, budget, gen, max_examples):
-    d = phases.size
-    count = 0
-    examples = []
-    remaining = budget
-    while remaining > 0:
-        m = min(1_000_000, remaining)
-        remaining -= m
-        quad = gen.integers(0, d, size=(4, m))
-        k, l, mm, n = quad
-        trivial = ((k == l) & (mm == n)) | ((k == n) & (l == mm))
-        res = phases[k] - phases[l] + phases[mm] - phases[n]
-        res = np.abs(np.mod(res + np.pi, TWO_PI) - np.pi)  # circular distance to 0
-        hits = np.nonzero(~trivial & (res < tol))[0]
-        count += int(hits.size)
-        for h in hits[: max(0, max_examples - len(examples))]:
-            examples.append((int(k[h]), int(l[h]), int(mm[h]), int(n[h]), float(res[h])))
+    # rows up to the one holding the last example; a row's first wanted
+    # nontrivial partners lie among its first (wanted + trivial) partners
+    cum = np.cumsum(nontrivial)
+    last = min(int(np.searchsorted(cum, MAX_RESONANCE_EXAMPLES)), n_pairs - 1)
+    sel = np.nonzero(nontrivial[: last + 1])[0]
+    take = np.minimum(partners[sel], MAX_RESONANCE_EXAMPLES + trivial[sel])
+    i = np.repeat(sel, take)
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(take) - take, take)
+    k, l = np.divmod(order[i], d)
+    n, m = np.divmod(order[j % n_pairs], d)
+    keep = np.nonzero(~((k == l) & (n == m)))[0][:MAX_RESONANCE_EXAMPLES]
+    residual = ext[j] - ds[i]
+    examples = tuple(
+        (int(k[t]), int(l[t]), int(m[t]), int(n[t]), float(residual[t])) for t in keep
+    )
     return count, examples
 
 
@@ -434,11 +406,11 @@ class AsymptoticValue:
         return self.value
 
 
-def _spectral_inputs(eig, part, reduced, resonance, tol, budget):
+def _spectral_inputs(eig, part, reduced, resonance, tol):
     if reduced is None:
         reduced = ReducedEigenData.from_eigensystem(eig, part)
     if resonance is None:
-        resonance = commensurability_check(eig.phases, tol, budget=budget)
+        resonance = commensurability_check(eig.phases, tol)
     return reduced, resonance
 
 
@@ -450,7 +422,6 @@ def asymptotic_entropy(
     reduced: ReducedEigenData | None = None,
     resonance: CommensurabilityReport | None = None,
     tol: float = 1e-8,
-    budget: int = 10_000_000,
 ) -> AsymptoticValue:
     """Infinite-time average of ``S_L(u^n psi)`` from the spectrum of ``u``.
 
@@ -470,7 +441,7 @@ def asymptotic_entropy(
         raise ValueError(f"state has shape {psi.shape}, expected ({part.d},)")
     if abs(np.vdot(psi, psi).real - 1.0) > NORM_TOL:
         raise ValueError("state is not normalized")
-    reduced, resonance = _spectral_inputs(eig, part, reduced, resonance, tol, budget)
+    reduced, resonance = _spectral_inputs(eig, part, reduced, resonance, tol)
     p = np.abs(eig.vectors.conj().T @ psi) ** 2
     s = reduced.gram_a + reduced.gram_b
     diag_a = np.diagonal(reduced.gram_a)
@@ -486,7 +457,6 @@ def asymptotic_entangling_power(
     reduced: ReducedEigenData | None = None,
     resonance: CommensurabilityReport | None = None,
     tol: float = 1e-8,
-    budget: int = 10_000_000,
 ) -> AsymptoticValue:
     """Time-asymptotic entangling power from the spectrum alone.
 
@@ -501,7 +471,7 @@ def asymptotic_entangling_power(
     """
     if eig.dim != part.d:
         raise ValueError(f"eigensystem dimension {eig.dim} does not match split {part.d_a}x{part.d_b}")
-    reduced, resonance = _spectral_inputs(eig, part, reduced, resonance, tol, budget)
+    reduced, resonance = _spectral_inputs(eig, part, reduced, resonance, tol)
     d, dp = part.d, part.d_prime
     s = reduced.gram_a + reduced.gram_b
     diag_term = float(np.sum(np.diagonal(reduced.gram_a) ** 2))

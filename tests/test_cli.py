@@ -288,6 +288,14 @@ class TestParsing:
     def test_missing_required_flag(self):
         assert run("gen-map", "--kind", "baker") == 2
 
+    def test_budget_flag_is_rejected(self, tmp_path, capsys):
+        # the resonance scan is always exhaustive, so there is no sampling budget
+        map_path = tmp_path / "b8.json"
+        bl.save_cmatrix(map_path, bl.baker(8))
+        assert run("epinf", "--kind", "baker", "--d", 8, "--split", "2x4", "--budget", 10) == 2
+        assert run("spectrum-check", map_path, "--budget", 10) == 2
+        assert "--budget" in capsys.readouterr().err
+
     def test_module_entry_point(self):
         import subprocess
         import sys

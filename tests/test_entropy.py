@@ -308,19 +308,22 @@ class TestCommensurability:
         assert report.violation_count == 0
         assert report.checked == 1
 
-    def test_sampled_scan_finds_tensor_resonances(self):
+    def test_tensor_resonances_found_above_64(self):
         u = bl.kron(bl.sample_cue(8, bl.RngStream(24)), bl.sample_cue(16, bl.RngStream(25)))
         phases = bl.eigensystem(u).phases
-        report = bl.commensurability_check(phases, budget=200_000)
-        assert not report.exhaustive
-        assert report.checked == 200_000
+        report = bl.commensurability_check(phases)
+        assert report.exhaustive
+        assert report.checked == 128**4
         assert report.has_nontrivial_resonance
 
-    def test_sampled_scan_is_deterministic(self):
+    def test_scan_above_64_is_deterministic(self):
         phases = bl.eigensystem(bl.baker(128)).phases
-        a = bl.commensurability_check(phases, budget=50_000)
-        b = bl.commensurability_check(phases, budget=50_000)
+        a = bl.commensurability_check(phases)
+        b = bl.commensurability_check(phases)
         assert a == b
+        assert a.exhaustive
+        assert a.checked == 128**4
+        assert a.violation_count == 0
 
     def test_count_grows_with_tolerance(self):
         phases = bl.eigensystem(bl.baker(32)).phases
@@ -339,6 +342,73 @@ class TestCommensurability:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             bl.commensurability_check(np.array([0.1, 0.2]), tol=0.0)
+
+
+def brute_force_collisions(phases, tol):
+    """Nontrivial unordered collisions of ordered phase-difference pairs, in O(d^4).
+
+    Ordered pairs ``(k, l)`` and ``(n, m)`` collide when their differences
+    agree within ``tol`` on the circle, i.e. ``phi_k - phi_l + phi_m - phi_n``
+    is within ``tol`` of a multiple of 2 pi.  Returns a dict keyed by
+    ``frozenset({(k, l), (n, m)})`` holding the circular residual.
+    """
+    d = len(phases)
+    pairs = [(k, l) for k in range(d) for l in range(d)]
+    out = {}
+    for p in pairs:
+        for q in pairs:
+            if p == q or (p[0] == p[1] and q[0] == q[1]):
+                continue  # the same pair, or two trivially equal zero differences
+            delta = phases[p[0]] - phases[p[1]] - (phases[q[0]] - phases[q[1]])
+            circ = abs((delta + np.pi) % (2 * np.pi) - np.pi)
+            if circ < tol:
+                out[frozenset((p, q))] = circ
+    return out
+
+
+def oracle_phase_sets():
+    gen = np.random.default_rng(2024)
+    planted = gen.uniform(0, 2 * np.pi, 6)
+    planted[3] = planted[0] - planted[1] + planted[2]  # phi_0 - phi_1 + phi_2 - phi_3 = 0
+    degenerate = gen.uniform(0, 2 * np.pi, 7)
+    degenerate[4] = degenerate[1]
+    wrapped = gen.uniform(0, 2 * np.pi, 5)
+    wrapped[:2] = [0.0, 2 * np.pi - 3e-9]  # a difference within tol of 2 pi
+    return {
+        "random-5": gen.uniform(0, 2 * np.pi, 5),
+        "random-8": gen.uniform(0, 2 * np.pi, 8),
+        "planted": planted,
+        "degenerate": degenerate,
+        "wrapped": wrapped,
+        "zeros": np.zeros(8),
+    }
+
+
+class TestResonanceScanOracle:
+    @pytest.mark.parametrize("tol", [1e-8, 1e-1])
+    @pytest.mark.parametrize("name", sorted(oracle_phase_sets()))
+    def test_matches_brute_force(self, name, tol):
+        phases = oracle_phase_sets()[name]
+        oracle = brute_force_collisions(phases, tol)
+        report = bl.commensurability_check(phases, tol=tol)
+        assert report.checked == len(phases) ** 4
+        assert report.violation_count == len(oracle)
+        assert len(report.violations) == min(len(oracle), bl.entropy.MAX_RESONANCE_EXAMPLES)
+        seen = set()
+        for k, l, m, n, residual in report.violations:
+            key = frozenset(((k, l), (n, m)))
+            assert key in oracle
+            assert key not in seen
+            seen.add(key)
+            assert residual == pytest.approx(oracle[key], abs=1e-12)
+
+    def test_oracle_cases_are_not_vacuous(self):
+        sets = oracle_phase_sets()
+        for name in ("planted", "degenerate", "wrapped", "zeros"):
+            assert len(brute_force_collisions(sets[name], 1e-8)) > 0, name
+        assert len(brute_force_collisions(sets["random-8"], 1e-8)) == 0
+        assert len(brute_force_collisions(sets["random-8"], 1e-1)) > 0
+        assert len(brute_force_collisions(sets["zeros"], 1e-8)) > bl.entropy.MAX_RESONANCE_EXAMPLES
 
 
 class TestReducedEigenData:
