@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Bipartition, dagger
-from .maps import lambda_basis
+from .linalg import Bipartition, _from_parity_blocks
 
 __all__ = [
     "EnsembleKind",
@@ -150,11 +149,7 @@ def sample_symmetric(d: int, rng: RngStream) -> np.ndarray:
         raise ValueError(f"symmetric ensemble needs an even dimension >= 2, got {d}")
     gen = rng.generator()
     half = d // 2
-    blocks = np.zeros((d, d), dtype=np.complex128)
-    blocks[:half, :half] = _coe(gen, half)
-    blocks[half:, half:] = _coe(gen, half)
-    lam = lambda_basis(d)
-    return lam @ blocks @ dagger(lam)
+    return _from_parity_blocks(_coe(gen, half), _coe(gen, half))  # odd block drawn first
 
 
 def sample_ensemble(kind, d: int, rng: RngStream) -> np.ndarray:

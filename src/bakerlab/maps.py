@@ -17,7 +17,16 @@ import enum
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .linalg import UNITARY_TOL, as_matrix, assert_unitary, dagger, kron, max_abs
+from .linalg import (
+    UNITARY_TOL,
+    _from_parity_blocks,
+    _to_parity_basis,
+    as_matrix,
+    assert_unitary,
+    dagger,
+    kron,
+    max_abs,
+)
 
 __all__ = [
     "MapKind",
@@ -81,7 +90,8 @@ def lambda_basis(d: int) -> np.ndarray:
     which in 2x2 block form reads [[1, R], [-R, 1]] / sqrt(2).  Conjugating a
     map that commutes with the full reflection by Lambda^dag ... Lambda sends
     the odd-parity sector to the upper-left block and the even-parity sector
-    to the lower-right one.
+    to the lower-right one.  This is the dense constructor; the package
+    itself applies Lambda by slicing (see ``bakerlab.linalg``).
     """
     _require_even(d, 2, "parity basis change")
     y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -117,19 +127,15 @@ def bbar(d: int) -> np.ndarray:
     if d < 8 or d % 4:
         raise ValueError(f"this construction needs d divisible by 4 and >= 8, got {d}")
     half = d // 2
-    r = reflection(half)
-    blocks = np.zeros((d, d), dtype=np.complex128)
-    blocks[:half, :half] = d_map(half, +1)
-    blocks[half:, half:] = r @ d_map(half, -1) @ r
-    lam = lambda_basis(d)
-    return lam @ blocks @ dagger(lam)
+    return _from_parity_blocks(d_map(half, +1), d_map(half, -1)[::-1, ::-1])
 
 
 def reflection_commutator(u) -> float:
     """Max-norm of ``[U, R]`` with R the reflection on U's space."""
     u = as_matrix(u)
-    r = reflection(u.shape[0])
-    return max_abs(u @ r - r @ u)
+    if u.shape[0] != u.shape[1]:
+        raise ValueError(f"the reflection commutator needs a square matrix, got {u.shape}")
+    return max_abs(u[:, ::-1] - u[::-1, :])  # U R - R U, R a permutation
 
 
 def reduce_by_symmetry(u, *, commutator_tol: float = UNITARY_TOL):
@@ -156,8 +162,7 @@ def reduce_by_symmetry(u, *, commutator_tol: float = UNITARY_TOL):
             f"matrix does not commute with the reflection: max |[U, R]| = {defect:.3e} "
             f"(tol {commutator_tol:.1e})"
         )
-    lam = lambda_basis(d)
-    rotated = dagger(lam) @ u @ lam
+    rotated = _to_parity_basis(u)
     half = d // 2
     off = max(max_abs(rotated[:half, half:]), max_abs(rotated[half:, :half]))
     if not off < 1e-9:

@@ -55,9 +55,11 @@ def cmatrix_from_dict(obj) -> np.ndarray:
 
 def save_cmatrix(path, m):
     """Write a matrix to ``path`` in cmatrix-json form."""
+    # json.dumps runs the C encoder; json.dump would stream through the
+    # pure-Python iterencode for the same bytes
+    text = json.dumps(cmatrix_to_dict(m)) + "\n"
     with open(path, "w") as f:
-        json.dump(cmatrix_to_dict(m), f)
-        f.write("\n")
+        f.write(text)
 
 
 def load_cmatrix(path) -> np.ndarray:

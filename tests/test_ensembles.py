@@ -206,6 +206,17 @@ class TestSymmetricEnsemble:
         assert_allclose(minus, w1, atol=1e-12)
         assert_allclose(plus, w2, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 16, 64])
+    def test_matches_dense_lambda_rotation(self, d):
+        stream = bl.RngStream(6, d)
+        gen = stream.generator()
+        half = d // 2
+        blocks = np.zeros((d, d), dtype=complex)
+        blocks[:half, :half] = _coe(gen, half)
+        blocks[half:, half:] = _coe(gen, half)
+        lam = bl.lambda_basis(d)
+        assert_allclose(bl.sample_symmetric(d, stream), lam @ blocks @ lam.conj().T, rtol=0, atol=1e-15)
+
     def test_deterministic(self):
         assert np.array_equal(
             bl.sample_symmetric(8, bl.RngStream(21, 0)), bl.sample_symmetric(8, bl.RngStream(21, 0))

@@ -38,6 +38,19 @@ class TestCmatrixJson:
         bl.save_cmatrix(b, m)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_bytes_equal_stdlib_json_dump(self, tmp_path):
+        m = np.empty((2, 2), dtype=complex)
+        m.real = [[-0.0, 1e300], [2.0, 0.1]]
+        m.imag = [[5e-324, -3.0], [0.0, -1e-310]]
+        path, reference = tmp_path / "m.json", tmp_path / "ref.json"
+        bl.save_cmatrix(path, m)
+        with open(reference, "w") as f:
+            json.dump(bl.cmatrix_to_dict(m), f)
+            f.write("\n")
+        assert path.read_bytes() == reference.read_bytes()
+        assert b"-0.0" in path.read_bytes() and b"5e-324" in path.read_bytes()
+        assert np.array_equal(bl.load_cmatrix(path), m)
+
     @pytest.mark.parametrize(
         "payload",
         [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 from numpy.testing import assert_allclose
+from scipy.linalg import expm, schur
 
 import bakerlab as bl
 
@@ -209,3 +210,126 @@ class TestEigensystem:
         eig = bl.eigensystem(np.eye(3))
         with pytest.raises(ValueError):
             eig.vectors[0, 0] = 5.0
+
+
+def schur_oracle(u):
+    """The dense eigensolve: one complex Schur of the whole matrix, phase-sorted."""
+    t, q = schur(u, output="complex")
+    phases = np.mod(np.angle(np.diagonal(t)), 2 * np.pi)
+    order = np.argsort(phases, kind="stable")
+    return bl.EigenSystem(phases=phases[order], vectors=q[:, order])
+
+
+def parity_impurity(vectors):
+    """Per column, min over the two parities of ||R v -+ v||."""
+    flipped = vectors[::-1, :]
+    odd = np.linalg.norm(flipped + vectors, axis=0)
+    even = np.linalg.norm(flipped - vectors, axis=0)
+    return np.minimum(odd, even), odd < even
+
+
+def assert_parity_pure(vectors):
+    impurity, odd = parity_impurity(vectors)
+    assert impurity.max() < 1e-10
+    assert odd.sum() == vectors.shape[1] // 2
+
+
+def circular_gap(a, b):
+    return np.abs(np.angle(np.exp(1j * (np.asarray(a) - np.asarray(b)))))
+
+
+ORACLE_CASES = [
+    ("baker", 4, (2, 2)),
+    ("baker", 8, (2, 4)),
+    ("baker", 12, (3, 4)),
+    ("baker", 64, (8, 8)),
+    ("baker", 238, (14, 17)),
+    ("bbar", 8, (2, 4)),
+    ("bbar", 16, (4, 4)),
+    ("bbar", 256, (16, 16)),
+    ("symmetric", 16, (4, 4)),
+    ("symmetric", 64, (8, 8)),
+]
+
+
+def oracle_case_map(kind, d):
+    if kind == "symmetric":
+        return bl.sample_symmetric(d, bl.RngStream(404, d))
+    return bl.make_map(kind, d)
+
+
+class TestParityEigensolve:
+    """Reflection-symmetric inputs are solved per parity block; the oracle is one dense Schur."""
+
+    @pytest.mark.parametrize("kind,d,split", ORACLE_CASES, ids=[f"{k}-{d}" for k, d, _ in ORACLE_CASES])
+    def test_matches_dense_schur(self, kind, d, split):
+        u = oracle_case_map(kind, d)
+        part = bl.Bipartition(*split)
+        eig = bl.eigensystem(u)
+        ref = schur_oracle(u)
+        assert circular_gap(eig.phases, ref.phases).max() < 1e-12
+        ep = bl.asymptotic_entangling_power(eig, part)
+        ep_ref = bl.asymptotic_entangling_power(ref, part)
+        assert abs(ep.value - ep_ref.value) < 1e-12
+        assert ep.resonance.violation_count == ep_ref.resonance.violation_count
+        assert_parity_pure(eig.vectors)
+
+    def test_symmetric_inputs_take_the_split(self):
+        # dense Schur returns the standard basis for the identity, which is not parity-pure
+        assert parity_impurity(schur_oracle(np.eye(8)).vectors)[0].min() > 1.0
+        for u in (np.eye(8), bl.reflection(8)):
+            eig = bl.eigensystem(u)
+            assert_parity_pure(eig.vectors)
+            assert_allclose(eig.vectors.conj().T @ eig.vectors, np.eye(8), atol=1e-14)
+
+    def test_degenerate_across_sectors(self):
+        # the same block in both sectors: every phase is exactly doubly degenerate
+        x = bl.sample_cue(8, bl.RngStream(405))
+        blocks = np.zeros((16, 16), dtype=complex)
+        blocks[:8, :8] = x
+        blocks[8:, 8:] = x
+        lam = bl.lambda_basis(16)
+        u = lam @ blocks @ lam.conj().T
+        eig = bl.eigensystem(u)
+        assert_allclose(eig.vectors.conj().T @ eig.vectors, np.eye(16), atol=1e-12)
+        assert_parity_pure(eig.vectors)
+        assert np.abs(eig.phases[::2] - eig.phases[1::2]).max() < 1e-12
+        assert bl.commensurability_check(eig.phases).has_nontrivial_resonance
+
+    def test_asymmetry_below_tol_passes_full_gates(self):
+        d = 64
+        rng = np.random.default_rng(406)
+        h = random_complex(rng, (d, d))
+        h = (h + h.conj().T) / 2
+        u = bl.baker(d) @ expm(3e-12j * h)
+        asymmetry = bl.max_abs(u[::-1, ::-1] - u)
+        assert 1e-12 < asymmetry < bl.UNITARY_TOL
+        eig = bl.eigensystem(u)
+        assert_parity_pure(eig.vectors)  # the split ran and neglected the coupling
+        diag = bl.eigensystem_diagnostics(u, eig)
+        assert diag["max_residual"] < 1e-9
+        assert diag["reconstruction_error"] < 1e-9
+        assert circular_gap(eig.phases, schur_oracle(u).phases).max() < 1e-10
+
+    def test_asymmetry_above_tol_takes_dense_schur(self):
+        d = 64
+        rng = np.random.default_rng(407)
+        h = random_complex(rng, (d, d))
+        h = (h + h.conj().T) / 2
+        u = bl.baker(d) @ expm(1e-6j * h)
+        eig = bl.eigensystem(u)
+        assert parity_impurity(eig.vectors)[0].max() > 1e-8
+        assert circular_gap(eig.phases, schur_oracle(u).phases).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "u",
+        [bl.d_map(64), bl.sample_cue(32, bl.RngStream(408)), np.eye(3), PAULI_X],
+        ids=["dmap", "cue", "odd", "pauli-x"],
+    )
+    def test_other_inputs_still_pass(self, u):
+        eig = bl.eigensystem(u)
+        ref = schur_oracle(u)
+        assert circular_gap(eig.phases, ref.phases).max() < 1e-12
+        diag = bl.eigensystem_diagnostics(u, eig)
+        assert diag["max_residual"] < 1e-12
+        assert diag["orthonormality_defect"] < 1e-12

@@ -151,6 +151,35 @@ class TestLambdaBasis:
             bl.lambda_basis(5)
 
 
+class TestSlicedParityRotation:
+    """The sliced Lambda rotations used by the package against dense products."""
+
+    @pytest.mark.parametrize("d", [2, 4, 10, 64])
+    def test_conjugations_match_dense_lambda(self, d):
+        from bakerlab.linalg import _from_parity_blocks, _to_parity_basis
+
+        half = d // 2
+        x = bl.sample_cue(half, bl.RngStream(31, d))
+        y = bl.sample_cue(half, bl.RngStream(32, d))
+        lam = bl.lambda_basis(d)
+        blocks = np.zeros((d, d), dtype=complex)
+        blocks[:half, :half] = x
+        blocks[half:, half:] = y
+        assert_allclose(_from_parity_blocks(x, y), lam @ blocks @ lam.conj().T, rtol=0, atol=1e-15)
+        u = bl.sample_cue(d, bl.RngStream(33, d))
+        assert_allclose(_to_parity_basis(u), lam.conj().T @ u @ lam, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [3, 8, 64])
+    def test_reflection_commutator_equals_dense_products(self, d):
+        u = bl.sample_cue(d, bl.RngStream(34, d))
+        r = bl.reflection(d)
+        assert bl.reflection_commutator(u) == bl.max_abs(u @ r - r @ u)
+
+    def test_reflection_commutator_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            bl.reflection_commutator(np.ones((2, 3)))
+
+
 class TestReduceBySymmetry:
     def test_identity_reduces_to_identities(self):
         minus, plus = bl.reduce_by_symmetry(np.eye(8))
@@ -196,6 +225,16 @@ class TestBBar:
         r = bl.reflection(4)
         assert_allclose(minus, bl.d_map(4, +1), atol=1e-13)
         assert_allclose(plus, r @ bl.d_map(4, -1) @ r, atol=1e-13)
+
+    @pytest.mark.parametrize("d", [8, 16, 64])
+    def test_matches_dense_lambda_construction(self, d):
+        half = d // 2
+        r = bl.reflection(half)
+        blocks = np.zeros((d, d), dtype=complex)
+        blocks[:half, :half] = bl.d_map(half, +1)
+        blocks[half:, half:] = r @ bl.d_map(half, -1) @ r
+        lam = bl.lambda_basis(d)
+        assert_allclose(bl.bbar(d), lam @ blocks @ lam.conj().T, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("d", [4, 6, 10, 9])
     def test_rejects_bad_dimensions(self, d):
