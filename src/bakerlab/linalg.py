@@ -1,12 +1,21 @@
 """Dense complex linear algebra: products, tensor structure, partial traces,
 and eigendecomposition of unitary matrices.
 
-Reflection-symmetric unitaries (``R U R = U`` with R the index reversal
-``j -> d-1-j``, d even) split into odd- and even-parity blocks of size d/2
-in the basis of ``bakerlab.maps.lambda_basis``.  Lambda has two nonzeros
-per row, so the private helpers ``_to_parity_basis``, ``_from_parity_blocks``
-and ``_from_parity_vectors`` apply it by slicing in O(d^2) instead of dense
-products; :func:`eigensystem` uses them to solve the two blocks separately.
+:func:`eigensystem` picks its solver from the symmetries of its input:
+
+* Reflection-symmetric unitaries (``R U R = U`` with R the index reversal
+  ``j -> d-1-j``, d even) split into odd- and even-parity blocks of size d/2
+  in the basis of ``bakerlab.maps.lambda_basis``.  Lambda is real with two
+  nonzeros per row, so the private helpers ``_to_parity_basis``,
+  ``_from_parity_blocks`` and ``_from_parity_vectors`` apply it by slicing in
+  O(d^2) instead of dense products, and each block is solved on its own.
+* Time-reversal-symmetric unitaries (``V U* V^dag = U^dag`` for V = 1, the
+  antiperiodic Fourier kernel ``G_d``, or ``1_2 kron G_{d/2}``) are
+  diagonalized by real symmetric ``eigh`` solves instead of a complex Schur
+  factorization: with ``V = W W^T``, ``W^dag U W`` is a symmetric unitary
+  with a real orthogonal eigenbasis (Saraceno, Ann. Phys. 199, 37, 1990).
+  This covers B, D, D', Bbar, COE and the reflection-symmetric ensemble.
+* Everything else takes one dense complex Schur factorization.
 
 Conventions used throughout the package:
 
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import schur
+from scipy.linalg import eigh, schur
 
 __all__ = [
     "UNITARY_TOL",
@@ -48,6 +57,18 @@ UNITARY_TOL = 1e-10
 NORM_TOL = 1e-10
 #: base tolerance for eigenvector residuals (scaled by sqrt(d) where noted)
 EIGEN_TOL = 1e-8
+
+# c in the real combination Re S + c Im S that diagonalizes a symmetric
+# unitary S; any value other than 0 and +-1 works, and A folds phases about
+# atan(c)
+_MIX = 0.6180339887498949
+_FOLD = float(np.arctan(_MIX))
+# runs of A eigenvalues closer than this many mean spacings form a cluster;
+# outside them a fold pair at gap g keeps a residual of ~eps / g
+_CLUSTER_SPACINGS = 0.1
+# a cluster is re-solved when a column residual exceeds this times n, about
+# ten times what eigh leaves on exactly degenerate eigenvalues
+_RITZ_EPS = 2e-15
 
 
 def as_matrix(a) -> np.ndarray:
@@ -178,25 +199,28 @@ def eigensystem(
     *,
     unitary_tol: float = UNITARY_TOL,
     residual_tol: float = EIGEN_TOL,
-    cluster_gap: float = EIGEN_TOL,
 ) -> EigenSystem:
     """Orthonormal eigendecomposition of a unitary matrix.
 
-    Uses a complex Schur factorization, which is exactly the spectral
-    decomposition for a normal matrix and keeps the vectors orthonormal even
-    across (near-)degenerate eigenvalues.  Phase clusters closer than
-    ``cluster_gap`` are re-orthonormalized as a block, so degenerate spectra
-    still come out with a clean orthonormal basis.
+    The solver is chosen from two symmetries that the input is tested for,
+    each to ``unitary_tol`` in the max-norm:
 
-    When d is even and ``max |R U R - U| < unitary_tol`` (R the reflection
-    ``j -> d-1-j``), the odd- and even-parity blocks of size d/2 are Schur
-    factorized separately and their vectors rotated back, which is about
-    three times cheaper than one Schur at size d and returns parity-pure
-    vectors, so near-degeneracies across the two sectors are never mixed.
-    The symmetry is only tested to ``unitary_tol``, so the residual,
-    orthonormality and reconstruction gates always run against ``u`` itself
-    at full size: a slightly asymmetric input whose neglected coupling
-    matters fails them just like a bad dense solve.
+    * reflection, ``R U R = U`` with R the index reversal ``j -> d-1-j`` and
+      d even: the odd- and even-parity blocks of size d/2 are solved
+      separately and their vectors rotated back, which returns parity-pure
+      vectors, so near-degeneracies across the two sectors are never mixed;
+    * time reversal, ``V U* V^dag = U^dag`` for the first V among 1 (U
+      symmetric), ``G_d`` (B, D, D') and ``1_2 kron G_{d/2}`` (Bbar, B): with
+      ``V = W W^T``, ``W^dag U W`` is a symmetric unitary, which two real
+      symmetric ``eigh`` solves diagonalize (see ``_real_eigenbasis``).  Under
+      both symmetries this runs per parity block with V rotated alike.
+
+    Every other input, and every block without time reversal, takes a complex
+    Schur factorization, which is exactly the spectral decomposition of a
+    normal matrix.  The symmetries are only tested to ``unitary_tol``, so the
+    residual, orthonormality and reconstruction gates always run against
+    ``u`` itself at full size: a slightly asymmetric input whose neglected
+    part matters fails them just like a bad dense solve.
 
     Raises
     ------
@@ -207,20 +231,23 @@ def eigensystem(
     u = as_matrix(u)
     assert_unitary(u, unitary_tol)
     d = u.shape[0]
-    if d % 2 == 0 and max_abs(u[::-1, ::-1] - u) < unitary_tol:
+    reversible, v = _time_reversal(u, unitary_tol)
+    split = d % 2 == 0 and max_abs(u[::-1, ::-1] - u) < unitary_tol
+    blocks = [(u, v)]
+    if split:
         rotated = _to_parity_basis(u)
-        h = d // 2
-        lam_m, w_m = _schur(rotated[:h, :h])
-        lam_p, w_p = _schur(rotated[h:, h:])
-        lam = np.concatenate([lam_m, lam_p])
-        q = _from_parity_vectors(w_m, w_p)
-    else:
-        lam, q = _schur(u)
+        # every candidate V commutes with R, so Lambda^T V Lambda is block diagonal
+        v = v if v is None else _to_parity_basis(v)
+        halves = (np.s_[: d // 2], np.s_[d // 2 :])
+        blocks = [(rotated[s, s], v if v is None else v[s, s]) for s in halves]
+    solved = [_eigh_reversible(x, vx) if reversible else _schur(x) for x, vx in blocks]
+    lam = np.concatenate([lam_x for lam_x, _ in solved])
+    q = _from_parity_vectors(solved[0][1], solved[1][1]) if split else solved[0][1]
     phases = np.mod(np.angle(lam), 2.0 * np.pi)
+    phases[phases == 2.0 * np.pi] = 0.0  # np.mod rounds phases just below 0 up to 2 pi
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
     vectors = q[:, order]
-    _polish_clusters(phases, vectors, cluster_gap)
 
     diag = eigensystem_diagnostics(u, phases, vectors)
     scaled = residual_tol * np.sqrt(phases.size)
@@ -243,6 +270,118 @@ def _schur(u):
     except LinAlgError as exc:
         raise LinAlgError("eigensolver did not converge") from exc
     return np.diagonal(t), q
+
+
+def _fourier_kernel(d):
+    """``G_d[j, k] = exp(2 pi i (j + 1/2)(k + 1/2) / d) / sqrt(d)``, a symmetric unitary."""
+    j = np.arange(d)[:, None] + 0.5
+    k = np.arange(d)[None, :] + 0.5
+    return np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
+
+
+def _time_reversal(u, tol):
+    """Find the time reversal V, with ``V U* V^dag = U^dag``, among the candidates.
+
+    Tries V = 1, ``G_d`` and (d even) ``1_2 kron G_{d/2}`` in that order and
+    returns ``(True, V)`` for the first with ``max |V U* V^dag - U^dag| < tol``
+    (V is None for the identity), else ``(False, None)``.  Each candidate is
+    symmetric, so ``V^dag = V*``.  Before the full O(d^3) gate, one fixed
+    vector x with ``|x_k| = 1`` is pushed through both sides in O(d^2); any
+    input that passes the full gate has a probe difference below ``d * tol``,
+    so the probe only ever skips candidates that would fail.
+    """
+    d = u.shape[0]
+    x = np.exp(2j * np.pi * _MIX * np.arange(d) ** 2)
+    target = np.conj(x.conj() @ u)  # U^dag x
+    candidates = [lambda: None, lambda: _fourier_kernel(d)]
+    if d % 2 == 0:
+        candidates.append(lambda: np.kron(np.eye(2), _fourier_kernel(d // 2)))
+    for make in candidates:
+        v = make()
+        y = x.conj() if v is None else v @ x.conj()  # conj(V^dag x)
+        y = np.conj(u @ y)  # U* V^dag x
+        y = y if v is None else v @ y
+        if not max_abs(y - target) < d * tol:
+            continue
+        lhs = u.conj() if v is None else v @ u.conj() @ v.conj()
+        if max_abs(lhs - u.conj().T) < tol:
+            return True, v
+    return False, None
+
+
+def _eigh_reversible(u, v):
+    """Eigenvalues and orthonormal eigenvectors of a unitary with ``V U* V^dag = U^dag``.
+
+    V is a symmetric unitary (None for the identity).  Its real eigenbasis
+    gives ``V = W W^T`` with ``W = O_v diag(lam_v)^(1/2)``; then
+    ``S = W^dag U W`` is a symmetric unitary, ``S = O diag(lam) O^T`` with O
+    real orthogonal, and the eigenvectors of U are ``W O``.
+    """
+    if v is None:
+        return _real_eigenbasis(u)
+    lam_v, o_v = _real_eigenbasis(v)
+    root = np.sqrt(lam_v)
+    s = root.conj()[:, None] * _real_left(o_v.T, _real_right(u, o_v)) * root
+    lam, o = _real_eigenbasis(s)
+    return lam, _real_left(o_v, root[:, None] * o)
+
+
+def _real_eigenbasis(s):
+    """Eigenvalues and a real orthogonal eigenbasis O of a symmetric unitary S.
+
+    ``Re S`` and ``Im S`` commute, so one real ``eigh`` of
+    ``A = Re S + c Im S`` diagonalizes both, with eigenvalue
+    ``sqrt(1 + c^2) cos(theta - atan c)`` for the phase theta; the eigenvalues
+    of S are the diagonal of ``O^T S O``.  A does not tell apart a phase and
+    its fold ``2 atan c - theta``, nor a true degeneracy, so ``eigh`` may mix
+    their vectors.  Runs of A eigenvalues closer than ``_CLUSTER_SPACINGS``
+    mean spacings are therefore solved again by Rayleigh-Ritz, unless every
+    column already has a residual ``|S o - lam o|`` below ``_RITZ_EPS * n``
+    (exact degeneracies, as in the factors of V): a real ``eigh`` of
+    ``Re(exp(-i(atan c + beta)) O_c^T S O_c)`` with beta chosen away from the
+    run's fold and its stationary points.
+    """
+    n = s.shape[0]
+    mu, o = eigh(s.real + _MIX * s.imag, driver="evd")
+    o = np.ascontiguousarray(o)  # eigh returns Fortran order; match the products below
+    so = _real_right(s, o)
+    lam = (so * o).sum(axis=0)
+    residual = np.linalg.norm(so - o * lam, axis=0)
+    close = np.diff(mu) < _CLUSTER_SPACINGS * 2.0 * np.hypot(1.0, _MIX) / n
+    edges = np.diff(np.concatenate([[0], close, [0]]).astype(np.int8))
+    for start, stop in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) + 1):
+        if residual[start:stop].max() < _RITZ_EPS * n:
+            continue
+        block = _real_left(o[:, start:stop].T, so[:, start:stop])
+        turn = np.exp(-1j * (_FOLD + _ritz_angle(mu[start:stop].mean())))
+        _, q = eigh((turn * block).real, driver="evd")
+        o[:, start:stop] = o[:, start:stop] @ q
+        lam[start:stop] = ((block @ q) * q).sum(axis=0)
+    return lam, o
+
+
+def _ritz_angle(mu):
+    """A rotation beta that resolves a run of A eigenvalues around ``mu``.
+
+    The run's phases sit near ``atan c +- phi`` with
+    ``phi = arccos(mu / sqrt(1 + c^2))``.  ``Re(exp(-i(atan c + beta)) S)``
+    separates the two folds when ``sin beta`` is not small and nearby phases
+    on either side when ``sin(beta -+ phi)`` is not, so beta is the centre of
+    the widest gap between 0, phi and -phi modulo pi, at least pi/6 from each.
+    """
+    phi = np.arccos(np.clip(mu / np.hypot(1.0, _MIX), -1.0, 1.0))
+    q = min(phi, np.pi - phi)
+    return np.pi / 2 if q <= np.pi / 3 else q / 2
+
+
+def _real_right(a, o):
+    """``a @ o`` for complex ``a`` and real ``o``, as two real products."""
+    return (a.real @ o) + 1j * (a.imag @ o)
+
+
+def _real_left(o, a):
+    """``o @ a`` for real ``o`` and complex ``a``, as two real products."""
+    return (o @ a.real) + 1j * (o @ a.imag)
 
 
 def _to_parity_basis(u):
@@ -317,23 +456,3 @@ def eigensystem_diagnostics(u, phases_or_eig, vectors=None) -> dict:
         "orthonormality_defect": max_abs(gram),
         "reconstruction_error": max_abs(recon),
     }
-
-
-def _polish_clusters(phases, vectors, gap):
-    """QR-reorthonormalize eigenvector blocks whose phases nearly coincide.
-
-    Clusters are runs of sorted phases with successive gaps below ``gap``;
-    the run wrapping through 2*pi -> 0 is treated as one cluster.  Modifies
-    ``vectors`` in place.
-    """
-    d = phases.size
-    if d < 2:
-        return
-    breaks = np.nonzero(np.diff(phases) >= gap)[0]
-    runs = np.split(np.arange(d), breaks + 1)
-    if len(runs) > 1 and (phases[0] + 2.0 * np.pi - phases[-1]) < gap:
-        runs[0] = np.concatenate([runs.pop(), runs[0]])
-    for idx in runs:
-        if idx.size > 1:
-            block, _ = np.linalg.qr(vectors[:, idx])
-            vectors[:, idx] = block

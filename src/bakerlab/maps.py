@@ -19,6 +19,7 @@ from numpy.linalg import LinAlgError
 
 from .linalg import (
     UNITARY_TOL,
+    _fourier_kernel,
     _from_parity_blocks,
     _to_parity_basis,
     as_matrix,
@@ -50,9 +51,7 @@ def antiperiodic_fourier(d: int) -> np.ndarray:
     """
     if d < 2:
         raise ValueError(f"Fourier kernel needs dimension >= 2, got {d}")
-    j = np.arange(d)[:, None] + 0.5
-    k = np.arange(d)[None, :] + 0.5
-    return np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
+    return _fourier_kernel(d)
 
 
 def reflection(d: int) -> np.ndarray:

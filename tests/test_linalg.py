@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm, schur
 
 import bakerlab as bl
+from bakerlab import linalg
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -197,6 +198,13 @@ class TestEigensystem:
         gram = eig.vectors.conj().T @ eig.vectors
         assert_allclose(gram, np.eye(4), atol=1e-10)
 
+    def test_phase_just_below_zero_folds_to_zero(self):
+        # np.mod(-1e-17, 2 pi) rounds to 2 pi, outside the documented [0, 2 pi)
+        eig = bl.eigensystem(np.diag(np.exp(1j * np.array([-1e-17, 1.0, 2.0, 3.0]))))
+        assert eig.phases[0] == 0.0
+        assert (eig.phases < 2 * np.pi).all()
+        assert_allclose(eig.phases, [0.0, 1.0, 2.0, 3.0], atol=1e-14)
+
     def test_rejects_non_unitary(self):
         with pytest.raises(LinAlgError, match="not unitary"):
             bl.eigensystem(np.diag([1.0, 0.5]))
@@ -330,6 +338,98 @@ class TestParityEigensolve:
         eig = bl.eigensystem(u)
         ref = schur_oracle(u)
         assert circular_gap(eig.phases, ref.phases).max() < 1e-12
+        diag = bl.eigensystem_diagnostics(u, eig)
+        assert diag["max_residual"] < 1e-12
+        assert diag["orthonormality_defect"] < 1e-12
+
+
+TIME_REVERSAL_CASES = [
+    ("dmap", 16, (4, 4)),
+    ("dmap", 64, (8, 8)),
+    ("dmap", 256, (16, 16)),
+    ("dprime", 64, (8, 8)),
+    ("baker", 256, (16, 16)),
+    ("bbar", 256, (16, 16)),
+]
+
+
+def time_reversal_operator(kind, d):
+    """The first V of the dispatch order that reverses this map: G_d, else 1_2 kron G_{d/2}."""
+    if kind == "bbar":
+        return np.kron(np.eye(2), bl.antiperiodic_fourier(d // 2))
+    return bl.antiperiodic_fourier(d)
+
+
+def reversal_defect(v, vectors):
+    """max |V conj(vectors) - vectors|: zero for the basis W O of the time-reversal solve."""
+    return bl.max_abs(v @ vectors.conj() - vectors)
+
+
+class TestTimeReversalEigensolve:
+    """Inputs with V U* V^dag = U^dag are solved by real eigh; the oracle is one dense Schur."""
+
+    @pytest.mark.parametrize(
+        "kind,d,split", TIME_REVERSAL_CASES, ids=[f"{k}-{d}" for k, d, _ in TIME_REVERSAL_CASES]
+    )
+    def test_matches_dense_schur(self, kind, d, split):
+        u = bl.make_map(kind, d)
+        v = time_reversal_operator(kind, d)
+        assert bl.max_abs(v @ u.conj() @ v.conj().T - u.conj().T) < 1e-12
+        part = bl.Bipartition(*split)
+        eig = bl.eigensystem(u)
+        ref = schur_oracle(u)
+        assert circular_gap(eig.phases, ref.phases).max() < 1e-12
+        ep = bl.asymptotic_entangling_power(eig, part)
+        ep_ref = bl.asymptotic_entangling_power(ref, part)
+        assert abs(ep.value - ep_ref.value) < 1e-12
+        assert ep.resonance.violation_count == ep_ref.resonance.violation_count
+        # the dispatch chose V: its basis is V-real, which Schur vectors are not
+        assert reversal_defect(v, eig.vectors) < 1e-10
+        assert reversal_defect(v, ref.vectors) > 1e-2
+
+    def test_symmetric_inputs_take_the_identity(self):
+        u = bl.sample_symmetric(64, bl.RngStream(409))
+        eig = bl.eigensystem(u)
+        assert bl.max_abs(eig.vectors.imag) < 1e-10  # V = 1: the eigenbasis is real
+        assert circular_gap(eig.phases, schur_oracle(u).phases).max() < 1e-12
+
+    def test_reversal_breaking_takes_dense_schur(self):
+        d = 64
+        rng = np.random.default_rng(410)
+        h = random_complex(rng, (d, d))
+        h = (h + h.conj().T) / 2
+        u = bl.d_map(d) @ expm(1e-6j * h)
+        v = bl.antiperiodic_fourier(d)
+        assert bl.max_abs(v @ u.conj() @ v.conj().T - u.conj().T) > 1e-8
+        eig = bl.eigensystem(u)
+        assert reversal_defect(v, eig.vectors) > 1e-2
+        assert circular_gap(eig.phases, schur_oracle(u).phases).max() < 1e-12
+        diag = bl.eigensystem_diagnostics(u, eig)
+        assert diag["max_residual"] < 1e-12
+        assert diag["orthonormality_defect"] < 1e-12
+
+    @pytest.mark.parametrize("planted", ["fold-and-degenerate-pair", "fold-with-near-neighbour"])
+    def test_planted_clusters_resolved(self, planted):
+        # U = O diag(e^{i theta}) O^T with O real orthogonal is a symmetric unitary
+        # (V = 1).  A phase t and its fold 2 atan(c) - t land on one eigenvalue
+        # of Re U + c Im U, and so does an exactly degenerate pair, so eigh alone
+        # returns arbitrary mixtures of their vectors.  In the second case the
+        # fold sits a quarter turn from atan(c), next to a phase 2e-9 away on the
+        # same side, which the rotation pi/2 would not tell apart.
+        d = 12
+        rng = np.random.default_rng(411)
+        o, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        center = np.arctan(linalg._MIX)
+        t = 0.7 if planted == "fold-and-degenerate-pair" else center + np.pi / 2 + 1e-9
+        fourth = 2.5 if planted == "fold-and-degenerate-pair" else t - 2e-9
+        theta = np.concatenate([[t, 2 * center - t, 2.5, fourth], rng.uniform(3.0, 6.0, d - 4)])
+        theta = np.mod(theta, 2 * np.pi)
+        mixed = np.cos(theta) + linalg._MIX * np.sin(theta)
+        assert abs(mixed[0] - mixed[1]) < 1e-15
+        u = (o * np.exp(1j * theta)) @ o.T
+        assert bl.reflection_commutator(u) > 1e-2  # no parity split: one eigh at full size
+        eig = bl.eigensystem(u)
+        assert circular_gap(eig.phases, np.sort(theta)).max() < 1e-12
         diag = bl.eigensystem_diagnostics(u, eig)
         assert diag["max_residual"] < 1e-12
         assert diag["orthonormality_defect"] < 1e-12
