@@ -30,7 +30,7 @@ from .entropy import (
     linear_entropies,
     ReducedEigenData,
 )
-from .linalg import Bipartition, assert_unitary, eigensystem, eigensystem_diagnostics
+from .linalg import Bipartition, eigensystem, eigensystem_diagnostics
 from .maps import MapKind, make_map
 from .matrixio import load_cmatrix, save_cmatrix
 from .reports import HistogramSummary, atomic_write, write_entropy_csv
@@ -236,8 +236,7 @@ def cmd_epinf(args) -> int:
     part = parse_split(args.split)
     if part.d != d:
         raise ValueError(f"split {part.d_a}x{part.d_b} does not multiply to map dimension {d}")
-    assert_unitary(u, name="map")
-    eig = eigensystem(u)
+    eig = eigensystem(u)  # refuses a non-unitary u with LinAlgError (exit 3)
     resonance = commensurability_check(eig.phases, tol=args.tol)
     reduced = ReducedEigenData.from_eigensystem(eig, part)
     power = asymptotic_entangling_power(eig, part, reduced=reduced, resonance=resonance)
@@ -286,8 +285,7 @@ def cmd_spectrum_check(args) -> int:
     u = load_cmatrix(args.map_file)
     if u.shape[0] != u.shape[1]:
         raise ValueError(f"map file holds a non-square {u.shape[0]}x{u.shape[1]} matrix")
-    assert_unitary(u, name="map")
-    eig = eigensystem(u)
+    eig = eigensystem(u)  # refuses a non-unitary u with LinAlgError (exit 3)
     resonance = commensurability_check(eig.phases, tol=args.tol)
     report = {
         "metadata": {

@@ -17,6 +17,7 @@ maximally entangled ones.  This module provides
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,7 +25,17 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .ensembles import RngStream, product_state, product_states, sample_ensemble
-from .linalg import NORM_TOL, Bipartition, EigenSystem, as_matrix, assert_unitary, max_abs
+from .linalg import (
+    NORM_TOL,
+    UNITARY_TOL,
+    Bipartition,
+    EigenSystem,
+    _probe_vector,
+    as_matrix,
+    assert_unitary,
+    max_abs,
+)
+from .maps import _baker_rows
 
 __all__ = [
     "AsymptoticValue",
@@ -96,9 +107,9 @@ def _purity(e: np.ndarray) -> float:
     return float(np.einsum("ab,ab->", g, g.conj()).real)
 
 
-def _batch_entropy(columns: np.ndarray, part: Bipartition) -> np.ndarray:
-    """Linear entropies of the states stored as columns, without checks."""
-    e = columns.T.reshape(-1, part.d_a, part.d_b)
+def _batch_entropy(rows: np.ndarray, part: Bipartition) -> np.ndarray:
+    """Linear entropies of the states stored as rows, without checks."""
+    e = rows.reshape(-1, part.d_a, part.d_b)
     if part.d_a <= part.d_b:
         g = e @ np.conj(np.swapaxes(e, 1, 2))
     else:
@@ -123,7 +134,7 @@ def linear_entropies(columns, part: Bipartition) -> np.ndarray:
     norms = np.einsum("ds,ds->s", cols, cols.conj()).real
     if max_abs(norms - 1.0) > NORM_TOL:
         raise ValueError("every column must be a normalized state")
-    return _batch_entropy(cols, part)
+    return _batch_entropy(cols.T, part)
 
 
 def cue_mean_entropy(part: Bipartition) -> float:
@@ -204,6 +215,11 @@ def empirical_asymptotic_distribution(
     entropies with ``n_min <= n <= n_max`` are recorded.  Rows are ordered
     state-major, so ``value.reshape(n_states, -1)`` recovers the per-state
     time series.
+
+    A step is one dense product ``u @ psi``, except when ``u`` is B, D or D'
+    (see :func:`bakerlab.maps.baker`, :func:`bakerlab.maps.d_map`) within
+    ``UNITARY_TOL`` entrywise and d is at least ``_TRANSFORM_MIN_D``: then
+    two FFTs per step apply the map in O(d log d) per state.
     """
     u = as_matrix(u)
     if not (1 <= n_min <= n_max):
@@ -213,11 +229,15 @@ def empirical_asymptotic_distribution(
     if u.shape != (part.d, part.d):
         raise ValueError(f"map shape {u.shape} does not match split {part.d_a}x{part.d_b}")
     assert_unitary(u, name="map")
-    psi = np.column_stack([product_state(part, rng.offset(s)) for s in range(n_states)])
+    step = _transform_step(u)
+    if step is None:
+        def step(rows):  # one GEMM on the states as the columns of a (d, S) array
+            return (u @ rows.T).T
+    psi = np.column_stack([product_state(part, rng.offset(s)) for s in range(n_states)]).T
     window = n_max - n_min + 1
     out = np.empty((n_states, window))
     for n in range(1, n_max + 1):
-        psi = u @ psi
+        psi = step(psi)
         if n >= n_min:
             out[:, n - n_min] = _batch_entropy(psi, part)
     return EntropySamples(
@@ -225,6 +245,49 @@ def empirical_asymptotic_distribution(
         time_step=np.tile(np.arange(n_min, n_max + 1, dtype=np.int64), n_states),
         value=out.ravel(),
     )
+
+
+#: B, D and D' are iterated by FFT from this dimension up; below it one dense
+#: GEMM per step is faster (per-step timings in CHANGES.md)
+_TRANSFORM_MIN_D = 256
+#: rows of the identity pushed through a candidate transform at a time
+_GATE_ROWS = 64
+
+
+def _transform_step(u):
+    """The FFT step of ``u`` when it is B, D or D', else None.
+
+    Like ``linalg._time_reversal``, each candidate (``maps._baker_rows`` with
+    sign 0, +1, -1) is first compared with ``u`` on one probe vector in
+    O(d^2), at the bound ``d * UNITARY_TOL`` that no input passing the full
+    gate can exceed.  The full gate then applies the candidate to the
+    identity, ``_GATE_ROWS`` rows at a time, and requires every column of
+    ``u`` to match within ``UNITARY_TOL``: the map that is iterated is the
+    one that passed the unitarity gate.  Inputs with d below
+    ``_TRANSFORM_MIN_D`` or odd are not tested.
+    """
+    d = u.shape[0]
+    if d < _TRANSFORM_MIN_D or d % 2:
+        return None
+    x = _probe_vector(d)
+    target = u @ x
+    for sign in (0, +1, -1):
+        step = functools.partial(_baker_rows, sign=sign)
+        if max_abs(step(x[None, :].copy())[0] - target) < d * UNITARY_TOL and _reproduces(step, u):
+            return step
+    return None
+
+
+def _reproduces(step, u):
+    """Whether ``step`` maps each unit vector e_k to column k of ``u`` within ``UNITARY_TOL``."""
+    d = u.shape[0]
+    for start in range(0, d, _GATE_ROWS):
+        stop = min(start + _GATE_ROWS, d)
+        unit = np.zeros((stop - start, d), dtype=np.complex128)
+        unit[np.arange(stop - start), np.arange(start, stop)] = 1.0
+        if not max_abs(step(unit) - u[:, start:stop].T) < UNITARY_TOL:
+            return False
+    return True
 
 
 def asymptotic_power_mc(u, part: Bipartition, n_states: int, n_min: int, n_max: int, rng: RngStream):

@@ -19,12 +19,12 @@ from numpy.linalg import LinAlgError
 
 from .linalg import (
     UNITARY_TOL,
+    _fourier_apply,
     _fourier_kernel,
     _from_parity_blocks,
     _to_parity_basis,
     as_matrix,
     assert_unitary,
-    dagger,
     kron,
     max_abs,
 )
@@ -75,8 +75,39 @@ def baker(d: int) -> np.ndarray:
         B_d = G_d . (1_2 kron G_{d/2}^{-1}).
     """
     _require_even(d, 4, "baker map")
-    g_inv_half = dagger(antiperiodic_fourier(d // 2))
-    return antiperiodic_fourier(d) @ kron(np.eye(2), g_inv_half)
+    return _baker_family(d, 0)
+
+
+def _baker_family(d, sign):
+    """``G_d F`` for the block-diagonal factor F of B (sign 0), D (+1) or D' (-1).
+
+    F is ``diag(G^{-1}, G^{-1})`` for B and ``diag(G^{-1}, sign G)`` for D and
+    D', with ``G = G_{d/2}``.  F is symmetric, so transforming its rows by FFT
+    gives ``F G_d = (G_d F)^T`` in O(d^2 log d) instead of a d^3 product.
+    """
+    half = d // 2
+    g = _fourier_kernel(half)
+    out = np.zeros((d, d), dtype=np.complex128)
+    out[:half, :half] = g.conj()
+    out[half:, half:] = sign * g if sign else g.conj()
+    out = _fourier_apply(out)  # rebinding frees F: two d x d arrays at most
+    return np.ascontiguousarray(out.T)
+
+
+def _baker_rows(psi, sign):
+    """B (sign 0), D (+1) or D' (-1) applied to every row of an (S, d) array by FFT.
+
+    One FFT applies ``G_{d/2}^{-1}`` to both halves of every row.  For D and
+    D' the second half needs ``sign G_{d/2}`` instead, and since
+    ``R G = -G^{-1}`` (R the reversal) that is ``-sign`` times the reversed
+    half.  One more FFT applies ``G_d``.  The cost is O(S d log d) against
+    the O(S d^2) of a dense step; ``psi`` may be overwritten.
+    """
+    s, d = psi.shape
+    z = _fourier_apply(psi.reshape(s, 2, d // 2), inverse=True)
+    if sign:
+        z[:, 1] = -sign * z[:, 1, ::-1]
+    return _fourier_apply(z.reshape(s, d))
 
 
 def lambda_basis(d: int) -> np.ndarray:
@@ -107,12 +138,7 @@ def d_map(d: int, sign: int = +1) -> np.ndarray:
     _require_even(d, 4, "D map")
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    half = d // 2
-    g_half = antiperiodic_fourier(half)
-    blocks = np.zeros((d, d), dtype=np.complex128)
-    blocks[:half, :half] = g_half.conj().T
-    blocks[half:, half:] = sign * g_half
-    return antiperiodic_fourier(d) @ blocks
+    return _baker_family(d, sign)
 
 
 def bbar(d: int) -> np.ndarray:

@@ -253,9 +253,17 @@ class TestEmpiricalAsymptoticDistribution:
         assert np.array_equal(samples.state_id, np.repeat(np.arange(3), 10))
         assert np.array_equal(samples.time_step, np.tile(np.arange(5, 15), 3))
 
-    def test_matches_direct_timeseries(self):
-        part = bl.Bipartition(4, 4)
-        u = bl.d_map(16)
+    # d = 16 takes the dense step; 256 and 300 (not a power of two) the FFT step
+    @pytest.mark.parametrize("kind, d, d_a", [
+        ("dmap", 16, 4),
+        ("baker", 256, 16),
+        ("dprime", 256, 16),
+        ("baker", 300, 15),
+        ("dprime", 300, 15),
+    ])
+    def test_matches_direct_timeseries(self, kind, d, d_a):
+        part = bl.Bipartition(d_a, d // d_a)
+        u = bl.make_map(kind, d)
         samples = bl.empirical_asymptotic_distribution(u, part, 4, 9, 2, bl.RngStream(20))
         for s in range(2):
             psi = bl.product_state(part, bl.RngStream(20, s))
@@ -267,6 +275,42 @@ class TestEmpiricalAsymptoticDistribution:
         part = bl.Bipartition(2, 2)
         with pytest.raises(ValueError):
             bl.empirical_asymptotic_distribution(np.eye(4), part, 5, 4, 2, bl.RngStream(1))
+
+
+class TestTransformDispatch:
+    """Which inputs ``empirical_asymptotic_distribution`` iterates by FFT."""
+
+    @pytest.mark.parametrize("kind", ["baker", "dmap", "dprime"])
+    @pytest.mark.parametrize("d", [bl.entropy._TRANSFORM_MIN_D, 300])
+    def test_baker_family_takes_the_transform(self, kind, d):
+        u = bl.make_map(kind, d)
+        step = bl.entropy._transform_step(u)
+        assert step is not None
+        psi = bl.product_states(bl.Bipartition(2, d // 2), 3, bl.RngStream(21))
+        assert_allclose(step(psi.T.copy()), (u @ psi).T, atol=1e-13)
+
+    def test_other_inputs_take_the_dense_step(self):
+        d = bl.entropy._TRANSFORM_MIN_D
+        assert bl.entropy._transform_step(bl.sample_cue(d, bl.RngStream(22))) is None
+        assert bl.entropy._transform_step(bl.bbar(d)) is None
+        assert bl.entropy._transform_step(bl.baker(d - 2)) is None
+        assert bl.entropy._transform_step(bl.baker(d // 2)) is None
+
+    def test_map_that_passes_only_the_probe_takes_the_dense_step(self):
+        d = bl.entropy._TRANSFORM_MIN_D
+        b = bl.baker(d)
+        u = b * np.exp(1j * np.r_[np.zeros(d - 1), 1e-8])  # B diag(1, ..., 1, e^{i 1e-8})
+        assert bl.is_unitary(u)
+        x = bl.linalg._probe_vector(d)
+        assert bl.max_abs(u @ x - b @ x) < d * bl.UNITARY_TOL  # the probe cannot tell u from B
+        assert bl.max_abs(u - b) > bl.UNITARY_TOL
+        assert bl.entropy._transform_step(u) is None
+        part = bl.Bipartition(16, d // 16)
+        samples = bl.empirical_asymptotic_distribution(u, part, 1, 3, 2, bl.RngStream(23))
+        for s in range(2):
+            psi = bl.product_state(part, bl.RngStream(23, s))
+            assert_allclose(samples.value.reshape(2, 3)[s], bl.entropy_timeseries(u, psi, part, 3).value,
+                            atol=1e-12)
 
 
 class TestCommensurability:

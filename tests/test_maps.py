@@ -35,6 +35,72 @@ class TestAntiperiodicFourier:
             bl.antiperiodic_fourier(1)
 
 
+PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def exact_kernel(d):
+    """G_d in extended precision, its phase index (2j + 1)(2k + 1) reduced mod 4d in integers."""
+    odd = 2 * np.arange(d) + 1
+    theta = PI * (np.multiply.outer(odd, odd) % (4 * d)) / (2 * d)
+    return (np.cos(theta) + 1j * np.sin(theta)) / np.sqrt(np.longdouble(d))
+
+
+def exact_baker_family(d, sign):
+    """B (sign 0), D (+1) or D' (-1) in closed form, in extended precision.
+
+    Column k < h = d/2 of ``G_d diag(G_h^-1, .)`` is a geometric sum,
+    ``sum_m exp(i pi (2m + 1) n / 2d) / sqrt(d h)`` over m < h with
+    ``n = 2j - 4k - 1``, which is ``exp(i pi n / 4) sin(pi n / 4) / sin(pi n / 2d)``
+    over ``sqrt(d h)``.  The second half picks up ``G_d[j, h + m] = i (-1)^j G_d[j, m]``
+    and, for ``sign G_h`` in place of ``G_h^-1``, ``n = 2j + 4k + 3``.
+    """
+    h = d // 2
+    j, k = np.arange(d)[:, None], np.arange(h)[None, :]
+
+    def columns(n):
+        return np.exp(1j * PI * n / 4) * np.sin(PI * n / 4) / (np.sqrt(np.longdouble(d * h)) * np.sin(PI * n / (2 * d)))
+
+    first = columns(2 * j - 4 * k - 1)
+    second = first if sign == 0 else sign * columns(2 * j + 4 * k + 3)
+    return np.hstack([first, 1j * (-1.0) ** j * second])
+
+
+EXACT_DIMS = [4, 6, 12, 64, 238, 1024]
+
+
+class TestIntegerReducedPhases:
+    """Kernel, FFT transform and baker-family maps within a few ulp of their exact values."""
+
+    @pytest.mark.parametrize("d", EXACT_DIMS)
+    def test_kernel(self, d):
+        assert bl.max_abs(bl.antiperiodic_fourier(d) - exact_kernel(d)) < 1e-15
+
+    @pytest.mark.parametrize("d", EXACT_DIMS)
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_fft_transform(self, d, inverse):
+        g = exact_kernel(d)
+        got = bl.linalg._fourier_apply(np.eye(d, dtype=complex), inverse=inverse)
+        assert bl.max_abs(got - (g.conj() if inverse else g)) < 1e-15
+
+    @pytest.mark.parametrize("d", EXACT_DIMS)
+    @pytest.mark.parametrize("kind", ["baker", "dmap", "dprime"])
+    def test_maps(self, d, kind):
+        u = bl.make_map(kind, d)
+        sign = {"baker": 0, "dmap": +1, "dprime": -1}[kind]
+        assert bl.max_abs(u - exact_baker_family(d, sign)) < 1.5e-15
+        assert bl.unitarity_defect(u) < 2e-15
+        assert u.flags.c_contiguous
+
+    def test_closed_form_matches_the_kernel_product(self):
+        d, half = 12, 6
+        g = exact_kernel(half).astype(complex)
+        factor = np.zeros((d, d), dtype=complex)
+        factor[:half, :half] = g.conj()
+        factor[half:, half:] = -g
+        product = exact_kernel(d).astype(complex) @ factor
+        assert bl.max_abs(product - exact_baker_family(d, -1)) < 1e-15
+
+
 class TestReflection:
     def test_four_dimensional_permutation(self):
         r = bl.reflection(4)
