@@ -18,6 +18,8 @@ maximally entangled ones.  This module provides
 from __future__ import annotations
 
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -219,7 +221,14 @@ def empirical_asymptotic_distribution(
     A step is one dense product ``u @ psi``, except when ``u`` is B, D or D'
     (see :func:`bakerlab.maps.baker`, :func:`bakerlab.maps.d_map`) within
     ``UNITARY_TOL`` entrywise and d is at least ``_TRANSFORM_MIN_D``: then
-    two FFTs per step apply the map in O(d log d) per state.
+    two FFTs per step apply the map in O(d log d) per state, and the states
+    are split into contiguous row blocks (see :func:`_block_count`), each
+    iterated in its own thread.  Every state's arithmetic is independent of
+    its block, so the samples are the same at any CPU count.
+
+    Raises ``ValueError`` before any allocation when the run would need more
+    than the physical memory, and ``LinAlgError`` when a final state's norm
+    has drifted from 1 by more than ``NORM_TOL``.
     """
     u = as_matrix(u)
     if not (1 <= n_min <= n_max):
@@ -228,23 +237,92 @@ def empirical_asymptotic_distribution(
         raise ValueError(f"n_states must be >= 1, got {n_states}")
     if u.shape != (part.d, part.d):
         raise ValueError(f"map shape {u.shape} does not match split {part.d_a}x{part.d_b}")
+    window = n_max - n_min + 1
+    _check_memory(part.d, n_states, window)
     assert_unitary(u, name="map")
     step = _transform_step(u)
+    blocks = 1
     if step is None:
         def step(rows):  # one GEMM on the states as the columns of a (d, S) array
             return (u @ rows.T).T
-    psi = np.column_stack([product_state(part, rng.offset(s)) for s in range(n_states)]).T
-    window = n_max - n_min + 1
+    else:
+        blocks = _block_count(n_states, part.d)
+    psi = np.empty((n_states, part.d), dtype=np.complex128)
+    for s in range(n_states):
+        psi[s] = product_state(part, rng.offset(s))
     out = np.empty((n_states, window))
-    for n in range(1, n_max + 1):
-        psi = step(psi)
-        if n >= n_min:
-            out[:, n - n_min] = _batch_entropy(psi, part)
+    if blocks == 1:
+        psi = _iterate(step, psi, out, part, n_min, n_max)
+    else:
+        with ThreadPoolExecutor(max_workers=blocks) as pool:
+            futures = [pool.submit(_iterate, step, rows, samples, part, n_min, n_max)
+                       for rows, samples in zip(np.array_split(psi, blocks), np.array_split(out, blocks))]
+            psi = np.concatenate([f.result() for f in futures])
+    drift = max_abs(np.einsum("sd,sd->s", psi, psi.conj()).real - 1.0)
+    if drift > NORM_TOL:
+        raise LinAlgError(f"state norms drifted by {drift:.3g} over {n_max} steps (tolerance {NORM_TOL})")
     return EntropySamples(
         state_id=np.repeat(np.arange(n_states, dtype=np.int64), window),
         time_step=np.tile(np.arange(n_min, n_max + 1, dtype=np.int64), n_states),
         value=out.ravel(),
     )
+
+
+def _iterate(step, psi, out, part, n_min, n_max):
+    """Apply ``step`` to the rows ``psi`` ``n_max`` times, filling ``out`` from ``n_min``.
+
+    Runs in a worker thread when the states are blocked, so it calls private
+    helpers only.  Returns the final states.
+    """
+    for n in range(1, n_max + 1):
+        psi = step(psi)
+        if n >= n_min:
+            out[:, n - n_min] = _batch_entropy(psi, part)
+    return psi
+
+
+#: complex state entries a row block must hold before another thread pays
+#: for itself: two blocks lose at S d <= 16384, break even near 18432 and
+#: win from 20480 (per-step timings in CHANGES.md)
+_MIN_BLOCK = 10240
+
+
+def _worker_count():
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _block_count(n_states, d):
+    """Row blocks for the FFT step: one per CPU, each at least ``_MIN_BLOCK`` entries."""
+    return max(1, min(_worker_count(), n_states * d // _MIN_BLOCK, n_states))
+
+
+#: (S, d) complex arrays alive at once per step: the states, the FFT output
+#: and its temporaries, and the Gram matrices (at most S d entries each);
+#: tracemalloc reads a peak of ~4 at d = 64..1024
+_BATCH_COPIES = 6
+
+
+def _check_memory(d, n_states, window):
+    """Refuse a run whose arrays cannot fit in physical memory, before allocating them.
+
+    The estimate is the three ``EntropySamples`` columns (8 bytes each per
+    sample), ``_BATCH_COPIES`` complex (S, d) batches and the two complex
+    d x d temporaries of the unitarity and transform gates.
+    """
+    need = 24 * n_states * window + 16 * (_BATCH_COPIES * n_states * d + 2 * d * d)
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf: nothing to compare with
+        return
+    if need > have:
+        raise ValueError(
+            f"{n_states} states x {window} window steps at d = {d} need ~{need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 #: B, D and D' are iterated by FFT from this dimension up; below it one dense

@@ -307,6 +307,21 @@ class TestParsing:
         assert "bakerlab" in proc.stdout
 
 
+class TestMemoryPreflight:
+    @pytest.mark.parametrize("argv", [
+        ["histogram", "--nmin", 1],
+        ["timeseries"],
+        ["epinf", "--cross-check", "--nmin", 1],
+    ])
+    def test_run_beyond_physical_memory_is_a_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.out"
+        rc = run(*argv, "--kind", "baker", "--d", 16, "--split", "4x4", "--states", 2,
+                 "--nmax", 10**15, "--out", out)
+        assert rc == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestAtomicWrites:
     def test_failed_json_dump_keeps_the_previous_file(self, tmp_path):
         out = tmp_path / "report.json"

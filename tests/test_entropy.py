@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -311,6 +314,146 @@ class TestTransformDispatch:
             psi = bl.product_state(part, bl.RngStream(23, s))
             assert_allclose(samples.value.reshape(2, 3)[s], bl.entropy_timeseries(u, psi, part, 3).value,
                             atol=1e-12)
+
+
+@pytest.fixture
+def forced_blocks(monkeypatch):
+    """Three workers, and blocks of any size: every FFT run with S >= 3 splits."""
+    monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 3)
+    monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
+
+
+class TestBlockedIteration:
+    """The FFT step iterates contiguous row blocks of states in threads."""
+
+    @pytest.mark.parametrize("kind", ["baker", "dprime"])
+    @pytest.mark.parametrize("d, d_a", [(256, 16), (300, 15)])
+    def test_blocks_give_the_one_block_entropies(self, monkeypatch, kind, d, d_a):
+        part = bl.Bipartition(d_a, d // d_a)
+        u = bl.make_map(kind, d)
+
+        def run(workers):
+            monkeypatch.setattr(bl.entropy, "_worker_count", lambda: workers)
+            assert bl.entropy._block_count(7, d) == workers  # 3 workers: blocks of 3, 2 and 2 states
+            return bl.empirical_asymptotic_distribution(u, part, 3, 12, 7, bl.RngStream(24)).value
+
+        monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
+        assert np.array_equal(run(1), run(3))
+
+    @pytest.mark.parametrize("build", [
+        lambda: bl.sample_cue(256, bl.RngStream(25)),  # no FFT step
+        lambda: bl.baker(64),  # below _TRANSFORM_MIN_D
+    ])
+    def test_dense_step_never_blocks(self, monkeypatch, forced_blocks, build):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense step ran in a thread pool")
+
+        monkeypatch.setattr(bl.entropy, "ThreadPoolExecutor", refuse)
+        u = build()
+        part = bl.Bipartition(8, u.shape[0] // 8)
+        assert len(bl.empirical_asymptotic_distribution(u, part, 1, 2, 7, bl.RngStream(26))) == 14
+
+    def test_worker_exception_propagates(self, monkeypatch, forced_blocks):
+        step = bl.entropy._transform_step(bl.baker(256))
+
+        def failing(rows):
+            if rows.shape[0] == 2:  # the second and third of the blocks 3, 2, 2
+                raise RuntimeError("step failed in a worker")
+            return step(rows)
+
+        monkeypatch.setattr(bl.entropy, "_transform_step", lambda u: failing)
+        with pytest.raises(RuntimeError, match="in a worker"):
+            bl.empirical_asymptotic_distribution(bl.baker(256), bl.Bipartition(16, 16), 1, 2, 7,
+                                                 bl.RngStream(27))
+
+    def test_more_workers_than_cores_with_a_short_switch_interval(self, monkeypatch):
+        u, part = bl.baker(256), bl.Bipartition(16, 16)
+        monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
+        monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 1)
+        one = bl.empirical_asymptotic_distribution(u, part, 1, 20, 16, bl.RngStream(32)).value
+        monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 8)
+        result = {}
+
+        def run_eight():
+            result["eight"] = bl.empirical_asymptotic_distribution(u, part, 1, 20, 16, bl.RngStream(32)).value
+
+        caller = threading.Thread(target=run_eight, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert np.array_equal(one, result["eight"])
+
+    def test_block_count_follows_cpus_and_block_size(self, monkeypatch):
+        monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 2)
+        min_block = bl.entropy._MIN_BLOCK
+        assert bl.entropy._block_count(1, 256) == 1
+        assert bl.entropy._block_count(2 * min_block // 256 - 1, 256) == 1
+        assert bl.entropy._block_count(2 * min_block // 256, 256) == 2
+        assert bl.entropy._block_count(1000, 1024) == 2
+        monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 64)
+        monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
+        assert bl.entropy._block_count(5, 256) == 5  # never more blocks than states
+
+    def test_worker_count_reads_the_affinity_mask_else_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 5)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert bl.entropy._worker_count() == 2
+        monkeypatch.delattr("os.sched_getaffinity")
+        assert bl.entropy._worker_count() == 5
+
+
+class TestNormDriftGuard:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_fires_on_a_step_that_grows_the_norm(self, monkeypatch, workers):
+        monkeypatch.setattr(bl.entropy, "_worker_count", lambda: workers)
+        monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
+        monkeypatch.setattr(bl.entropy, "_transform_step", lambda u: lambda rows: rows * (1 + 1e-9))
+        with pytest.raises(np.linalg.LinAlgError, match="drifted"):
+            bl.empirical_asymptotic_distribution(bl.baker(16), bl.Bipartition(4, 4), 1, 3, 5,
+                                                 bl.RngStream(28))
+
+    @pytest.mark.parametrize("kind", [k.value for k in bl.MapKind])
+    def test_passes_on_every_map(self, kind):
+        part = bl.Bipartition(4, 4)
+        samples = bl.empirical_asymptotic_distribution(bl.make_map(kind, 16), part, 1, 300, 4,
+                                                       bl.RngStream(29))
+        assert len(samples) == 4 * 300
+
+    @pytest.mark.parametrize("kind", ["baker", "dmap", "dprime"])
+    def test_passes_on_the_fft_step(self, forced_blocks, kind):
+        samples = bl.empirical_asymptotic_distribution(bl.make_map(kind, 256), bl.Bipartition(16, 16),
+                                                       1, 300, 4, bl.RngStream(30))
+        assert len(samples) == 4 * 300
+
+
+class TestMemoryPreflight:
+    @pytest.mark.parametrize("n_max, n_states", [(10**15, 2), (2, 10**15)])
+    def test_refuses_before_any_allocation(self, monkeypatch, n_max, n_states):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the preflight")
+
+        for name in ("assert_unitary", "product_state", "_transform_step"):
+            monkeypatch.setattr(bl.entropy, name, refuse)
+        with pytest.raises(ValueError, match="physical memory"):
+            bl.empirical_asymptotic_distribution(bl.baker(16), bl.Bipartition(4, 4), 1, n_max, n_states,
+                                                 bl.RngStream(31))
+
+    def test_estimate_counts_samples_batches_and_gates(self, monkeypatch):
+        need = 24 * 3 * 10 + 16 * (bl.entropy._BATCH_COPIES * 3 * 16 + 2 * 16 * 16)
+
+        def physical_memory(nbytes):  # as that many 1-byte pages
+            monkeypatch.setattr("os.sysconf", lambda name: nbytes if name == "SC_PHYS_PAGES" else 1)
+
+        physical_memory(need)
+        bl.entropy._check_memory(16, 3, 10)
+        physical_memory(need - 1)
+        with pytest.raises(ValueError, match="physical memory"):
+            bl.entropy._check_memory(16, 3, 10)
 
 
 class TestCommensurability:
