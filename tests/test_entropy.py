@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -387,6 +388,92 @@ class TestBlockedIteration:
             sys.setswitchinterval(interval)
         assert not caller.is_alive()
         assert np.array_equal(one, result["eight"])
+
+    @pytest.mark.parametrize("min_steps, shared", [(4, True), (1000, False)])
+    def test_idle_thread_takes_over_half_of_a_slow_block(self, monkeypatch, min_steps, shared):
+        u, part = bl.baker(256), bl.Bipartition(16, 16)
+        monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
+        monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 1)
+        one = bl.empirical_asymptotic_distribution(u, part, 5, 40, 7, bl.RngStream(33)).value
+        step = bl.entropy._transform_step(u)
+        slow, sizes = [], []
+
+        def uneven(rows):  # the thread that starts on the block of 3 states runs slowly
+            if rows.shape[0] == 3 and not slow:
+                slow.append(threading.current_thread())
+            if slow and threading.current_thread() is slow[0]:
+                time.sleep(0.002)
+            sizes.append(rows.shape[0])
+            return step(rows)
+
+        monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 2)  # blocks of 4 and 3 states
+        monkeypatch.setattr(bl.entropy, "_SEGMENT", 2)
+        monkeypatch.setattr(bl.entropy, "_SHARE_MIN_STEPS", min_steps)
+        monkeypatch.setattr(bl.entropy, "_transform_step", lambda u: uneven)
+        two = bl.empirical_asymptotic_distribution(u, part, 5, 40, 7, bl.RngStream(33)).value
+        assert np.array_equal(one, two)
+        assert (min(sizes) < 3) == shared  # the slow block is halved only while enough steps remain
+
+    def test_shared_halves_put_every_final_state_in_its_row(self, monkeypatch):
+        u, part = bl.baker(256), bl.Bipartition(16, 16)
+        step = bl.entropy._transform_step(u)
+        psi = bl.product_states(part, 7, bl.RngStream(35)).T.copy()
+        one_out = np.empty((7, 36))
+        one = bl.entropy._iterate(step, psi.copy(), one_out, part, 5, 40)
+        slow, sizes = [], []
+
+        def uneven(rows):
+            if rows.shape[0] == 3 and not slow:
+                slow.append(threading.current_thread())
+            if slow and threading.current_thread() is slow[0]:
+                time.sleep(0.002)
+            sizes.append(rows.shape[0])
+            return step(rows)
+
+        monkeypatch.setattr(bl.entropy, "_SEGMENT", 2)
+        monkeypatch.setattr(bl.entropy, "_SHARE_MIN_STEPS", 4)
+        out = np.empty((7, 36))
+        blocks = bl.entropy._RowBlocks(psi, out, 2)
+        workers = [threading.Thread(target=bl.entropy._advance_blocks, args=(blocks, uneven, part, 5, 40))
+                   for _ in range(2)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert min(sizes) < 3
+        assert np.array_equal(psi, one)  # the final states, back in the batch in place
+        assert np.array_equal(out, one_out)
+
+    def test_failure_wakes_an_idle_thread(self, monkeypatch):
+        u, part = bl.baker(256), bl.Bipartition(16, 16)
+        step = bl.entropy._transform_step(u)
+        calls = []
+
+        def late_failure(rows):  # the block of 3 fails after the block of 4 has finished
+            if rows.shape[0] == 3:
+                calls.append(1)
+                time.sleep(0.002)
+                if len(calls) == 20:
+                    raise RuntimeError("late failure")
+            return step(rows)
+
+        monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
+        monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 2)
+        monkeypatch.setattr(bl.entropy, "_SHARE_MIN_STEPS", 1000)  # no block is ever shared
+        monkeypatch.setattr(bl.entropy, "_transform_step", lambda u: late_failure)
+        result = {}
+
+        def run():
+            try:
+                bl.empirical_asymptotic_distribution(u, part, 1, 40, 7, bl.RngStream(34))
+            except RuntimeError as exc:
+                result["error"] = exc
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert "late failure" in str(result["error"])
 
     def test_block_count_follows_cpus_and_block_size(self, monkeypatch):
         monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 2)
