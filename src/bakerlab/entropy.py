@@ -274,7 +274,7 @@ def empirical_asymptotic_distribution(
 
 
 def _iterate(step, psi, out, part, n_min, n_max, n_done=0):
-    """Apply ``step`` to the rows ``psi`` from step ``n_done + 1`` to ``n_max``, filling ``out`` from ``n_min``.
+    """Apply ``step`` to the rows ``psi`` for steps ``n_done + 1 .. n_max``, filling ``out`` from ``n_min``.
 
     Runs in a worker thread when the states are blocked, so it calls private
     helpers only.  Returns the final states.
@@ -327,10 +327,8 @@ class _RowBlocks:
 
     def share(self, rows, samples, final, n, n_max):
         """Hand the second half of a running block to an idle worker; returns the half kept."""
-        if not self._idle or len(rows) < 2 or n_max - n < _SHARE_MIN_STEPS:  # unlocked look
-            return rows, samples, final
         with self._cond:
-            if not self._idle or self._waiting:
+            if not self._idle or self._waiting or len(rows) < 2 or n_max - n < _SHARE_MIN_STEPS:
                 return rows, samples, final
             half = len(rows) // 2
             self._waiting.append((rows[half:], samples[half:], final[half:], n))
