@@ -85,6 +85,22 @@ def _resolve(explicit, profile: dict, key: str):
     return profile[key] if explicit is None else explicit
 
 
+def _count(flag: str, value: int, low: int) -> int:
+    """``value`` of a count flag, refused below ``low`` before any map is built."""
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+    return value
+
+
+def _window(args, profile: dict) -> tuple[int, int]:
+    """The recorded window from --nmin/--nmax, refused unless 1 <= n_min <= n_max."""
+    n_min = _resolve(args.nmin, profile, "window_nmin")
+    n_max = _resolve(args.nmax, profile, "window_nmax")
+    if not 1 <= n_min <= n_max:
+        raise ValueError(f"need 1 <= --nmin <= --nmax, got --nmin {n_min} --nmax {n_max}")
+    return n_min, n_max
+
+
 def _require_split(args) -> Bipartition:
     if args.split is None:
         raise ValueError("this command needs --split AxB")
@@ -114,9 +130,9 @@ def cmd_gen_map(args) -> int:
 def cmd_timeseries(args) -> int:
     profile = PROFILES[args.profile]
     part = _require_split(args)
+    n_states = _count("--states", _resolve(args.states, profile, "timeseries_states"), 1)
+    n_max = _count("--nmax", _resolve(args.nmax, profile, "timeseries_nmax"), 1)
     u = make_map(args.kind, args.d)
-    n_states = _resolve(args.states, profile, "timeseries_states")
-    n_max = _resolve(args.nmax, profile, "timeseries_nmax")
     samples = empirical_asymptotic_distribution(u, part, 1, n_max, n_states, RngStream(args.seed))
     metadata = {
         "command": "timeseries",
@@ -137,10 +153,11 @@ def cmd_timeseries(args) -> int:
 def cmd_histogram(args) -> int:
     profile = PROFILES[args.profile]
     part = _require_split(args)
+    n_states = _count("--states", _resolve(args.states, profile, "window_states"), 1)
+    n_min, n_max = _window(args, profile)
+    _count("--bins", args.bins, 1)
+    _count("--cue-reference", args.cue_reference, 0)
     u = make_map(args.kind, args.d)
-    n_states = _resolve(args.states, profile, "window_states")
-    n_min = _resolve(args.nmin, profile, "window_nmin")
-    n_max = _resolve(args.nmax, profile, "window_nmax")
     samples = empirical_asymptotic_distribution(u, part, n_min, n_max, n_states, RngStream(args.seed))
     metadata = {
         "command": "histogram",
@@ -182,6 +199,7 @@ def cmd_ensemble(args) -> int:
     profile = PROFILES[args.profile]
     kind = EnsembleKind(args.ensemble)
     part = _require_split(args)
+    _count("--bins", args.bins, 1)
     n_maps = _resolve(args.samples, profile, "ensemble_samples")
     n_states = _resolve(args.states, profile, "ensemble_states")
     values = ensemble_entropies(kind, args.d, part, n_maps, n_states, RngStream(args.seed))
@@ -229,6 +247,9 @@ def _load_map_for(args):
 
 def cmd_epinf(args) -> int:
     profile = PROFILES[args.profile]
+    if args.cross_check:  # refused before the map, the eigensolve and the scan
+        n_states = _count("--states", _resolve(args.states, profile, "crosscheck_states"), 2)
+        n_min, n_max = _window(args, profile)
     u, kind_label = _load_map_for(args)
     d = u.shape[0]
     if args.split is None:
@@ -258,9 +279,6 @@ def cmd_epinf(args) -> int:
         "cue_mean_entropy": cue_mean_entropy(part),
     }
     if args.cross_check:
-        n_states = _resolve(args.states, profile, "crosscheck_states")
-        n_min = _resolve(args.nmin, profile, "window_nmin")
-        n_max = _resolve(args.nmax, profile, "window_nmax")
         mc_mean, mc_se = asymptotic_power_mc(u, part, n_states, n_min, n_max, RngStream(args.seed))
         report["cross_check"] = {
             "mc_mean": mc_mean,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -223,11 +222,10 @@ def empirical_asymptotic_distribution(
     (see :func:`bakerlab.maps.baker`, :func:`bakerlab.maps.d_map`) within
     ``UNITARY_TOL`` entrywise and d is at least ``_TRANSFORM_MIN_D``: then
     two FFTs per step apply the map in O(d log d) per state, and the states
-    are split into contiguous row blocks (see :func:`_block_count`) that
-    threads iterate, one per block; a thread that finishes early takes over
-    half of a block that lags (see :class:`_RowBlocks`).  Every state's
-    arithmetic is independent of its block, so the samples are the same at
-    any CPU count.
+    are split into contiguous row blocks (see :func:`_block_count`), one per
+    thread, each iterated to ``n_max`` steps by :func:`_iterate`.  Every
+    state's arithmetic is independent of its block, so the samples are the
+    same at any CPU count.
 
     Raises ``ValueError`` before any allocation when the run would need more
     than the physical memory, and ``LinAlgError`` when a final state's norm
@@ -257,12 +255,10 @@ def empirical_asymptotic_distribution(
     if blocks == 1:
         psi = _iterate(step, psi, out, part, n_min, n_max)
     else:
-        shared = _RowBlocks(psi, out, blocks)
+        iterate = functools.partial(_iterate, step, part=part, n_min=n_min, n_max=n_max)
         with ThreadPoolExecutor(max_workers=blocks) as pool:
-            futures = [pool.submit(_advance_blocks, shared, step, part, n_min, n_max)
-                       for _ in range(blocks)]
-            for f in futures:
-                f.result()
+            psi = np.concatenate(list(pool.map(iterate, np.array_split(psi, blocks),
+                                               np.array_split(out, blocks))))
     drift = max_abs(np.einsum("sd,sd->s", psi, psi.conj()).real - 1.0)
     if drift > NORM_TOL:
         raise LinAlgError(f"state norms drifted by {drift:.3g} over {n_max} steps (tolerance {NORM_TOL})")
@@ -273,91 +269,17 @@ def empirical_asymptotic_distribution(
     )
 
 
-def _iterate(step, psi, out, part, n_min, n_max, n_done=0):
-    """Apply ``step`` to the rows ``psi`` for steps ``n_done + 1 .. n_max``, filling ``out`` from ``n_min``.
+def _iterate(step, psi, out, part, n_min, n_max):
+    """Apply ``step`` to the rows ``psi`` ``n_max`` times, filling ``out`` from step ``n_min``.
 
     Runs in a worker thread when the states are blocked, so it calls private
     helpers only.  Returns the final states.
     """
-    for n in range(n_done + 1, n_max + 1):
+    for n in range(1, n_max + 1):
         psi = step(psi)
         if n >= n_min:
             out[:, n - n_min] = _batch_entropy(psi, part)
     return psi
-
-
-#: steps a row block advances between looks for an idle thread to share it with
-_SEGMENT = 16
-#: a block is shared only while this many steps remain: near the end, two
-#: halves cost more in thread hand-offs than the idle thread saves
-_SHARE_MIN_STEPS = 64
-
-
-class _RowBlocks:
-    """The row blocks of one blocked run, handed out to its worker threads.
-
-    A block is ``(rows, samples, final, n)``: some states after ``n`` steps,
-    their rows of the output, and the rows of the batch that take their
-    final states.  A worker advances its block ``_SEGMENT`` steps at a time.
-    Between segments, if another worker is idle, no block is waiting and at
-    least ``_SHARE_MIN_STEPS`` steps remain, it hands the idle worker the
-    second half of its block.  So a thread whose CPU is slow or taken away
-    does not keep the others waiting at the join; a static split would run
-    at the pace of its slowest CPU.
-    """
-
-    def __init__(self, psi, out, count):
-        self._cond = threading.Condition()
-        self._waiting = [(rows, samples, rows, 0)
-                         for rows, samples in zip(np.array_split(psi, count), np.array_split(out, count))]
-        self._running = 0
-        self._idle = 0
-
-    def take(self):
-        """The next block to advance, or None once every block is done."""
-        with self._cond:
-            while not self._waiting and self._running:
-                self._idle += 1
-                self._cond.wait()
-                self._idle -= 1
-            if not self._waiting:
-                return None
-            self._running += 1
-            return self._waiting.pop()
-
-    def share(self, rows, samples, final, n, n_max):
-        """Hand the second half of a running block to an idle worker; returns the half kept."""
-        with self._cond:
-            if not self._idle or self._waiting or len(rows) < 2 or n_max - n < _SHARE_MIN_STEPS:
-                return rows, samples, final
-            half = len(rows) // 2
-            self._waiting.append((rows[half:], samples[half:], final[half:], n))
-            self._cond.notify()
-        return rows[:half], samples[:half], final[:half]
-
-    def finish(self):
-        """Mark a taken block done (or failed) and wake the idle workers."""
-        with self._cond:
-            self._running -= 1
-            self._cond.notify_all()
-
-
-def _advance_blocks(blocks, step, part, n_min, n_max):
-    """Worker thread: advance blocks taken from ``blocks`` to ``n_max`` steps.
-
-    Calls private helpers only, like :func:`_iterate`.
-    """
-    while (block := blocks.take()) is not None:
-        rows, samples, final, n = block
-        try:
-            while n < n_max:
-                stop = min(n + _SEGMENT, n_max)
-                rows = _iterate(step, rows, samples, part, n_min, stop, n)
-                n = stop
-                rows, samples, final = blocks.share(rows, samples, final, n, n_max)
-            final[:] = rows
-        finally:
-            blocks.finish()
 
 
 #: complex state entries a row block must hold before another thread pays
@@ -381,7 +303,8 @@ def _block_count(n_states, d):
 
 #: (S, d) complex arrays alive at once per step: the states, the FFT output
 #: and its temporaries, and the Gram matrices (at most S d entries each);
-#: tracemalloc reads a peak of ~4 at d = 64..1024
+#: tracemalloc reads a peak of 3.9-4.3 while iterating at d = 64..1024 with
+#: 1, 2 and 4 row blocks
 _BATCH_COPIES = 6
 
 

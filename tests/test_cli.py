@@ -322,6 +322,34 @@ class TestMemoryPreflight:
         assert not out.exists()
 
 
+class TestCountsRefusedUpFront:
+    HISTOGRAM = ["histogram", "--kind", "baker", "--d", 16, "--split", "4x4"]
+    EPINF = ["epinf", "--kind", "baker", "--d", 16, "--split", "4x4", "--cross-check"]
+    ENSEMBLE = ["ensemble", "--ensemble", "cue", "--d", 4, "--split", "2x2", "--samples", 2]
+
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(HISTOGRAM + ["--bins", 0], "--bins", id="histogram-bins"),
+        pytest.param(HISTOGRAM + ["--cue-reference", -3], "--cue-reference", id="histogram-cue-reference"),
+        pytest.param(HISTOGRAM + ["--states", 0], "--states", id="histogram-states"),
+        pytest.param(ENSEMBLE + ["--states", 2, "--bins", 0], "--bins", id="ensemble-bins"),
+        pytest.param(EPINF + ["--states", 1, "--nmin", 1, "--nmax", 5], "--states", id="epinf-states"),
+        pytest.param(EPINF + ["--nmin", 600, "--nmax", 500], "--nmin", id="epinf-empty-window"),
+        pytest.param(EPINF + ["--nmin", 0, "--nmax", 5], "--nmin", id="epinf-nmin"),
+        pytest.param(["timeseries", "--kind", "baker", "--d", 16, "--split", "4x4", "--nmax", 0], "--nmax",
+                     id="timeseries-nmax"),
+    ])
+    def test_before_any_map_is_built(self, monkeypatch, tmp_path, capsys, argv, flag):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the flags were checked")
+
+        for name in ("make_map", "empirical_asymptotic_distribution", "ensemble_entropies", "eigensystem"):
+            monkeypatch.setattr(f"bakerlab.cli.{name}", refuse)
+        out = tmp_path / "x.out"
+        assert run(*argv, "--out", out) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestAtomicWrites:
     def test_failed_json_dump_keeps_the_previous_file(self, tmp_path):
         out = tmp_path / "report.json"

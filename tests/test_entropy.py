@@ -389,61 +389,6 @@ class TestBlockedIteration:
         assert not caller.is_alive()
         assert np.array_equal(one, result["eight"])
 
-    @pytest.mark.parametrize("min_steps, shared", [(4, True), (1000, False)])
-    def test_idle_thread_takes_over_half_of_a_slow_block(self, monkeypatch, min_steps, shared):
-        u, part = bl.baker(256), bl.Bipartition(16, 16)
-        monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
-        monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 1)
-        one = bl.empirical_asymptotic_distribution(u, part, 5, 40, 7, bl.RngStream(33)).value
-        step = bl.entropy._transform_step(u)
-        slow, sizes = [], []
-
-        def uneven(rows):  # the thread that starts on the block of 3 states runs slowly
-            if rows.shape[0] == 3 and not slow:
-                slow.append(threading.current_thread())
-            if slow and threading.current_thread() is slow[0]:
-                time.sleep(0.002)
-            sizes.append(rows.shape[0])
-            return step(rows)
-
-        monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 2)  # blocks of 4 and 3 states
-        monkeypatch.setattr(bl.entropy, "_SEGMENT", 2)
-        monkeypatch.setattr(bl.entropy, "_SHARE_MIN_STEPS", min_steps)
-        monkeypatch.setattr(bl.entropy, "_transform_step", lambda u: uneven)
-        two = bl.empirical_asymptotic_distribution(u, part, 5, 40, 7, bl.RngStream(33)).value
-        assert np.array_equal(one, two)
-        assert (min(sizes) < 3) == shared  # the slow block is halved only while enough steps remain
-
-    def test_shared_halves_put_every_final_state_in_its_row(self, monkeypatch):
-        u, part = bl.baker(256), bl.Bipartition(16, 16)
-        step = bl.entropy._transform_step(u)
-        psi = bl.product_states(part, 7, bl.RngStream(35)).T.copy()
-        one_out = np.empty((7, 36))
-        one = bl.entropy._iterate(step, psi.copy(), one_out, part, 5, 40)
-        slow, sizes = [], []
-
-        def uneven(rows):
-            if rows.shape[0] == 3 and not slow:
-                slow.append(threading.current_thread())
-            if slow and threading.current_thread() is slow[0]:
-                time.sleep(0.002)
-            sizes.append(rows.shape[0])
-            return step(rows)
-
-        monkeypatch.setattr(bl.entropy, "_SEGMENT", 2)
-        monkeypatch.setattr(bl.entropy, "_SHARE_MIN_STEPS", 4)
-        out = np.empty((7, 36))
-        blocks = bl.entropy._RowBlocks(psi, out, 2)
-        workers = [threading.Thread(target=bl.entropy._advance_blocks, args=(blocks, uneven, part, 5, 40))
-                   for _ in range(2)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-        assert min(sizes) < 3
-        assert np.array_equal(psi, one)  # the final states, back in the batch in place
-        assert np.array_equal(out, one_out)
-
     def test_failure_wakes_an_idle_thread(self, monkeypatch):
         u, part = bl.baker(256), bl.Bipartition(16, 16)
         step = bl.entropy._transform_step(u)
@@ -459,7 +404,6 @@ class TestBlockedIteration:
 
         monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
         monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 2)
-        monkeypatch.setattr(bl.entropy, "_SHARE_MIN_STEPS", 1000)  # no block is ever shared
         monkeypatch.setattr(bl.entropy, "_transform_step", lambda u: late_failure)
         result = {}
 
@@ -474,6 +418,19 @@ class TestBlockedIteration:
         caller.join(timeout=60)
         assert not caller.is_alive()
         assert "late failure" in str(result["error"])
+
+    def test_drift_guard_sees_every_blocks_final_rows(self, monkeypatch):
+        u, part = bl.baker(256), bl.Bipartition(16, 16)
+        step = bl.entropy._transform_step(u)
+
+        def last_block_grows(rows):  # only the block of 2 of the blocks 3, 3, 2 drifts
+            return step(rows) * (1 + 1e-9) if rows.shape[0] == 2 else step(rows)
+
+        monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
+        monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 3)
+        monkeypatch.setattr(bl.entropy, "_transform_step", lambda u: last_block_grows)
+        with pytest.raises(np.linalg.LinAlgError, match="drifted"):
+            bl.empirical_asymptotic_distribution(u, part, 1, 3, 8, bl.RngStream(36))
 
     def test_block_count_follows_cpus_and_block_size(self, monkeypatch):
         monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 2)
