@@ -2,8 +2,8 @@
 experiments as deterministic CSV/JSON files.
 
 Exit codes: 0 on success, 2 for configuration errors (bad flags, impossible
-dimensions, malformed input files), 3 for numerical failures (non-unitary
-inputs, eigensolver rejections).
+dimensions, malformed, unreadable or unwritable files), 3 for numerical
+failures (non-unitary inputs, eigensolver rejections).
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .entropy import (
 )
 from .linalg import Bipartition, eigensystem, eigensystem_diagnostics
 from .maps import MapKind, make_map
-from .matrixio import load_cmatrix, save_cmatrix
-from .reports import HistogramSummary, atomic_write, write_entropy_csv
+from .matrixio import atomic_write, load_cmatrix, save_cmatrix
+from .reports import HistogramSummary, write_entropy_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -101,13 +101,34 @@ def _window(args, profile: dict) -> tuple[int, int]:
     return n_min, n_max
 
 
-def _require_split(args) -> Bipartition:
-    if args.split is None:
-        raise ValueError("this command needs --split AxB")
+def _split(args, d: int) -> Bipartition:
+    """The --split bipartition, refused unless it multiplies to ``d``."""
     part = parse_split(args.split)
-    if part.d != args.d:
-        raise ValueError(f"split {part.d_a}x{part.d_b} does not multiply to d = {args.d}")
+    if part.d != d:
+        raise ValueError(f"split {part.d_a}x{part.d_b} does not multiply to d = {d}")
     return part
+
+
+def _tolerance(text: str) -> float:
+    """Parse --tol, refused outside (0, 1) before any map is built or loaded."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    return value
+
+
+def _metadata(args, **fields) -> dict:
+    """Artifact metadata: the command, its ``fields``, then ``seed`` and
+    ``profile`` where the command takes them, then the package version."""
+    run = {key: value for key, value in vars(args).items() if key in ("seed", "profile")}
+    return {"command": args.command, **fields, **run, "version": __version__}
+
+
+def _load_square(path) -> np.ndarray:
+    u = load_cmatrix(path)
+    if u.shape[0] != u.shape[1]:
+        raise ValueError(f"map file holds a non-square {u.shape[0]}x{u.shape[1]} matrix")
+    return u
 
 
 def _write_json(path, obj):
@@ -120,6 +141,12 @@ def _write_json(path, obj):
         f.write("\n")
 
 
+def _report(args, obj, line: str):
+    """Write ``obj`` to --out and print ``line``; to stderr when stdout carries the JSON."""
+    _write_json(args.out, obj)
+    print(line, file=sys.stderr if args.out is None else sys.stdout)
+
+
 def cmd_gen_map(args) -> int:
     matrix = make_map(args.kind, args.d)
     save_cmatrix(args.out, matrix)
@@ -129,22 +156,14 @@ def cmd_gen_map(args) -> int:
 
 def cmd_timeseries(args) -> int:
     profile = PROFILES[args.profile]
-    part = _require_split(args)
+    part = _split(args, args.d)
     n_states = _count("--states", _resolve(args.states, profile, "timeseries_states"), 1)
     n_max = _count("--nmax", _resolve(args.nmax, profile, "timeseries_nmax"), 1)
     u = make_map(args.kind, args.d)
     samples = empirical_asymptotic_distribution(u, part, 1, n_max, n_states, RngStream(args.seed))
-    metadata = {
-        "command": "timeseries",
-        "kind": args.kind,
-        "d": args.d,
-        "split": f"{part.d_a}x{part.d_b}",
-        "states": n_states,
-        "n_max": n_max,
-        "seed": args.seed,
-        "profile": args.profile,
-        "version": __version__,
-    }
+    metadata = _metadata(
+        args, kind=args.kind, d=args.d, split=f"{part.d_a}x{part.d_b}", states=n_states, n_max=n_max
+    )
     write_entropy_csv(args.out, samples, metadata)
     print(f"wrote {len(samples)} entropy samples ({n_states} states x {n_max} steps) to {args.out}")
     return EXIT_OK
@@ -152,29 +171,21 @@ def cmd_timeseries(args) -> int:
 
 def cmd_histogram(args) -> int:
     profile = PROFILES[args.profile]
-    part = _require_split(args)
+    part = _split(args, args.d)
     n_states = _count("--states", _resolve(args.states, profile, "window_states"), 1)
     n_min, n_max = _window(args, profile)
     _count("--bins", args.bins, 1)
     _count("--cue-reference", args.cue_reference, 0)
     u = make_map(args.kind, args.d)
     samples = empirical_asymptotic_distribution(u, part, n_min, n_max, n_states, RngStream(args.seed))
-    metadata = {
-        "command": "histogram",
-        "kind": args.kind,
-        "d": args.d,
-        "split": f"{part.d_a}x{part.d_b}",
-        "states": n_states,
-        "n_min": n_min,
-        "n_max": n_max,
-        "bins": args.bins,
-        "seed": args.seed,
-        "profile": args.profile,
-        "version": __version__,
-    }
+    metadata = _metadata(
+        args, kind=args.kind, d=args.d, split=f"{part.d_a}x{part.d_b}", states=n_states,
+        n_min=n_min, n_max=n_max, bins=args.bins,
+    )
     summary = HistogramSummary.from_values(samples.value, args.bins, metadata)
     report = summary.to_dict()
     report["cue_mean_entropy"] = cue_mean_entropy(part)
+    report["cue_reference"] = None
     if args.cue_reference:
         ref = np.empty(args.cue_reference)
         for i in range(args.cue_reference):
@@ -183,39 +194,27 @@ def cmd_histogram(args) -> int:
         report["cue_reference"] = HistogramSummary.from_values(
             ref, args.bins, {"samples": args.cue_reference}
         ).to_dict()
-    else:
-        report["cue_reference"] = None
     if args.raw_csv:
         write_entropy_csv(args.raw_csv, samples, metadata)
-    _write_json(args.out, report)
-    print(
+    _report(args, report, (
         f"{len(samples)} samples in window [{n_min}, {n_max}]: mean {summary.mean:.6f} "
         f"(random-state reference {report['cue_mean_entropy']:.6f}) -> {args.out}"
-    )
+    ))
     return EXIT_OK
 
 
 def cmd_ensemble(args) -> int:
     profile = PROFILES[args.profile]
     kind = EnsembleKind(args.ensemble)
-    part = _require_split(args)
+    part = _split(args, args.d)
     _count("--bins", args.bins, 1)
     n_maps = _resolve(args.samples, profile, "ensemble_samples")
     n_states = _resolve(args.states, profile, "ensemble_states")
     values = ensemble_entropies(kind, args.d, part, n_maps, n_states, RngStream(args.seed))
-    metadata = {
-        "command": "ensemble",
-        "ensemble": kind.value,
-        "d": args.d,
-        "split": f"{part.d_a}x{part.d_b}",
-        "samples": n_maps,
-        "states": n_states,
-        "bins": args.bins,
-        "seed": args.seed,
-        "profile": args.profile,
-        "stream_layout": ENSEMBLE_STREAM_LAYOUT,
-        "version": __version__,
-    }
+    metadata = _metadata(
+        args, ensemble=kind.value, d=args.d, split=f"{part.d_a}x{part.d_b}", samples=n_maps,
+        states=n_states, bins=args.bins, stream_layout=ENSEMBLE_STREAM_LAYOUT,
+    )
     summary = HistogramSummary.from_values(values.ravel(), args.bins, metadata)
     report = summary.to_dict()
     report["cue_mean_entropy"] = cue_mean_entropy(part)
@@ -223,26 +222,9 @@ def cmd_ensemble(args) -> int:
     report["mean_std_error"] = (
         float(per_map.std(ddof=1) / np.sqrt(n_maps)) if n_maps >= 2 else None
     )
-    _write_json(args.out, report)
-    print(
-        f"{kind.value} ensemble, {n_maps} maps x {n_states} states: "
-        f"mean {summary.mean:.6f} -> {args.out}"
-    )
+    _report(args, report, f"{kind.value} ensemble, {n_maps} maps x {n_states} states: "
+                          f"mean {summary.mean:.6f} -> {args.out}")
     return EXIT_OK
-
-
-def _load_map_for(args):
-    """Resolve the map for epinf: either a named constructor or a file."""
-    if args.map_file is not None:
-        u = load_cmatrix(args.map_file)
-        if u.shape[0] != u.shape[1]:
-            raise ValueError(f"map file holds a non-square {u.shape[0]}x{u.shape[1]} matrix")
-        if args.d is not None and args.d != u.shape[0]:
-            raise ValueError(f"--d {args.d} conflicts with map file dimension {u.shape[0]}")
-        return u, f"file:{args.map_file}"
-    if args.kind is None or args.d is None:
-        raise ValueError("need either --map-file or both --kind and --d")
-    return make_map(args.kind, args.d), args.kind
 
 
 def cmd_epinf(args) -> int:
@@ -250,34 +232,30 @@ def cmd_epinf(args) -> int:
     if args.cross_check:  # refused before the map, the eigensolve and the scan
         n_states = _count("--states", _resolve(args.states, profile, "crosscheck_states"), 2)
         n_min, n_max = _window(args, profile)
-    u, kind_label = _load_map_for(args)
+    if args.map_file is not None:
+        u, label = _load_square(args.map_file), f"file:{args.map_file}"
+        if args.d is not None and args.d != u.shape[0]:
+            raise ValueError(f"--d {args.d} conflicts with map file dimension {u.shape[0]}")
+    elif args.kind is None or args.d is None:
+        raise ValueError("need either --map-file or both --kind and --d")
+    else:
+        u, label = make_map(args.kind, args.d), args.kind
     d = u.shape[0]
-    if args.split is None:
-        raise ValueError("this command needs --split AxB")
-    part = parse_split(args.split)
-    if part.d != d:
-        raise ValueError(f"split {part.d_a}x{part.d_b} does not multiply to map dimension {d}")
+    part = _split(args, d)
     eig = eigensystem(u)  # refuses a non-unitary u with LinAlgError (exit 3)
     resonance = commensurability_check(eig.phases, tol=args.tol)
     reduced = ReducedEigenData.from_eigensystem(eig, part)
     power = asymptotic_entangling_power(eig, part, reduced=reduced, resonance=resonance)
     report = {
-        "metadata": {
-            "command": "epinf",
-            "kind": kind_label,
-            "d": d,
-            "split": f"{part.d_a}x{part.d_b}",
-            "tol": args.tol,
-            "seed": args.seed,
-            "profile": args.profile,
-            "version": __version__,
-        },
+        "metadata": _metadata(args, kind=label, d=d, split=f"{part.d_a}x{part.d_b}", tol=args.tol),
         "entangling_power_asymptotic": power.value,
         "assumptions_violated": power.assumptions_violated,
         "resonance": resonance.to_dict(),
         "eigensolver": eigensystem_diagnostics(u, eig),
         "cue_mean_entropy": cue_mean_entropy(part),
     }
+    flag = " [resonances flagged]" if power.assumptions_violated else ""
+    line = f"asymptotic entangling power of {label} ({part.d_a}x{part.d_b}): {power.value:.6f}{flag}"
     if args.cross_check:
         mc_mean, mc_se = asymptotic_power_mc(u, part, n_states, n_min, n_max, RngStream(args.seed))
         report["cross_check"] = {
@@ -289,40 +267,23 @@ def cmd_epinf(args) -> int:
             "abs_difference": abs(mc_mean - power.value),
             "sigma": abs(mc_mean - power.value) / mc_se if mc_se > 0 else None,
         }
-    _write_json(args.out, report)
-    flag = " [resonances flagged]" if power.assumptions_violated else ""
-    line = f"asymptotic entangling power of {kind_label} ({part.d_a}x{part.d_b}): {power.value:.6f}{flag}"
-    if args.cross_check:
-        line += f"; Monte-Carlo {report['cross_check']['mc_mean']:.6f} +/- {report['cross_check']['mc_std_error']:.6f}"
-    # keep stdout pure JSON when it doubles as the output file
-    print(line, file=sys.stderr if args.out is None else sys.stdout)
+        line += f"; Monte-Carlo {mc_mean:.6f} +/- {mc_se:.6f}"
+    _report(args, report, line)
     return EXIT_OK
 
 
 def cmd_spectrum_check(args) -> int:
-    u = load_cmatrix(args.map_file)
-    if u.shape[0] != u.shape[1]:
-        raise ValueError(f"map file holds a non-square {u.shape[0]}x{u.shape[1]} matrix")
+    u = _load_square(args.map_file)
     eig = eigensystem(u)  # refuses a non-unitary u with LinAlgError (exit 3)
     resonance = commensurability_check(eig.phases, tol=args.tol)
     report = {
-        "metadata": {
-            "command": "spectrum-check",
-            "map_file": args.map_file,
-            "d": int(u.shape[0]),
-            "tol": args.tol,
-            "version": __version__,
-        },
+        "metadata": _metadata(args, map_file=args.map_file, d=int(u.shape[0]), tol=args.tol),
         "phases": [float(p) for p in eig.phases],
         "eigensolver": eigensystem_diagnostics(u, eig),
         "resonance": resonance.to_dict(),
     }
-    _write_json(args.out, report)
-    if resonance.has_nontrivial_resonance:
-        line = f"d={resonance.dim}: {resonance.violation_count} nontrivial resonances within {args.tol:g}"
-    else:
-        line = f"d={resonance.dim}: no nontrivial resonances within {args.tol:g}"
-    print(line, file=sys.stderr if args.out is None else sys.stdout)
+    found = resonance.violation_count if resonance.has_nontrivial_resonance else "no"
+    _report(args, report, f"d={resonance.dim}: {found} nontrivial resonances within {args.tol:g}")
     return EXIT_OK
 
 
@@ -335,71 +296,67 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     kinds = [k.value for k in MapKind]
 
+    # shared by every command that records a split, a seed and a profile
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--split", required=True, help="subsystem split AxB with A*B = d")
+    run.add_argument("--seed", type=int, default=1)
+    run.add_argument("--profile", choices=sorted(PROFILES), default="desk")
+    # the flags of the two commands that scan eigenphases and may report to stdout
+    scan = argparse.ArgumentParser(add_help=False)
+    scan.add_argument("--tol", type=_tolerance, default=1e-8, help="resonance tolerance, in (0, 1)")
+    scan.add_argument("--out", default=None, help="output JSON path (stdout when omitted)")
+
     p = sub.add_parser("gen-map", help="write a named map as a cmatrix-json file")
     p.add_argument("--kind", required=True, choices=kinds)
     p.add_argument("--d", required=True, type=int, help="Hilbert-space dimension")
     p.add_argument("--out", required=True, help="output cmatrix-json path")
     p.set_defaults(func=cmd_gen_map)
 
-    p = sub.add_parser("timeseries", help="entropy of iterated product states, as CSV")
+    p = sub.add_parser("timeseries", parents=[run], help="entropy of iterated product states, as CSV")
     p.add_argument("--kind", required=True, choices=kinds)
     p.add_argument("--d", required=True, type=int)
-    p.add_argument("--split", required=True, help="subsystem split AxB with A*B = d")
     p.add_argument("--states", type=int, default=None, help="number of initial product states")
     p.add_argument("--nmax", type=int, default=None, help="number of map applications")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--profile", choices=sorted(PROFILES), default="desk")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_timeseries)
 
-    p = sub.add_parser("histogram", help="late-time entropy histogram of one map, as JSON")
+    p = sub.add_parser("histogram", parents=[run], help="late-time entropy histogram of one map, as JSON")
     p.add_argument("--kind", required=True, choices=kinds)
     p.add_argument("--d", required=True, type=int)
-    p.add_argument("--split", required=True)
     p.add_argument("--states", type=int, default=None)
     p.add_argument("--nmin", type=int, default=None, help="first recorded application count")
     p.add_argument("--nmax", type=int, default=None, help="last recorded application count")
     p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--profile", choices=sorted(PROFILES), default="desk")
     p.add_argument("--cue-reference", type=int, default=0, metavar="N",
                    help="also histogram N Haar-random full-space states")
     p.add_argument("--raw-csv", default=None, help="optionally dump the raw samples as CSV")
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=cmd_histogram)
 
-    p = sub.add_parser("ensemble", help="single-application entropy histogram over a random-map ensemble")
+    p = sub.add_parser("ensemble", parents=[run],
+                       help="single-application entropy histogram over a random-map ensemble")
     p.add_argument("--ensemble", required=True, choices=[k.value for k in EnsembleKind])
     p.add_argument("--d", required=True, type=int)
-    p.add_argument("--split", required=True)
     p.add_argument("--samples", type=int, default=None, help="number of maps to draw")
     p.add_argument("--states", type=int, default=None, help="product states per map")
     p.add_argument("--bins", type=int, default=50)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--profile", choices=sorted(PROFILES), default="desk")
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("epinf", help="closed-form asymptotic entangling power, as JSON")
-    p.add_argument("--kind", choices=kinds, default=None)
+    p = sub.add_parser("epinf", parents=[run, scan], help="closed-form asymptotic entangling power, as JSON")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--kind", choices=kinds, default=None)
+    source.add_argument("--map-file", default=None, help="cmatrix-json map to analyze instead of --kind/--d")
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--map-file", default=None, help="cmatrix-json map to analyze instead of --kind/--d")
-    p.add_argument("--split", required=True)
-    p.add_argument("--tol", type=float, default=1e-8, help="resonance tolerance")
     p.add_argument("--cross-check", action="store_true",
                    help="also run the brute-force late-time Monte-Carlo estimate")
     p.add_argument("--states", type=int, default=None, help="cross-check states")
     p.add_argument("--nmin", type=int, default=None, help="cross-check window start")
     p.add_argument("--nmax", type=int, default=None, help="cross-check window end")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--profile", choices=sorted(PROFILES), default="desk")
-    p.add_argument("--out", default=None, help="output JSON path (stdout when omitted)")
     p.set_defaults(func=cmd_epinf)
 
-    p = sub.add_parser("spectrum-check", help="eigenphase resonance scan of a stored map")
+    p = sub.add_parser("spectrum-check", parents=[scan], help="eigenphase resonance scan of a stored map")
     p.add_argument("map_file", help="cmatrix-json file holding a unitary matrix")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--out", default=None, help="output JSON path (stdout when omitted)")
     p.set_defaults(func=cmd_spectrum_check)
 
     return parser
@@ -416,7 +373,7 @@ def main(argv=None) -> int:
     except LinAlgError as exc:  # subclasses ValueError, so catch it first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -195,16 +195,11 @@ class EigenSystem:
         return np.exp(1j * self.phases)
 
 
-def eigensystem(
-    u,
-    *,
-    unitary_tol: float = UNITARY_TOL,
-    residual_tol: float = EIGEN_TOL,
-) -> EigenSystem:
+def eigensystem(u) -> EigenSystem:
     """Orthonormal eigendecomposition of a unitary matrix.
 
     The solver is chosen from two symmetries that the input is tested for,
-    each to ``unitary_tol`` in the max-norm:
+    each to ``UNITARY_TOL`` in the max-norm:
 
     * reflection, ``R U R = U`` with R the index reversal ``j -> d-1-j`` and
       d even: the odd- and even-parity blocks of size d/2 are solved
@@ -218,7 +213,7 @@ def eigensystem(
 
     Every other input, and every block without time reversal, takes a complex
     Schur factorization, which is exactly the spectral decomposition of a
-    normal matrix.  The symmetries are only tested to ``unitary_tol``, so the
+    normal matrix.  The symmetries are only tested to ``UNITARY_TOL``, so the
     residual, orthonormality and reconstruction gates always run against
     ``u`` itself at full size: a slightly asymmetric input whose neglected
     part matters fails them just like a bad dense solve.
@@ -226,14 +221,16 @@ def eigensystem(
     Raises
     ------
     numpy.linalg.LinAlgError
-        If ``u`` is not unitary within ``unitary_tol``, the solver does not
-        converge, or the decomposition fails its residual gates.
+        If ``u`` is not unitary within ``UNITARY_TOL``, the solver does not
+        converge, or the decomposition fails a gate: max residual below
+        ``EIGEN_TOL * sqrt(d)``, orthonormality defect below ``EIGEN_TOL``,
+        reconstruction error below ``EIGEN_TOL * d``.
     """
     u = as_matrix(u)
-    assert_unitary(u, unitary_tol)
+    assert_unitary(u)
     d = u.shape[0]
-    reversible, v = _time_reversal(u, unitary_tol)
-    split = d % 2 == 0 and max_abs(u[::-1, ::-1] - u) < unitary_tol
+    reversible, v = _time_reversal(u)
+    split = d % 2 == 0 and max_abs(u[::-1, ::-1] - u) < UNITARY_TOL
     blocks = [(u, v)]
     if split:
         rotated = _to_parity_basis(u)
@@ -251,12 +248,12 @@ def eigensystem(
     vectors = q[:, order]
 
     diag = eigensystem_diagnostics(u, phases, vectors)
-    scaled = residual_tol * np.sqrt(phases.size)
+    scaled = EIGEN_TOL * np.sqrt(phases.size)
     if not diag["max_residual"] < scaled:
         raise LinAlgError(f"eigenvector residual {diag['max_residual']:.3e} exceeds {scaled:.1e}")
-    if not diag["orthonormality_defect"] < residual_tol:
+    if not diag["orthonormality_defect"] < EIGEN_TOL:
         raise LinAlgError(f"eigenbasis not orthonormal: defect {diag['orthonormality_defect']:.3e}")
-    if not diag["reconstruction_error"] < residual_tol * phases.size:
+    if not diag["reconstruction_error"] < EIGEN_TOL * phases.size:
         raise LinAlgError(f"spectral reconstruction error {diag['reconstruction_error']:.3e}")
 
     phases.setflags(write=False)
@@ -329,16 +326,17 @@ def _probe_vector(d):
     return np.exp(2j * np.pi * _MIX * np.arange(d) ** 2)
 
 
-def _time_reversal(u, tol):
+def _time_reversal(u):
     """Find the time reversal V, with ``V U* V^dag = U^dag``, among the candidates.
 
     Tries V = 1, ``G_d`` and (d even) ``1_2 kron G_{d/2}`` in that order and
-    returns ``(True, V)`` for the first with ``max |V U* V^dag - U^dag| < tol``
-    (V is None for the identity), else ``(False, None)``.  Each candidate is
-    symmetric, so ``V^dag = V*``.  Before the full O(d^3) gate, one fixed
-    vector x with ``|x_k| = 1`` is pushed through both sides in O(d^2); any
-    input that passes the full gate has a probe difference below ``d * tol``,
-    so the probe only ever skips candidates that would fail.
+    returns ``(True, V)`` for the first with
+    ``max |V U* V^dag - U^dag| < UNITARY_TOL`` (V is None for the identity),
+    else ``(False, None)``.  Each candidate is symmetric, so ``V^dag = V*``.
+    Before the full O(d^3) gate, one fixed vector x with ``|x_k| = 1`` is
+    pushed through both sides in O(d^2); any input that passes the full gate
+    has a probe difference below ``d * UNITARY_TOL``, so the probe only ever
+    skips candidates that would fail.
     """
     d = u.shape[0]
     x = _probe_vector(d)
@@ -351,10 +349,10 @@ def _time_reversal(u, tol):
         y = x.conj() if v is None else v @ x.conj()  # conj(V^dag x)
         y = np.conj(u @ y)  # U* V^dag x
         y = y if v is None else v @ y
-        if not max_abs(y - target) < d * tol:
+        if not max_abs(y - target) < d * UNITARY_TOL:
             continue
         lhs = u.conj() if v is None else v @ u.conj() @ v.conj()
-        if max_abs(lhs - u.conj().T) < tol:
+        if max_abs(lhs - u.conj().T) < UNITARY_TOL:
             return True, v
     return False, None
 

@@ -163,7 +163,7 @@ def reflection_commutator(u) -> float:
     return max_abs(u[:, ::-1] - u[::-1, :])  # U R - R U, R a permutation
 
 
-def reduce_by_symmetry(u, *, commutator_tol: float = UNITARY_TOL):
+def reduce_by_symmetry(u):
     """Split a reflection-symmetric unitary into its parity blocks.
 
     Returns ``(minus_block, plus_block)``, the odd- and even-parity
@@ -173,7 +173,7 @@ def reduce_by_symmetry(u, *, commutator_tol: float = UNITARY_TOL):
     ------
     numpy.linalg.LinAlgError
         If ``u`` is not unitary or does not commute with the reflection
-        within ``commutator_tol`` (the measured commutator norm is included
+        within ``UNITARY_TOL`` (the measured commutator norm is included
         in the message), or if the rotated matrix fails to block-diagonalize.
     """
     u = as_matrix(u)
@@ -182,10 +182,10 @@ def reduce_by_symmetry(u, *, commutator_tol: float = UNITARY_TOL):
         raise ValueError(f"parity reduction needs a square, even-dimensional matrix, got {u.shape}")
     assert_unitary(u)
     defect = reflection_commutator(u)
-    if not defect < commutator_tol:
+    if not defect < UNITARY_TOL:
         raise LinAlgError(
             f"matrix does not commute with the reflection: max |[U, R]| = {defect:.3e} "
-            f"(tol {commutator_tol:.1e})"
+            f"(tol {UNITARY_TOL:.1e})"
         )
     rotated = _to_parity_basis(u)
     half = d // 2

@@ -8,11 +8,17 @@ where ``entries`` lists the R*C complex entries in row-major order as
 ``[real, imaginary]`` pairs of IEEE-754 doubles.  Serialization uses Python's
 shortest round-trip float repr, so save -> load reproduces every entry bit
 for bit.
+
+:func:`atomic_write` is the all-or-nothing text writer behind every file the
+package writes: cmatrix-json here, and the CSV and JSON reports.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -53,12 +59,33 @@ def cmatrix_from_dict(obj) -> np.ndarray:
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
 
 
+@contextmanager
+def atomic_write(path, newline=None):
+    """Open a text file that replaces ``path`` only once the block completes.
+
+    Writes go to a temporary file beside ``path``; it is moved into place
+    with :func:`os.replace` on success and deleted on any error, so readers
+    see either the previous file or the complete new one.
+    """
+    head, tail = os.path.split(os.fspath(path))
+    # unique per writing thread; opened like a plain output file, so the
+    # result keeps the usual umask-derived permissions
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "x", newline=newline) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def save_cmatrix(path, m):
-    """Write a matrix to ``path`` in cmatrix-json form."""
+    """Write a matrix to ``path`` in cmatrix-json form, atomically."""
     # json.dumps runs the C encoder; json.dump would stream through the
     # pure-Python iterencode for the same bytes
     text = json.dumps(cmatrix_to_dict(m)) + "\n"
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         f.write(text)
 
 

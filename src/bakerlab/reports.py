@@ -8,14 +8,12 @@ timestamps, so identical runs produce identical bytes.
 
 from __future__ import annotations
 
-import os
-import threading
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .entropy import EntropySamples
+from .matrixio import atomic_write
 
 __all__ = ["ENTROPY_CSV_HEADER", "HistogramSummary", "read_entropy_csv", "write_entropy_csv"]
 
@@ -105,27 +103,6 @@ class HistogramSummary:
             raise ValueError(f"malformed histogram summary: {exc}") from exc
         summary.validate()
         return summary
-
-
-@contextmanager
-def atomic_write(path, newline=None):
-    """Open a text file that replaces ``path`` only once the block completes.
-
-    Writes go to a temporary file beside ``path``; it is moved into place
-    with :func:`os.replace` on success and deleted on any error, so readers
-    see either the previous file or the complete new one.
-    """
-    head, tail = os.path.split(os.fspath(path))
-    # unique per writing thread; opened like a plain output file, so the
-    # result keeps the usual umask-derived permissions
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{threading.get_ident()}.tmp")
-    try:
-        with open(tmp, "x", newline=newline) as f:
-            yield f
-        os.replace(tmp, path)
-    finally:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
 
 
 def write_entropy_csv(path, samples: EntropySamples, metadata: dict | None = None):

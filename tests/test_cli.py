@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -337,12 +338,19 @@ class TestCountsRefusedUpFront:
         pytest.param(EPINF + ["--nmin", 0, "--nmax", 5], "--nmin", id="epinf-nmin"),
         pytest.param(["timeseries", "--kind", "baker", "--d", 16, "--split", "4x4", "--nmax", 0], "--nmax",
                      id="timeseries-nmax"),
+        pytest.param(EPINF + ["--tol", 0], "--tol", id="epinf-tol-zero"),
+        pytest.param(EPINF + ["--tol", 1], "--tol", id="epinf-tol-one"),
+        pytest.param(EPINF + ["--tol", "nan"], "--tol", id="epinf-tol-nan"),
+        pytest.param(["spectrum-check", "m.json", "--tol", 2], "--tol", id="spectrum-check-tol"),
+        pytest.param(["epinf", "--map-file", "m.json", "--kind", "baker", "--split", "4x4"], "--kind",
+                     id="epinf-map-file-and-kind"),
     ])
     def test_before_any_map_is_built(self, monkeypatch, tmp_path, capsys, argv, flag):
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the flags were checked")
 
-        for name in ("make_map", "empirical_asymptotic_distribution", "ensemble_entropies", "eigensystem"):
+        for name in ("make_map", "load_cmatrix", "empirical_asymptotic_distribution", "ensemble_entropies",
+                     "eigensystem"):
             monkeypatch.setattr(f"bakerlab.cli.{name}", refuse)
         out = tmp_path / "x.out"
         assert run(*argv, "--out", out) == 2
@@ -374,3 +382,87 @@ class TestAtomicWrites:
             bl.write_entropy_csv(out, samples, {"seed": 2, "bad": Unprintable()})
         assert out.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+
+class TestFileErrors:
+    """An unreadable input or unwritable output is a configuration error (exit 2)."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["epinf", "--map-file", "{missing}", "--split", "4x4"], id="epinf-map-file"),
+        pytest.param(["spectrum-check", "{missing}"], id="spectrum-check"),
+        pytest.param(["gen-map", "--kind", "baker", "--d", 8, "--out", "{missing}"], id="gen-map-out"),
+        pytest.param(["histogram", "--kind", "baker", "--d", 8, "--split", "2x4", "--states", 2,
+                      "--nmin", 1, "--nmax", 3, "--out", "{missing}"], id="histogram-out"),
+    ])
+    def test_exit_code(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "no-such-dir" / "m.json")
+        assert run(*[str(a).format(missing=missing) for a in argv]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_failed_save_cmatrix_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "m.json"
+        bl.save_cmatrix(out, bl.baker(4))
+        before = out.read_bytes()
+        # an error partway through the write: text the file's encoding refuses
+        monkeypatch.setattr("bakerlab.matrixio.json", SimpleNamespace(dumps=lambda obj: '{"dim_rows": \ud800'))
+        with pytest.raises(UnicodeEncodeError):
+            bl.save_cmatrix(out, bl.baker(8))
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+
+class TestMetadata:
+    """Every artifact's metadata: command, the command's fields, seed, profile, version."""
+
+    @staticmethod
+    def _runs(tmp_path):
+        b16 = tmp_path / "b16.json"
+        bl.save_cmatrix(b16, bl.baker(16))
+        hist = ["histogram", "--kind", "baker", "--d", 16, "--split", "4x4", "--states", 2,
+                "--nmin", 1, "--nmax", 3, "--raw-csv", tmp_path / "h.csv", "--out", tmp_path / "h.json"]
+        return {
+            "timeseries": (["timeseries", "--kind", "baker", "--d", 16, "--split", "4x4", "--states", 2,
+                            "--nmax", 3, "--out", tmp_path / "ts.csv"], "ts.csv"),
+            "histogram": (hist, "h.json"),
+            "histogram-raw-csv": (hist, "h.csv"),
+            "ensemble": (["ensemble", "--ensemble", "cue", "--d", 4, "--split", "2x2", "--samples", 2,
+                          "--states", 2, "--out", tmp_path / "e.json"], "e.json"),
+            "epinf": (["epinf", "--kind", "baker", "--d", 16, "--split", "4x4", "--out", tmp_path / "ep.json"],
+                      "ep.json"),
+            "spectrum-check": (["spectrum-check", b16, "--out", tmp_path / "sc.json"], "sc.json"),
+        }
+
+    @staticmethod
+    def _read(path):
+        if path.suffix == ".csv":
+            return bl.read_entropy_csv(path)[1]
+        report = json.loads(path.read_text())
+        return report["metadata"]
+
+    @pytest.mark.parametrize("artifact", [
+        "timeseries", "histogram", "histogram-raw-csv", "ensemble", "epinf", "spectrum-check",
+    ])
+    def test_layout(self, tmp_path, artifact):
+        argv, name = self._runs(tmp_path)[artifact]
+        assert run(*argv) == 0
+        metadata = self._read(tmp_path / name)
+        keys = list(metadata)
+        assert keys[0] == "command"
+        assert metadata["command"] == argv[0]
+        tail = ["version"] if argv[0] == "spectrum-check" else ["seed", "profile", "version"]
+        assert keys[-len(tail):] == tail
+
+    def test_ensemble_records_the_stream_layout_among_its_fields(self, tmp_path):
+        argv, name = self._runs(tmp_path)["ensemble"]
+        assert run(*argv) == 0
+        assert list(self._read(tmp_path / name)) == [
+            "command", "ensemble", "d", "split", "samples", "states", "bins", "stream_layout",
+            "seed", "profile", "version",
+        ]
+
+    def test_split_is_recorded_in_lower_case(self, tmp_path):
+        argv = ["histogram", "--kind", "baker", "--d", 16, "--split", "4X4", "--states", 2,
+                "--nmin", 1, "--nmax", 3, "--raw-csv", tmp_path / "h.csv", "--out", tmp_path / "h.json"]
+        assert run(*argv) == 0
+        assert self._read(tmp_path / "h.json")["split"] == "4x4"
+        assert self._read(tmp_path / "h.csv")["split"] == "4x4"
