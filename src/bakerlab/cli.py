@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -124,6 +125,24 @@ def _metadata(args, **fields) -> dict:
     return {"command": args.command, **fields, **run, "version": __version__}
 
 
+def _check_outputs(args):
+    """Refuse an --out or --raw-csv whose directory is missing or unwritable, before any work."""
+    for flag in ("out", "raw_csv"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        head = os.path.dirname(path) or "."
+        if not os.path.isdir(head):
+            problem = f"no directory {head}"
+        elif os.path.isdir(path):
+            problem = "it is a directory"
+        elif not os.access(head, os.W_OK | os.X_OK):
+            problem = f"directory {head} is not writable"
+        else:
+            continue
+        raise ValueError(f"cannot write --{flag.replace('_', '-')} {path}: {problem}")
+
+
 def _load_square(path) -> np.ndarray:
     u = load_cmatrix(path)
     if u.shape[0] != u.shape[1]:
@@ -159,8 +178,7 @@ def cmd_timeseries(args) -> int:
     part = _split(args, args.d)
     n_states = _count("--states", _resolve(args.states, profile, "timeseries_states"), 1)
     n_max = _count("--nmax", _resolve(args.nmax, profile, "timeseries_nmax"), 1)
-    u = make_map(args.kind, args.d)
-    samples = empirical_asymptotic_distribution(u, part, 1, n_max, n_states, RngStream(args.seed))
+    samples = empirical_asymptotic_distribution(args.kind, part, 1, n_max, n_states, RngStream(args.seed))
     metadata = _metadata(
         args, kind=args.kind, d=args.d, split=f"{part.d_a}x{part.d_b}", states=n_states, n_max=n_max
     )
@@ -176,8 +194,7 @@ def cmd_histogram(args) -> int:
     n_min, n_max = _window(args, profile)
     _count("--bins", args.bins, 1)
     _count("--cue-reference", args.cue_reference, 0)
-    u = make_map(args.kind, args.d)
-    samples = empirical_asymptotic_distribution(u, part, n_min, n_max, n_states, RngStream(args.seed))
+    samples = empirical_asymptotic_distribution(args.kind, part, n_min, n_max, n_states, RngStream(args.seed))
     metadata = _metadata(
         args, kind=args.kind, d=args.d, split=f"{part.d_a}x{part.d_b}", states=n_states,
         n_min=n_min, n_max=n_max, bins=args.bins,
@@ -369,6 +386,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_outputs(args)
         return args.func(args)
     except LinAlgError as exc:  # subclasses ValueError, so catch it first
         print(f"numerical failure: {exc}", file=sys.stderr)

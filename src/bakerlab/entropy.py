@@ -37,7 +37,7 @@ from .linalg import (
     assert_unitary,
     max_abs,
 )
-from .maps import _baker_rows
+from .maps import MapKind, _baker_rows, _baker_rows_t, make_map
 
 __all__ = [
     "AsymptoticValue",
@@ -53,7 +53,6 @@ __all__ = [
     "empirical_asymptotic_distribution",
     "ensemble_entropies",
     "entangling_power_mc",
-    "entropy_timeseries",
     "linear_entropies",
     "linear_entropy",
 ]
@@ -144,28 +143,6 @@ def cue_mean_entropy(part: Bipartition) -> float:
     return (part.d_a - 1) * (part.d_b - 1) / (part.d + 1)
 
 
-def entropy_timeseries(u, psi0, part: Bipartition, n_max: int, *, state_id: int = 0) -> EntropySamples:
-    """Linear entropy of ``u^n psi0`` for ``n = 1 .. n_max``."""
-    u = as_matrix(u)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if u.shape != (part.d, part.d):
-        raise ValueError(f"map shape {u.shape} does not match split {part.d_a}x{part.d_b}")
-    assert_unitary(u, name="map")
-    psi = _state_as_matrix(psi0, part).ravel()
-    if abs(np.vdot(psi, psi).real - 1.0) > NORM_TOL:
-        raise ValueError("initial state is not normalized")
-    values = np.empty(n_max)
-    for n in range(n_max):
-        psi = u @ psi
-        values[n] = 1.0 - _purity(psi.reshape(part.d_a, part.d_b))
-    return EntropySamples(
-        state_id=np.full(n_max, state_id, dtype=np.int64),
-        time_step=np.arange(1, n_max + 1, dtype=np.int64),
-        value=values,
-    )
-
-
 def entangling_power_mc(u, part: Bipartition, n_samples: int, rng: RngStream):
     """Monte-Carlo entangling power of a single map application.
 
@@ -213,35 +190,51 @@ def empirical_asymptotic_distribution(
     """Entropy samples of iterated product states inside a late-time window.
 
     Each of ``n_states`` random product states (state ``s`` drawn from
-    ``rng.offset(s)``) is evolved to ``n_max`` applications of ``u``;
+    ``rng.offset(s)``) is evolved to ``n_max`` applications of the map;
     entropies with ``n_min <= n <= n_max`` are recorded.  Rows are ordered
     state-major, so ``value.reshape(n_states, -1)`` recovers the per-state
     time series.
 
-    A step is one dense product ``u @ psi``, except when ``u`` is B, D or D'
-    (see :func:`bakerlab.maps.baker`, :func:`bakerlab.maps.d_map`) within
-    ``UNITARY_TOL`` entrywise and d is at least ``_TRANSFORM_MIN_D``: then
-    two FFTs per step apply the map in O(d log d) per state, and the states
-    are split into contiguous row blocks (see :func:`_block_count`), one per
-    thread, each iterated to ``n_max`` steps by :func:`_iterate`.  Every
-    state's arithmetic is independent of its block, so the samples are the
-    same at any CPU count.
+    The map ``u`` is a d x d matrix or a map kind (a
+    :class:`bakerlab.maps.MapKind` or its name).  A kind is built with
+    :func:`bakerlab.maps.make_map`, except B, D and D' at even d of at least
+    ``_TRANSFORM_MIN_D``: those are never built, and their unitarity gate
+    runs by FFT (see :func:`_assert_unitary_step`).
+
+    A step is one dense product ``u @ psi``, except when the map is B, D or
+    D' (see :func:`bakerlab.maps.baker`, :func:`bakerlab.maps.d_map`) given
+    by kind, or as a matrix within ``UNITARY_TOL`` entrywise, and d is at
+    least ``_TRANSFORM_MIN_D``: then two FFTs per step apply the map in
+    O(d log d) per state, and the states are split into contiguous row
+    blocks (see :func:`_block_count`), one per thread, each iterated to
+    ``n_max`` steps by :func:`_iterate`.  Every state's arithmetic is
+    independent of its block, so the samples are the same at any CPU count.
 
     Raises ``ValueError`` before any allocation when the run would need more
-    than the physical memory, and ``LinAlgError`` when a final state's norm
-    has drifted from 1 by more than ``NORM_TOL``.
+    than the physical memory, and ``LinAlgError`` when the map is not
+    unitary within ``UNITARY_TOL`` or a final state's norm has drifted from 1
+    by more than ``NORM_TOL``.
     """
-    u = as_matrix(u)
+    kind = MapKind(u) if isinstance(u, (str, MapKind)) else None
+    if kind is None:
+        u = as_matrix(u)
+        if u.shape != (part.d, part.d):
+            raise ValueError(f"map shape {u.shape} does not match split {part.d_a}x{part.d_b}")
     if not (1 <= n_min <= n_max):
         raise ValueError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
-    if u.shape != (part.d, part.d):
-        raise ValueError(f"map shape {u.shape} does not match split {part.d_a}x{part.d_b}")
     window = n_max - n_min + 1
-    _check_memory(part.d, n_states, window)
-    assert_unitary(u, name="map")
-    step = _transform_step(u)
+    sign = _KIND_SIGNS.get(kind) if part.d % 2 == 0 and part.d >= _TRANSFORM_MIN_D else None
+    _check_memory(part.d, n_states, window, dense=sign is None)
+    if sign is not None:
+        step = functools.partial(_baker_rows, sign=sign)
+        _assert_unitary_step(step, functools.partial(_baker_rows_t, sign=sign), part.d)
+    else:
+        if kind is not None:
+            u = make_map(kind, part.d)
+        assert_unitary(u, name="map")
+        step = _transform_step(u)
     blocks = 1
     if step is None:
         def step(rows):  # one GEMM on the states as the columns of a (d, S) array
@@ -308,14 +301,15 @@ def _block_count(n_states, d):
 _BATCH_COPIES = 6
 
 
-def _check_memory(d, n_states, window):
+def _check_memory(d, n_states, window, dense=True):
     """Refuse a run whose arrays cannot fit in physical memory, before allocating them.
 
     The estimate is the three ``EntropySamples`` columns (8 bytes each per
-    sample), ``_BATCH_COPIES`` complex (S, d) batches and the two complex
-    d x d temporaries of the unitarity and transform gates.
+    sample), ``_BATCH_COPIES`` complex (S, d) batches and, for a ``dense``
+    map, the two complex d x d temporaries of the unitarity and transform
+    gates.  A map iterated without a matrix holds no d x d array.
     """
-    need = 24 * n_states * window + 16 * (_BATCH_COPIES * n_states * d + 2 * d * d)
+    need = 24 * n_states * window + 16 * (_BATCH_COPIES * n_states * d + (2 * d * d if dense else 0))
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf: nothing to compare with
@@ -330,6 +324,8 @@ def _check_memory(d, n_states, window):
 #: B, D and D' are iterated by FFT from this dimension up; below it one dense
 #: GEMM per step is faster (per-step timings in CHANGES.md)
 _TRANSFORM_MIN_D = 256
+#: the ``maps._baker_rows`` sign of each kind iterated by FFT
+_KIND_SIGNS = {MapKind.BAKER: 0, MapKind.DMAP: +1, MapKind.DPRIME: -1}
 #: rows of the identity pushed through a candidate transform at a time
 _GATE_ROWS = 64
 
@@ -351,7 +347,7 @@ def _transform_step(u):
         return None
     x = _probe_vector(d)
     target = u @ x
-    for sign in (0, +1, -1):
+    for sign in _KIND_SIGNS.values():
         step = functools.partial(_baker_rows, sign=sign)
         if max_abs(step(x[None, :].copy())[0] - target) < d * UNITARY_TOL and _reproduces(step, u):
             return step
@@ -360,14 +356,35 @@ def _transform_step(u):
 
 def _reproduces(step, u):
     """Whether ``step`` maps each unit vector e_k to column k of ``u`` within ``UNITARY_TOL``."""
-    d = u.shape[0]
+    for start, stop, unit in _unit_blocks(u.shape[0]):
+        if not max_abs(step(unit) - u[:, start:stop].T) < UNITARY_TOL:
+            return False
+    return True
+
+
+def _assert_unitary_step(step, step_t, d):
+    """The unitarity defect max |B B^dag - 1| of the map B that ``step`` applies, by FFT.
+
+    ``step_t`` applies B^T.  Column k of B B^dag is B conj(B^T e_k), so each
+    block of ``_GATE_ROWS`` unit vectors takes four FFT passes: the gate
+    computes the figure of :func:`bakerlab.linalg.assert_unitary`, over every
+    entry, in O(d^2 log d) time and O(``_GATE_ROWS`` d) memory, without its
+    d^3 GEMM and d x d arrays.  Raises ``LinAlgError`` unless the figure is
+    below ``UNITARY_TOL``.
+    """
+    defect = max_abs([max_abs(step(np.conj(step_t(unit.copy()))) - unit) for _, _, unit in _unit_blocks(d)])
+    if not defect < UNITARY_TOL:  # also trips on nan
+        raise LinAlgError(f"map is not unitary: max |U U^dag - 1| = {defect:.3e} (tol {UNITARY_TOL:.1e})")
+    return defect
+
+
+def _unit_blocks(d):
+    """``(start, stop, rows)`` with rows e_start .. e_(stop-1) of the identity, ``_GATE_ROWS`` at a time."""
     for start in range(0, d, _GATE_ROWS):
         stop = min(start + _GATE_ROWS, d)
         unit = np.zeros((stop - start, d), dtype=np.complex128)
         unit[np.arange(stop - start), np.arange(start, stop)] = 1.0
-        if not max_abs(step(unit) - u[:, start:stop].T) < UNITARY_TOL:
-            return False
-    return True
+        yield start, stop, unit
 
 
 def asymptotic_power_mc(u, part: Bipartition, n_states: int, n_min: int, n_max: int, rng: RngStream):

@@ -110,6 +110,18 @@ def _baker_rows(psi, sign):
     return _fourier_apply(z.reshape(s, d))
 
 
+def _baker_rows_t(psi, sign):
+    """The transpose ``F G_d`` of :func:`_baker_rows`'s map, applied to every row.
+
+    The same two FFTs in the reverse order; ``psi`` may be overwritten.
+    """
+    s, d = psi.shape
+    z = _fourier_apply(_fourier_apply(psi).reshape(s, 2, d // 2), inverse=True)
+    if sign:
+        z[:, 1] = -sign * z[:, 1, ::-1]
+    return z.reshape(s, d)
+
+
 def lambda_basis(d: int) -> np.ndarray:
     """Unitary basis change that block-diagonalizes reflection-symmetric maps.
 

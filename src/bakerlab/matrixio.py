@@ -65,7 +65,8 @@ def atomic_write(path, newline=None):
 
     Writes go to a temporary file beside ``path``; it is moved into place
     with :func:`os.replace` on success and deleted on any error, so readers
-    see either the previous file or the complete new one.
+    see either the previous file or the complete new one.  An ``OSError``
+    from the temporary file is raised again naming ``path``.
     """
     head, tail = os.path.split(os.fspath(path))
     # unique per writing thread; opened like a plain output file, so the
@@ -75,6 +76,10 @@ def atomic_write(path, newline=None):
         with open(tmp, "x", newline=newline) as f:
             yield f
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     finally:
         with suppress(FileNotFoundError):
             os.remove(tmp)

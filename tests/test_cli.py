@@ -323,10 +323,36 @@ class TestMemoryPreflight:
         assert not out.exists()
 
 
+class TestMatrixFreeCommands:
+    @pytest.mark.parametrize("argv", [
+        ["histogram", "--kind", "baker", "--nmin", 2, "--nmax", 4, "--out", "h.json"],
+        ["histogram", "--kind", "dprime", "--nmin", 2, "--nmax", 4, "--raw-csv", "h.csv", "--out", "h.json"],
+        ["timeseries", "--kind", "dmap", "--nmax", 4, "--out", "ts.csv"],
+    ])
+    def test_baker_family_at_256_builds_no_matrix(self, monkeypatch, tmp_path, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense map was built or gated")
+
+        for name in ("bakerlab.cli.make_map", "bakerlab.entropy.make_map", "bakerlab.entropy.assert_unitary"):
+            monkeypatch.setattr(name, refuse)
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv, "--d", 256, "--split", "16x16", "--states", 3) == 0
+
+
 class TestCountsRefusedUpFront:
     HISTOGRAM = ["histogram", "--kind", "baker", "--d", 16, "--split", "4x4"]
     EPINF = ["epinf", "--kind", "baker", "--d", 16, "--split", "4x4", "--cross-check"]
     ENSEMBLE = ["ensemble", "--ensemble", "cue", "--d", 4, "--split", "2x2", "--samples", 2]
+    TIMESERIES = ["timeseries", "--kind", "baker", "--d", 16, "--split", "4x4"]
+
+    @staticmethod
+    def refuse_work(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the flags were checked")
+
+        for name in ("make_map", "load_cmatrix", "empirical_asymptotic_distribution", "ensemble_entropies",
+                     "eigensystem", "save_cmatrix"):
+            monkeypatch.setattr(f"bakerlab.cli.{name}", refuse)
 
     @pytest.mark.parametrize("argv, flag", [
         pytest.param(HISTOGRAM + ["--bins", 0], "--bins", id="histogram-bins"),
@@ -346,16 +372,32 @@ class TestCountsRefusedUpFront:
                      id="epinf-map-file-and-kind"),
     ])
     def test_before_any_map_is_built(self, monkeypatch, tmp_path, capsys, argv, flag):
-        def refuse(*args, **kwargs):
-            raise AssertionError("work started before the flags were checked")
-
-        for name in ("make_map", "load_cmatrix", "empirical_asymptotic_distribution", "ensemble_entropies",
-                     "eigensystem"):
-            monkeypatch.setattr(f"bakerlab.cli.{name}", refuse)
+        self.refuse_work(monkeypatch)
         out = tmp_path / "x.out"
         assert run(*argv, "--out", out) == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(HISTOGRAM + ["--out", "{missing}"], "--out", id="histogram-out"),
+        pytest.param(HISTOGRAM + ["--raw-csv", "{missing}", "--out", "{ok}"], "--raw-csv",
+                     id="histogram-raw-csv"),
+        pytest.param(HISTOGRAM + ["--out", "{dir}"], "--out", id="histogram-out-is-a-directory"),
+        pytest.param(TIMESERIES + ["--out", "{missing}"], "--out", id="timeseries-out"),
+        pytest.param(ENSEMBLE + ["--out", "{missing}"], "--out", id="ensemble-out"),
+        pytest.param(EPINF + ["--out", "{missing}"], "--out", id="epinf-out"),
+        pytest.param(["gen-map", "--kind", "baker", "--d", 16, "--out", "{missing}"], "--out",
+                     id="gen-map-out"),
+    ])
+    def test_unwritable_output_before_any_work(self, monkeypatch, tmp_path, capsys, argv, flag):
+        self.refuse_work(monkeypatch)
+        paths = {"missing": tmp_path / "no-such-dir" / "x.out", "ok": tmp_path / "x.json", "dir": tmp_path}
+        argv = [str(a).format(**paths) for a in argv]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err
+        assert argv[argv.index(flag) + 1] in err
+        assert sorted(tmp_path.iterdir()) == []
 
 
 class TestAtomicWrites:
@@ -398,6 +440,24 @@ class TestFileErrors:
         missing = str(tmp_path / "no-such-dir" / "m.json")
         assert run(*[str(a).format(missing=missing) for a in argv]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_message_names_the_output_not_a_temporary_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("gen-map", "--kind", "baker", "--d", 8, "--out", "nodir/x.json") == 2
+        err = capsys.readouterr().err
+        assert "nodir/x.json" in err
+        assert ".tmp" not in err
+
+    @pytest.mark.parametrize("target", ["nodir/x.json", "adir"])
+    def test_atomic_write_errors_name_the_target(self, tmp_path, monkeypatch, target):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        with pytest.raises(OSError) as err:  # no directory to open in; a directory to rename onto
+            bl.save_cmatrix(target, bl.baker(4))
+        assert err.value.filename == target
+        assert ".tmp" not in str(err.value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
+        assert list((tmp_path / "adir").iterdir()) == []
 
     def test_failed_save_cmatrix_keeps_the_previous_file(self, tmp_path, monkeypatch):
         out = tmp_path / "m.json"

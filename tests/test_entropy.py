@@ -1,6 +1,8 @@
+import functools
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,24 @@ def local_pair(part, stream):
     gen_a = bl.sample_cue(part.d_a, stream)
     gen_b = bl.sample_cue(part.d_b, stream.offset(1))
     return bl.kron(gen_a, gen_b)
+
+
+def entropy_timeseries(u, psi0, part, n_max, *, state_id=0):
+    """Reference: linear entropy of ``u^n psi0`` for n = 1 .. n_max, one dense product per step."""
+    u = bl.as_matrix(u)
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if u.shape != (part.d, part.d):
+        raise ValueError(f"map shape {u.shape} does not match split {part.d_a}x{part.d_b}")
+    bl.assert_unitary(u, name="map")
+    psi = np.asarray(psi0, dtype=complex)
+    values = np.empty(n_max)
+    for n in range(n_max):
+        psi = u @ psi
+        values[n] = bl.linear_entropy(psi, part)
+    return bl.EntropySamples(
+        state_id=np.full(n_max, state_id), time_step=np.arange(1, n_max + 1), value=values
+    )
 
 
 def entropy_via_partial_trace(psi, part):
@@ -104,7 +124,7 @@ class TestEntropyTimeseries:
     def test_identity_map_keeps_product_states_unentangled(self):
         part = bl.Bipartition(4, 4)
         psi = bl.product_state(part, bl.RngStream(2))
-        ts = bl.entropy_timeseries(np.eye(16), psi, part, 20)
+        ts = entropy_timeseries(np.eye(16), psi, part, 20)
         assert (np.abs(ts.value) < 1e-12).all()
         assert np.array_equal(ts.time_step, np.arange(1, 21))
         assert (ts.state_id == 0).all()
@@ -113,14 +133,14 @@ class TestEntropyTimeseries:
         part = bl.Bipartition(3, 4)
         u = local_pair(part, bl.RngStream(9))
         psi = bl.product_state(part, bl.RngStream(10))
-        ts = bl.entropy_timeseries(u, psi, part, 30)
+        ts = entropy_timeseries(u, psi, part, 30)
         assert (np.abs(ts.value) < 1e-10).all()
 
     def test_baker_entropy_rises_to_a_plateau_below_the_random_mean(self):
         part = bl.Bipartition(16, 16)
         u = bl.baker(256)
         psi = bl.product_state(part, bl.RngStream(12))
-        ts = bl.entropy_timeseries(u, psi, part, 80, state_id=3)
+        ts = entropy_timeseries(u, psi, part, 80, state_id=3)
         plateau = ts.value[40:].mean()
         assert ts.value[0] < plateau
         assert 0.75 < plateau < bl.cue_mean_entropy(part)
@@ -130,13 +150,13 @@ class TestEntropyTimeseries:
         part = bl.Bipartition(2, 2)
         psi = bl.product_state(part, bl.RngStream(1))
         with pytest.raises(np.linalg.LinAlgError):
-            bl.entropy_timeseries(np.diag([1.0, 1.0, 1.0, 0.5]), psi, part, 5)
+            entropy_timeseries(np.diag([1.0, 1.0, 1.0, 0.5]), psi, part, 5)
 
     def test_rejects_bad_window(self):
         part = bl.Bipartition(2, 2)
         psi = bl.product_state(part, bl.RngStream(1))
         with pytest.raises(ValueError):
-            bl.entropy_timeseries(np.eye(4), psi, part, 0)
+            entropy_timeseries(np.eye(4), psi, part, 0)
 
 
 class TestEntropySamples:
@@ -271,7 +291,7 @@ class TestEmpiricalAsymptoticDistribution:
         samples = bl.empirical_asymptotic_distribution(u, part, 4, 9, 2, bl.RngStream(20))
         for s in range(2):
             psi = bl.product_state(part, bl.RngStream(20, s))
-            ts = bl.entropy_timeseries(u, psi, part, 9)
+            ts = entropy_timeseries(u, psi, part, 9)
             got = samples.value.reshape(2, 6)[s]
             assert_allclose(got, ts.value[3:], atol=1e-12)
 
@@ -313,7 +333,7 @@ class TestTransformDispatch:
         samples = bl.empirical_asymptotic_distribution(u, part, 1, 3, 2, bl.RngStream(23))
         for s in range(2):
             psi = bl.product_state(part, bl.RngStream(23, s))
-            assert_allclose(samples.value.reshape(2, 3)[s], bl.entropy_timeseries(u, psi, part, 3).value,
+            assert_allclose(samples.value.reshape(2, 3)[s], entropy_timeseries(u, psi, part, 3).value,
                             atol=1e-12)
 
 
@@ -498,6 +518,137 @@ class TestMemoryPreflight:
         physical_memory(need - 1)
         with pytest.raises(ValueError, match="physical memory"):
             bl.entropy._check_memory(16, 3, 10)
+
+
+class TestMatrixFreeKinds:
+    """B, D and D' given by kind at d >= 256: iterated and gated by FFT, never built."""
+
+    @staticmethod
+    def refuse(monkeypatch, *names):
+        def refused(*args, **kwargs):
+            raise AssertionError("a dense map was built or gated")
+
+        for name in names:
+            monkeypatch.setattr(bl.entropy, name, refused)
+
+    @pytest.mark.parametrize("kind", ["baker", "dmap", "dprime"])
+    @pytest.mark.parametrize("d, d_a", [(256, 16), (300, 15), (1024, 32)])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_samples_equal_the_dense_run(self, monkeypatch, kind, d, d_a, workers):
+        monkeypatch.setattr(bl.entropy, "_worker_count", lambda: workers)
+        monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
+        part = bl.Bipartition(d_a, d // d_a)
+        dense = bl.empirical_asymptotic_distribution(bl.make_map(kind, d), part, 2, 6, 5, bl.RngStream(41))
+        by_kind = bl.empirical_asymptotic_distribution(kind, part, 2, 6, 5, bl.RngStream(41))
+        assert np.array_equal(by_kind.value, dense.value)
+        assert np.array_equal(by_kind.state_id, dense.state_id)
+        assert np.array_equal(by_kind.time_step, dense.time_step)
+
+    @pytest.mark.parametrize("kind", ["baker", "dmap", bl.MapKind.DPRIME])
+    @pytest.mark.parametrize("d, d_a", [(256, 16), (300, 15)])
+    def test_never_builds_or_gates_a_matrix(self, monkeypatch, kind, d, d_a):
+        self.refuse(monkeypatch, "make_map", "assert_unitary", "_transform_step")
+        samples = bl.empirical_asymptotic_distribution(kind, bl.Bipartition(d_a, d // d_a), 1, 3, 2,
+                                                       bl.RngStream(42))
+        assert len(samples) == 6
+
+    @pytest.mark.parametrize("kind, d, d_a", [("bbar", 256, 16), ("identity", 256, 16), ("baker", 64, 8),
+                                              ("dmap", 64, 8)])
+    def test_other_kinds_and_small_d_build_the_map(self, monkeypatch, kind, d, d_a):
+        seen = []
+
+        def recorded(name):
+            original = getattr(bl.entropy, name)
+
+            def call(*args, **kwargs):
+                seen.append(name)
+                return original(*args, **kwargs)
+
+            return call
+
+        for name in ("make_map", "assert_unitary"):
+            monkeypatch.setattr(bl.entropy, name, recorded(name))
+        part = bl.Bipartition(d_a, d // d_a)
+        by_kind = bl.empirical_asymptotic_distribution(kind, part, 1, 3, 2, bl.RngStream(43))
+        assert seen == ["make_map", "assert_unitary"]
+        dense = bl.empirical_asymptotic_distribution(bl.make_map(kind, d), part, 1, 3, 2, bl.RngStream(43))
+        assert np.array_equal(by_kind.value, dense.value)
+
+    def test_odd_dimension_is_refused_by_the_map_builder(self):
+        with pytest.raises(ValueError, match="even dimension"):
+            bl.empirical_asymptotic_distribution("baker", bl.Bipartition(15, 17), 1, 2, 2, bl.RngStream(44))
+
+    def test_scaled_step_fails_the_unitarity_gate(self, monkeypatch):
+        step = bl.entropy._baker_rows
+        monkeypatch.setattr(bl.entropy, "_baker_rows",
+                            lambda psi, sign: step(psi, sign) * (1 + 2 * bl.UNITARY_TOL))
+        with pytest.raises(np.linalg.LinAlgError, match=r"not unitary: max \|U U\^dag - 1\| = 2\.00\de-10"):
+            bl.empirical_asymptotic_distribution("baker", bl.Bipartition(16, 16), 1, 2, 2, bl.RngStream(45))
+
+    @pytest.mark.parametrize("kind", ["baker", "dprime"])
+    def test_corrupted_column_fails_the_gate_with_the_dense_figure(self, monkeypatch, kind):
+        d, col, eps = 256, 77, 1e-7
+        scale = np.ones(d)
+        scale[col] += eps  # B' = B diag(scale): column 77 of B scaled by 1 + eps
+        corrupted = bl.make_map(kind, d) * scale
+        dense = bl.unitarity_defect(corrupted)
+        assert dense > bl.UNITARY_TOL
+        step, step_t = bl.entropy._baker_rows, bl.entropy._baker_rows_t
+        monkeypatch.setattr(bl.entropy, "_baker_rows", lambda psi, sign: step(psi * scale, sign))
+        monkeypatch.setattr(bl.entropy, "_baker_rows_t", lambda psi, sign: step_t(psi, sign) * scale)
+        part = bl.Bipartition(16, 16)
+        with pytest.raises(np.linalg.LinAlgError, match="not unitary") as err:
+            bl.empirical_asymptotic_distribution(kind, part, 1, 2, 2, bl.RngStream(46))
+        figure = float(str(err.value).split("= ")[1].split()[0])
+        assert figure == pytest.approx(dense, rel=1e-3)
+        with pytest.raises(np.linalg.LinAlgError, match="not unitary"):  # the dense gate agrees
+            bl.empirical_asymptotic_distribution(corrupted, part, 1, 2, 2, bl.RngStream(46))
+
+    @pytest.mark.parametrize("kind, sign", [("baker", 0), ("dmap", +1), ("dprime", -1)])
+    @pytest.mark.parametrize("d", [256, 300])
+    def test_gate_figure_is_the_size_of_the_dense_defect(self, kind, sign, d):
+        figure = bl.entropy._assert_unitary_step(functools.partial(bl.entropy._baker_rows, sign=sign),
+                                                 functools.partial(bl.entropy._baker_rows_t, sign=sign), d)
+        dense = bl.unitarity_defect(bl.make_map(kind, d))
+        assert 0 < figure < 8 * dense < 1e-13
+
+    def test_peak_memory_stays_below_one_dense_map(self):
+        d, part = 1024, bl.Bipartition(32, 32)
+        dense_map = 16 * d * d
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: bl.empirical_asymptotic_distribution("baker", part, 1, 3, 4,
+                                                                 bl.RngStream(47))) < dense_map
+        # the control: the same run from a dense map holds it and the gate's product
+        assert peak(lambda: bl.empirical_asymptotic_distribution(bl.baker(d), part, 1, 3, 4,
+                                                                 bl.RngStream(47))) > 2 * dense_map
+
+    def test_preflight_holds_no_square_term(self, monkeypatch):
+        d, n_states, window = 256, 3, 10
+        need = 24 * n_states * window + 16 * bl.entropy._BATCH_COPIES * n_states * d
+        monkeypatch.setattr("os.sysconf", lambda name: need if name == "SC_PHYS_PAGES" else 1)
+        part = bl.Bipartition(16, 16)
+        assert len(bl.empirical_asymptotic_distribution("baker", part, 1, window, n_states,
+                                                        bl.RngStream(48))) == n_states * window
+        with pytest.raises(ValueError, match="physical memory"):  # a matrix adds its gate temporaries
+            bl.empirical_asymptotic_distribution(bl.baker(d), part, 1, window, n_states, bl.RngStream(48))
+        bl.entropy._check_memory(d, n_states, window, dense=False)
+        monkeypatch.setattr("os.sysconf", lambda name: need - 1 if name == "SC_PHYS_PAGES" else 1)
+        with pytest.raises(ValueError, match="physical memory"):
+            bl.entropy._check_memory(d, n_states, window, dense=False)
+
+    def test_preflight_refuses_before_the_gate(self, monkeypatch):
+        self.refuse(monkeypatch, "make_map", "_assert_unitary_step", "product_state")
+        with pytest.raises(ValueError, match="physical memory"):
+            bl.empirical_asymptotic_distribution("baker", bl.Bipartition(16, 16), 1, 10**15, 2,
+                                                 bl.RngStream(49))
 
 
 class TestCommensurability:
@@ -688,7 +839,7 @@ class TestAsymptoticEntropy:
             result = bl.asymptotic_entropy(eig, e_k, part)
             assert result.value == pytest.approx(entropy_via_partial_trace(e_k, part), abs=1e-10)
             # and the entropy really is constant in time
-            ts = bl.entropy_timeseries(u, e_k, part, 5)
+            ts = entropy_timeseries(u, e_k, part, 5)
             assert_allclose(ts.value, result.value, atol=1e-10)
 
     @pytest.mark.parametrize("build", [bl.baker, bl.d_map])
@@ -698,7 +849,7 @@ class TestAsymptoticEntropy:
         psi = bl.product_state(part, bl.RngStream(26))
         predicted = bl.asymptotic_entropy(bl.eigensystem(u), psi, part)
         assert not predicted.assumptions_violated
-        ts = bl.entropy_timeseries(u, psi, part, 11_000)
+        ts = entropy_timeseries(u, psi, part, 11_000)
         observed = ts.value[1000:].mean()
         # late-time averages drift at the per-mille level over finite windows
         assert abs(observed - predicted.value) < 2e-3

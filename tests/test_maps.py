@@ -336,3 +336,15 @@ class TestMakeMap:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             bl.make_map("tent", 8)
+
+
+class TestRowTransforms:
+    """The FFT actions of B, D and D' on rows, and of their transposes."""
+
+    @pytest.mark.parametrize("kind, sign", [("baker", 0), ("dmap", +1), ("dprime", -1)])
+    @pytest.mark.parametrize("d", [8, 300])
+    def test_rows_match_the_dense_map_and_its_transpose(self, kind, sign, d):
+        u = bl.make_map(kind, d)
+        x = bl.product_states(bl.Bipartition(2, d // 2), 3, bl.RngStream(40)).T
+        assert_allclose(bl.maps._baker_rows(x.copy(), sign), x @ u.T, rtol=0, atol=1e-14)
+        assert_allclose(bl.maps._baker_rows_t(x.copy(), sign), x @ u, rtol=0, atol=1e-14)

@@ -1,6 +1,7 @@
 import bakerlab as bl
 
-# the public names bakerlab exported before it re-exported the module __all__s
+# the public names bakerlab exported before it re-exported the module __all__s,
+# less entropy_timeseries, which moved into tests/test_entropy.py as a reference
 LEGACY_EXPORTS = {
     "__version__",
     "EIGEN_TOL", "NORM_TOL", "UNITARY_TOL", "Bipartition", "EigenSystem", "as_matrix", "assert_unitary",
@@ -12,7 +13,7 @@ LEGACY_EXPORTS = {
     "sample_ensemble", "sample_symmetric",
     "AsymptoticValue", "CommensurabilityReport", "EntropySample", "EntropySamples", "ReducedEigenData",
     "asymptotic_entangling_power", "asymptotic_entropy", "asymptotic_power_mc", "commensurability_check",
-    "cue_mean_entropy", "empirical_asymptotic_distribution", "entangling_power_mc", "entropy_timeseries",
+    "cue_mean_entropy", "empirical_asymptotic_distribution", "entangling_power_mc",
     "linear_entropies", "linear_entropy",
     "ENTROPY_CSV_HEADER", "HistogramSummary", "cmatrix_from_dict", "cmatrix_to_dict", "load_cmatrix",
     "read_entropy_csv", "save_cmatrix", "write_entropy_csv",
