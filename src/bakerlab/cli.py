@@ -30,6 +30,7 @@ from .entropy import (
     ensemble_entropies,
     linear_entropies,
     ReducedEigenData,
+    _require_memory,
 )
 from .linalg import Bipartition, eigensystem, eigensystem_diagnostics
 from .maps import MapKind, make_map
@@ -64,6 +65,20 @@ PROFILES = {
         "crosscheck_states": 500,
     },
 }
+
+#: complex d x d arrays alive at once while epinf builds and solves a map:
+#: tracemalloc reads a peak of 8.0-9.7 in ``eigensystem`` for B, Bbar, D and
+#: D' at d = 256..1024
+_EIGEN_COPIES = 10
+#: epinf's reduced eigenvector data holds d (d_a^2 + d_b^2) complex entries;
+#: with its Gram and hermiticity temporaries tracemalloc reads at most 3.0
+#: times that on top of six d x d arrays.  Over whole epinf runs at
+#: d = 256..1024 and splits 2x128..32x32 the peak stays under the sum the two
+#: constants give (at most 0.98 of it, at 2x128)
+_REDUCED_COPIES = 3
+#: gen-map holds the map as Python float pairs and JSON text: tracemalloc
+#: reads 12.7-15.1 complex d x d arrays' worth at d = 256..1024
+_GEN_MAP_COPIES = 16
 
 # reference draws (for --cue-reference) use stream ids in a disjoint block so
 # they can never collide with the per-state streams of the main sweep
@@ -108,6 +123,18 @@ def _split(args, d: int) -> Bipartition:
     if part.d != d:
         raise ValueError(f"split {part.d_a}x{part.d_b} does not multiply to d = {d}")
     return part
+
+
+def _check_epinf_memory(part: Bipartition):
+    """Refuse a split whose map, eigensolve and reduced data cannot fit in physical memory.
+
+    The estimate adds the eigensolve's ``_EIGEN_COPIES`` d x d arrays and the
+    reduction's ``_REDUCED_COPIES`` sets of reduced density matrices, so it
+    bounds both stages.
+    """
+    d = part.d
+    need = 16 * d * (_EIGEN_COPIES * d + _REDUCED_COPIES * (part.d_a**2 + part.d_b**2))
+    _require_memory(need, f"--d {d} with split {part.d_a}x{part.d_b} needs")
 
 
 def _tolerance(text: str) -> float:
@@ -167,6 +194,7 @@ def _report(args, obj, line: str):
 
 
 def cmd_gen_map(args) -> int:
+    _require_memory(16 * _GEN_MAP_COPIES * args.d**2, f"--d {args.d} needs")
     matrix = make_map(args.kind, args.d)
     save_cmatrix(args.out, matrix)
     print(f"wrote {args.kind} map, dimension {args.d}, to {args.out}")
@@ -249,16 +277,22 @@ def cmd_epinf(args) -> int:
     if args.cross_check:  # refused before the map, the eigensolve and the scan
         n_states = _count("--states", _resolve(args.states, profile, "crosscheck_states"), 2)
         n_min, n_max = _window(args, profile)
+    if args.map_file is None and (args.kind is None or args.d is None):
+        raise ValueError("need either --map-file or both --kind and --d")
+    part = None
+    if args.d is not None:  # refused before the map is built or loaded
+        part = _split(args, args.d)
+        _check_epinf_memory(part)
     if args.map_file is not None:
         u, label = _load_square(args.map_file), f"file:{args.map_file}"
         if args.d is not None and args.d != u.shape[0]:
             raise ValueError(f"--d {args.d} conflicts with map file dimension {u.shape[0]}")
-    elif args.kind is None or args.d is None:
-        raise ValueError("need either --map-file or both --kind and --d")
     else:
         u, label = make_map(args.kind, args.d), args.kind
     d = u.shape[0]
-    part = _split(args, d)
+    if part is None:
+        part = _split(args, d)
+        _check_epinf_memory(part)
     eig = eigensystem(u)  # refuses a non-unitary u with LinAlgError (exit 3)
     resonance = commensurability_check(eig.phases, tol=args.tol)
     reduced = ReducedEigenData.from_eigensystem(eig, part)

@@ -310,14 +310,21 @@ def _check_memory(d, n_states, window, dense=True):
     gates.  A map iterated without a matrix holds no d x d array.
     """
     need = 24 * n_states * window + 16 * (_BATCH_COPIES * n_states * d + (2 * d * d if dense else 0))
+    _require_memory(need, f"{n_states} states x {window} window steps at d = {d} need")
+
+
+def _require_memory(need, what):
+    """Raise ``ValueError`` when ``need`` bytes exceed physical memory.
+
+    ``what`` opens the message and ends in its verb, e.g. ``"--d 64 needs"``.
+    """
     try:
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf: nothing to compare with
         return
     if need > have:
         raise ValueError(
-            f"{n_states} states x {window} window steps at d = {d} need ~{need / 2**30:.3g} GiB, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory"
+            f"{what} ~{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory"
         )
 
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import eigh, schur
 
 __all__ = [
     "UNITARY_TOL",
@@ -262,7 +261,13 @@ def eigensystem(u) -> EigenSystem:
 
 
 def _schur(u):
-    """Eigenvalues and Schur vectors of a normal matrix."""
+    """Eigenvalues and Schur vectors of a normal matrix.
+
+    The only use of scipy: imported here, so a run that never needs Schur
+    never loads scipy or starts its OpenBLAS thread pool.
+    """
+    from scipy.linalg import schur
+
     try:
         t, q = schur(u, output="complex")
     except LinAlgError as exc:
@@ -390,8 +395,8 @@ def _real_eigenbasis(s):
     run's fold and its stationary points.
     """
     n = s.shape[0]
-    mu, o = eigh(s.real + _MIX * s.imag, driver="evd")
-    o = np.ascontiguousarray(o)  # eigh returns Fortran order; match the products below
+    mu, o = np.linalg.eigh(s.real + _MIX * s.imag)
+    o = np.ascontiguousarray(o)  # a guard: the products below want C order
     so = _real_right(s, o)
     lam = (so * o).sum(axis=0)
     residual = np.linalg.norm(so - o * lam, axis=0)
@@ -402,7 +407,7 @@ def _real_eigenbasis(s):
             continue
         block = _real_left(o[:, start:stop].T, so[:, start:stop])
         turn = np.exp(-1j * (_FOLD + _ritz_angle(mu[start:stop].mean())))
-        _, q = eigh((turn * block).real, driver="evd")
+        _, q = np.linalg.eigh((turn * block).real)
         o[:, start:stop] = o[:, start:stop] @ q
         lam[start:stop] = ((block @ q) * q).sum(axis=0)
     return lam, o

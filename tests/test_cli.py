@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import bakerlab as bl
-from bakerlab.cli import _write_json, main
+from bakerlab.cli import _EIGEN_COPIES, _REDUCED_COPIES, _check_epinf_memory, _write_json, main
 
 
 def run(*argv):
@@ -322,6 +322,36 @@ class TestMemoryPreflight:
         assert "physical memory" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["epinf", "--kind", "baker", "--split", "1024x1024"],
+        ["epinf", "--kind", "bbar", "--split", "2x524288"],
+        ["epinf", "--map-file", "m.json", "--split", "1024x1024"],
+        ["gen-map", "--kind", "dmap"],
+    ])
+    def test_dense_map_beyond_physical_memory_is_refused_before_it_is_built(self, monkeypatch, tmp_path,
+                                                                              capsys, argv):
+        TestCountsRefusedUpFront.refuse_work(monkeypatch)
+        out = tmp_path / "x.out"
+        assert run(*argv, "--d", 2**20, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "--d 1048576" in err
+        assert "physical memory" in err
+        assert not out.exists()
+
+    def test_epinf_estimate_counts_eigensolve_and_reduced_data(self, monkeypatch, tmp_path):
+        part = bl.Bipartition(2, 8)
+        need = 16 * 16 * (_EIGEN_COPIES * 16 + _REDUCED_COPIES * (2**2 + 8**2))
+
+        def physical_memory(nbytes):  # as that many 1-byte pages
+            monkeypatch.setattr("os.sysconf", lambda name: nbytes if name == "SC_PHYS_PAGES" else 1)
+
+        physical_memory(need)
+        _check_epinf_memory(part)
+        assert run("epinf", "--kind", "baker", "--d", 16, "--split", "2x8", "--out", tmp_path / "x.json") == 0
+        physical_memory(need - 1)
+        with pytest.raises(ValueError, match="--d 16 with split 2x8"):
+            _check_epinf_memory(part)
+
 
 class TestMatrixFreeCommands:
     @pytest.mark.parametrize("argv", [
@@ -370,6 +400,7 @@ class TestCountsRefusedUpFront:
         pytest.param(["spectrum-check", "m.json", "--tol", 2], "--tol", id="spectrum-check-tol"),
         pytest.param(["epinf", "--map-file", "m.json", "--kind", "baker", "--split", "4x4"], "--kind",
                      id="epinf-map-file-and-kind"),
+        pytest.param(["epinf", "--kind", "baker", "--d", 16, "--split", "4x8"], "split 4x8", id="epinf-split"),
     ])
     def test_before_any_map_is_built(self, monkeypatch, tmp_path, capsys, argv, flag):
         self.refuse_work(monkeypatch)

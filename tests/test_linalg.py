@@ -343,6 +343,54 @@ class TestParityEigensolve:
         assert diag["orthonormality_defect"] < 1e-12
 
 
+NUMPY_EIGH_CASES = [
+    *[(kind, d) for kind in ("baker", "bbar", "dmap", "dprime") for d in (64, 256)],
+    ("coe", 64), ("coe", 256), ("symmetric", 64), ("symmetric", 256),
+]
+
+
+class TestEigensolveBackends:
+    """Real symmetric solves run on numpy's LAPACK; scipy serves only the Schur fallback."""
+
+    @pytest.mark.parametrize("kind,d", NUMPY_EIGH_CASES, ids=[f"{k}-{d}" for k, d in NUMPY_EIGH_CASES])
+    def test_reversible_inputs_solve_by_numpy_eigh(self, monkeypatch, kind, d):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.eigh was called")
+
+        def counted(a):
+            calls.append(a.shape)
+            return numpy_eigh(a)
+
+        calls, numpy_eigh = [], np.linalg.eigh
+        monkeypatch.setattr("scipy.linalg.eigh", refuse)
+        monkeypatch.setattr("numpy.linalg.eigh", counted)
+        if kind in ("coe", "symmetric"):
+            u = bl.sample_ensemble(kind, d, bl.RngStream(412, d))
+        else:
+            u = bl.make_map(kind, d)
+        eig = bl.eigensystem(u)
+        monkeypatch.undo()  # the oracle below may use either library
+        assert calls
+        assert circular_gap(eig.phases, schur_oracle(u).phases).max() < 1e-12
+        diag = bl.eigensystem_diagnostics(u, eig)
+        assert diag["max_residual"] < 1e-12
+        assert diag["orthonormality_defect"] < 1e-12
+
+    def test_cue_takes_schur(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return schur_solve(x)
+
+        schur_solve = linalg._schur
+        monkeypatch.setattr(linalg, "_schur", counted)
+        u = bl.sample_cue(64, bl.RngStream(413))
+        eig = bl.eigensystem(u)  # raises unless the Schur vectors pass every gate
+        assert calls == [(64, 64)]
+        assert circular_gap(eig.phases, schur_oracle(u).phases).max() < 1e-12
+
+
 TIME_REVERSAL_CASES = [
     ("dmap", 16, (4, 4)),
     ("dmap", 64, (8, 8)),

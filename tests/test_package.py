@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import bakerlab as bl
 
 # the public names bakerlab exported before it re-exported the module __all__s,
@@ -28,3 +33,29 @@ def test_exports_are_the_legacy_names_plus_batched_sampling():
 def test_every_export_resolves():
     for name in bl.__all__:
         assert hasattr(bl, name), name
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's bakerlab."""
+    src = str(Path(bl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True, text=True, env=env)
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the Schur fallback, so its OpenBLAS pool is not loaded up front
+    proc = run_python("import sys, bakerlab, bakerlab.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_reversible_epinf_runs_without_scipy(tmp_path):
+    out = tmp_path / "ep.json"
+    proc = run_python(
+        "import sys; sys.modules['scipy'] = None\n"
+        "from bakerlab.cli import main\n"
+        "sys.exit(main(['epinf', '--kind', 'dmap', '--d', '32', '--split', '4x8', '--out', sys.argv[1]]))",
+        out,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()
