@@ -30,6 +30,7 @@ from .entropy import (
     ensemble_entropies,
     linear_entropies,
     ReducedEigenData,
+    _check_memory,
     _require_memory,
 )
 from .linalg import Bipartition, eigensystem, eigensystem_diagnostics
@@ -79,6 +80,14 @@ _REDUCED_COPIES = 3
 #: gen-map holds the map as Python float pairs and JSON text: tracemalloc
 #: reads 12.7-15.1 complex d x d arrays' worth at d = 256..1024
 _GEN_MAP_COPIES = 16
+#: bytes per float64 sample summarized outside the engine (ensemble entropies,
+#: --cue-reference draws) with the summary's temporaries, and per histogram
+#: bin (counts, edges and their JSON lists): tracemalloc reads at most 28 and
+#: 57, and each count above 256 adds a 28-byte Python int
+_SAMPLE_BYTES, _BIN_BYTES = 32, 96
+#: complex (S, d) state batches and d x d arrays alive at once per ensemble
+#: map: tracemalloc reads at most 3.1 and 4.1 at d = 16..256
+_ENSEMBLE_COPIES = 5
 
 # reference draws (for --cue-reference) use stream ids in a disjoint block so
 # they can never collide with the per-state streams of the main sweep
@@ -125,16 +134,21 @@ def _split(args, d: int) -> Bipartition:
     return part
 
 
-def _check_epinf_memory(part: Bipartition):
+def _check_epinf_memory(part: Bipartition, cross=None):
     """Refuse a split whose map, eigensolve and reduced data cannot fit in physical memory.
 
     The estimate adds the eigensolve's ``_EIGEN_COPIES`` d x d arrays and the
     reduction's ``_REDUCED_COPIES`` sets of reduced density matrices, so it
-    bounds both stages.
+    bounds both stages.  ``cross`` holds the ``(n_states, n_min, n_max)`` of
+    --cross-check, whose engine run is checked here too, before the
+    eigensolve instead of after it.
     """
     d = part.d
     need = 16 * d * (_EIGEN_COPIES * d + _REDUCED_COPIES * (part.d_a**2 + part.d_b**2))
     _require_memory(need, f"--d {d} with split {part.d_a}x{part.d_b} needs")
+    if cross is not None:
+        n_states, n_min, n_max = cross
+        _check_memory(d, n_states, n_max - n_min + 1)
 
 
 def _tolerance(text: str) -> float:
@@ -221,7 +235,9 @@ def cmd_histogram(args) -> int:
     n_states = _count("--states", _resolve(args.states, profile, "window_states"), 1)
     n_min, n_max = _window(args, profile)
     _count("--bins", args.bins, 1)
-    _count("--cue-reference", args.cue_reference, 0)
+    n_ref = _count("--cue-reference", args.cue_reference, 0)
+    _require_memory(_SAMPLE_BYTES * n_ref + _BIN_BYTES * args.bins * (2 if n_ref else 1),
+                    f"--bins {args.bins} with --cue-reference {n_ref} need")
     samples = empirical_asymptotic_distribution(args.kind, part, n_min, n_max, n_states, RngStream(args.seed))
     metadata = _metadata(
         args, kind=args.kind, d=args.d, split=f"{part.d_a}x{part.d_b}", states=n_states,
@@ -253,8 +269,11 @@ def cmd_ensemble(args) -> int:
     kind = EnsembleKind(args.ensemble)
     part = _split(args, args.d)
     _count("--bins", args.bins, 1)
-    n_maps = _resolve(args.samples, profile, "ensemble_samples")
-    n_states = _resolve(args.states, profile, "ensemble_states")
+    n_maps = _count("--samples", _resolve(args.samples, profile, "ensemble_samples"), 1)
+    n_states = _count("--states", _resolve(args.states, profile, "ensemble_states"), 1)
+    need = _SAMPLE_BYTES * n_maps * n_states + 16 * _ENSEMBLE_COPIES * args.d * (n_states + args.d)
+    _require_memory(need + _BIN_BYTES * args.bins,
+                    f"--samples {n_maps} x --states {n_states} at --d {args.d} with --bins {args.bins} need")
     values = ensemble_entropies(kind, args.d, part, n_maps, n_states, RngStream(args.seed))
     metadata = _metadata(
         args, ensemble=kind.value, d=args.d, split=f"{part.d_a}x{part.d_b}", samples=n_maps,
@@ -274,15 +293,16 @@ def cmd_ensemble(args) -> int:
 
 def cmd_epinf(args) -> int:
     profile = PROFILES[args.profile]
+    cross = None
     if args.cross_check:  # refused before the map, the eigensolve and the scan
         n_states = _count("--states", _resolve(args.states, profile, "crosscheck_states"), 2)
-        n_min, n_max = _window(args, profile)
+        cross = (n_states, *_window(args, profile))
     if args.map_file is None and (args.kind is None or args.d is None):
         raise ValueError("need either --map-file or both --kind and --d")
     part = None
     if args.d is not None:  # refused before the map is built or loaded
         part = _split(args, args.d)
-        _check_epinf_memory(part)
+        _check_epinf_memory(part, cross)
     if args.map_file is not None:
         u, label = _load_square(args.map_file), f"file:{args.map_file}"
         if args.d is not None and args.d != u.shape[0]:
@@ -292,7 +312,7 @@ def cmd_epinf(args) -> int:
     d = u.shape[0]
     if part is None:
         part = _split(args, d)
-        _check_epinf_memory(part)
+        _check_epinf_memory(part, cross)
     eig = eigensystem(u)  # refuses a non-unitary u with LinAlgError (exit 3)
     resonance = commensurability_check(eig.phases, tol=args.tol)
     reduced = ReducedEigenData.from_eigensystem(eig, part)
@@ -307,7 +327,8 @@ def cmd_epinf(args) -> int:
     }
     flag = " [resonances flagged]" if power.assumptions_violated else ""
     line = f"asymptotic entangling power of {label} ({part.d_a}x{part.d_b}): {power.value:.6f}{flag}"
-    if args.cross_check:
+    if cross is not None:
+        n_states, n_min, n_max = cross
         mc_mean, mc_se = asymptotic_power_mc(u, part, n_states, n_min, n_max, RngStream(args.seed))
         report["cross_check"] = {
             "mc_mean": mc_mean,

@@ -32,7 +32,6 @@ from .linalg import (
     UNITARY_TOL,
     Bipartition,
     EigenSystem,
-    _probe_vector,
     as_matrix,
     assert_unitary,
     max_abs,
@@ -340,33 +339,23 @@ _GATE_ROWS = 64
 def _transform_step(u):
     """The FFT step of ``u`` when it is B, D or D', else None.
 
-    Like ``linalg._time_reversal``, each candidate (``maps._baker_rows`` with
-    sign 0, +1, -1) is first compared with ``u`` on one probe vector in
-    O(d^2), at the bound ``d * UNITARY_TOL`` that no input passing the full
-    gate can exceed.  The full gate then applies the candidate to the
-    identity, ``_GATE_ROWS`` rows at a time, and requires every column of
-    ``u`` to match within ``UNITARY_TOL``: the map that is iterated is the
-    one that passed the unitarity gate.  Inputs with d below
-    ``_TRANSFORM_MIN_D`` or odd are not tested.
+    Each candidate (``maps._baker_rows`` with sign 0, +1, -1) is applied to
+    the identity, ``_GATE_ROWS`` rows at a time, and must reproduce every
+    column of ``u`` within ``UNITARY_TOL``: the map that is iterated is the
+    one that passed the unitarity gate.  The first block holds the last
+    columns, in the half where the three kinds differ, so a wrong sign is
+    refused after one block.  Inputs with d below ``_TRANSFORM_MIN_D`` or
+    odd are not tested.
     """
     d = u.shape[0]
     if d < _TRANSFORM_MIN_D or d % 2:
         return None
-    x = _probe_vector(d)
-    target = u @ x
     for sign in _KIND_SIGNS.values():
         step = functools.partial(_baker_rows, sign=sign)
-        if max_abs(step(x[None, :].copy())[0] - target) < d * UNITARY_TOL and _reproduces(step, u):
+        blocks = _unit_blocks(d)
+        if all(max_abs(step(unit) - u[:, start:stop].T) < UNITARY_TOL for start, stop, unit in blocks):
             return step
     return None
-
-
-def _reproduces(step, u):
-    """Whether ``step`` maps each unit vector e_k to column k of ``u`` within ``UNITARY_TOL``."""
-    for start, stop, unit in _unit_blocks(u.shape[0]):
-        if not max_abs(step(unit) - u[:, start:stop].T) < UNITARY_TOL:
-            return False
-    return True
 
 
 def _assert_unitary_step(step, step_t, d):
@@ -386,8 +375,8 @@ def _assert_unitary_step(step, step_t, d):
 
 
 def _unit_blocks(d):
-    """``(start, stop, rows)`` with rows e_start .. e_(stop-1) of the identity, ``_GATE_ROWS`` at a time."""
-    for start in range(0, d, _GATE_ROWS):
+    """``(start, stop, rows)``: e_start .. e_(stop-1) of the identity in ``_GATE_ROWS`` blocks, last first."""
+    for start in reversed(range(0, d, _GATE_ROWS)):
         stop = min(start + _GATE_ROWS, d)
         unit = np.zeros((stop - start, d), dtype=np.complex128)
         unit[np.arange(stop - start), np.arange(start, stop)] = 1.0

@@ -245,19 +245,19 @@ def eigensystem(u) -> EigenSystem:
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
     vectors = q[:, order]
+    phases.setflags(write=False)
+    vectors.setflags(write=False)
+    eig = EigenSystem(phases=phases, vectors=vectors)
 
-    diag = eigensystem_diagnostics(u, phases, vectors)
-    scaled = EIGEN_TOL * np.sqrt(phases.size)
+    diag = eigensystem_diagnostics(u, eig)
+    scaled = EIGEN_TOL * np.sqrt(d)
     if not diag["max_residual"] < scaled:
         raise LinAlgError(f"eigenvector residual {diag['max_residual']:.3e} exceeds {scaled:.1e}")
     if not diag["orthonormality_defect"] < EIGEN_TOL:
         raise LinAlgError(f"eigenbasis not orthonormal: defect {diag['orthonormality_defect']:.3e}")
-    if not diag["reconstruction_error"] < EIGEN_TOL * phases.size:
+    if not diag["reconstruction_error"] < EIGEN_TOL * d:
         raise LinAlgError(f"spectral reconstruction error {diag['reconstruction_error']:.3e}")
-
-    phases.setflags(write=False)
-    vectors.setflags(write=False)
-    return EigenSystem(phases=phases, vectors=vectors)
+    return eig
 
 
 def _schur(u):
@@ -322,44 +322,39 @@ def _fourier_apply(x, inverse=False):
     return y
 
 
-def _probe_vector(d):
-    """A fixed vector with ``|x_k| = 1`` and pseudo-random phases, for O(d^2) probes.
-
-    If ``max |A - B| < tol`` entrywise, then ``max |(A - B) x| < d * tol``, so
-    a probe at that bound never rejects a pair that the full gate accepts.
-    """
-    return np.exp(2j * np.pi * _MIX * np.arange(d) ** 2)
-
-
 def _time_reversal(u):
     """Find the time reversal V, with ``V U* V^dag = U^dag``, among the candidates.
 
     Tries V = 1, ``G_d`` and (d even) ``1_2 kron G_{d/2}`` in that order and
     returns ``(True, V)`` for the first with
     ``max |V U* V^dag - U^dag| < UNITARY_TOL`` (V is None for the identity),
-    else ``(False, None)``.  Each candidate is symmetric, so ``V^dag = V*``.
-    Before the full O(d^3) gate, one fixed vector x with ``|x_k| = 1`` is
-    pushed through both sides in O(d^2); any input that passes the full gate
-    has a probe difference below ``d * UNITARY_TOL``, so the probe only ever
-    skips candidates that would fail.
+    else ``(False, None)``.  V = 1 asks for ``U = U^T``; the other two gates
+    run by FFT (see :func:`_reversal_defect`), and only the candidate that
+    passes is built as a matrix.
+    """
+    if max_abs(u - u.T) < UNITARY_TOL:
+        return True, None
+    d = u.shape[0]
+    for n in (d, d // 2) if d % 2 == 0 else (d,):
+        if _reversal_defect(u, n) < UNITARY_TOL:
+            v = _fourier_kernel(n)
+            return True, v if n == d else np.kron(np.eye(2), v)
+    return False, None
+
+
+def _reversal_defect(u, n):
+    """``max |V U* V^dag - U^dag|`` for ``V = 1_{d/n} kron G_n``, in O(d^2 log d).
+
+    V is symmetric, so that matrix is the adjoint of ``V U^T V^dag - U``:
+    ``G_n`` is applied to the rows of U by FFT, ``G_n^{-1}`` to the rows of
+    the transpose, and every entry is compared with U, without the two d^3
+    products of the dense gate and with at most two d x d arrays alive.
     """
     d = u.shape[0]
-    x = _probe_vector(d)
-    target = np.conj(x.conj() @ u)  # U^dag x
-    candidates = [lambda: None, lambda: _fourier_kernel(d)]
-    if d % 2 == 0:
-        candidates.append(lambda: np.kron(np.eye(2), _fourier_kernel(d // 2)))
-    for make in candidates:
-        v = make()
-        y = x.conj() if v is None else v @ x.conj()  # conj(V^dag x)
-        y = np.conj(u @ y)  # U* V^dag x
-        y = y if v is None else v @ y
-        if not max_abs(y - target) < d * UNITARY_TOL:
-            continue
-        lhs = u.conj() if v is None else v @ u.conj() @ v.conj()
-        if max_abs(lhs - u.conj().T) < UNITARY_TOL:
-            return True, v
-    return False, None
+    w = _fourier_apply(u.copy().reshape(d, d // n, n)).reshape(d, d)  # U V
+    w = _fourier_apply(w.T.reshape(d, d // n, n), inverse=True).reshape(d, d)  # V U^T V^dag
+    w -= u
+    return max_abs(w)
 
 
 def _eigh_reversible(u, v):
@@ -490,15 +485,9 @@ def _from_parity_vectors(w_minus, w_plus):
     return out
 
 
-def eigensystem_diagnostics(u, phases_or_eig, vectors=None) -> dict:
-    """Residual, orthonormality, and reconstruction errors of a decomposition.
-
-    Accepts either an :class:`EigenSystem` or separate phase/vector arrays.
-    """
-    if vectors is None:
-        phases, vectors = phases_or_eig.phases, phases_or_eig.vectors
-    else:
-        phases = phases_or_eig
+def eigensystem_diagnostics(u, eig: EigenSystem) -> dict:
+    """Residual, orthonormality, and reconstruction errors of a decomposition."""
+    phases, vectors = eig.phases, eig.vectors
     u = as_matrix(u)
     lam = np.exp(1j * phases)
     residuals = np.linalg.norm(u @ vectors - vectors * lam, axis=0)

@@ -381,7 +381,7 @@ class TestCountsRefusedUpFront:
             raise AssertionError("work started before the flags were checked")
 
         for name in ("make_map", "load_cmatrix", "empirical_asymptotic_distribution", "ensemble_entropies",
-                     "eigensystem", "save_cmatrix"):
+                     "eigensystem", "save_cmatrix", "asymptotic_power_mc", "haar_state"):
             monkeypatch.setattr(f"bakerlab.cli.{name}", refuse)
 
     @pytest.mark.parametrize("argv, flag", [
@@ -401,6 +401,19 @@ class TestCountsRefusedUpFront:
         pytest.param(["epinf", "--map-file", "m.json", "--kind", "baker", "--split", "4x4"], "--kind",
                      id="epinf-map-file-and-kind"),
         pytest.param(["epinf", "--kind", "baker", "--d", 16, "--split", "4x8"], "split 4x8", id="epinf-split"),
+        pytest.param(ENSEMBLE + ["--states", 0], "--states", id="ensemble-states"),
+        # counts whose arrays would exceed any physical memory: refused by size alone, so
+        # nothing is allocated
+        pytest.param(HISTOGRAM + ["--states", 2, "--nmin", 1, "--nmax", 2, "--cue-reference", 10**15],
+                     "--cue-reference 1000000000000000", id="histogram-cue-reference-memory"),
+        pytest.param(HISTOGRAM + ["--states", 2, "--nmin", 1, "--nmax", 2, "--bins", 10**15],
+                     "--bins 1000000000000000", id="histogram-bins-memory"),
+        pytest.param(["ensemble", "--ensemble", "cue", "--d", 4, "--split", "2x2", "--samples", 10**12,
+                      "--states", 10**9], "--samples 1000000000000", id="ensemble-memory"),
+        pytest.param(ENSEMBLE + ["--states", 2, "--bins", 10**15], "--bins 1000000000000000",
+                     id="ensemble-bins-memory"),
+        pytest.param(EPINF + ["--states", 10**12, "--nmin", 1, "--nmax", 10], "1000000000000 states",
+                     id="epinf-cross-check-memory"),
     ])
     def test_before_any_map_is_built(self, monkeypatch, tmp_path, capsys, argv, flag):
         self.refuse_work(monkeypatch)

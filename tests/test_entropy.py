@@ -320,13 +320,11 @@ class TestTransformDispatch:
         assert bl.entropy._transform_step(bl.baker(d - 2)) is None
         assert bl.entropy._transform_step(bl.baker(d // 2)) is None
 
-    def test_map_that_passes_only_the_probe_takes_the_dense_step(self):
+    def test_map_one_phase_off_b_takes_the_dense_step(self):
         d = bl.entropy._TRANSFORM_MIN_D
         b = bl.baker(d)
         u = b * np.exp(1j * np.r_[np.zeros(d - 1), 1e-8])  # B diag(1, ..., 1, e^{i 1e-8})
         assert bl.is_unitary(u)
-        x = bl.linalg._probe_vector(d)
-        assert bl.max_abs(u @ x - b @ x) < d * bl.UNITARY_TOL  # the probe cannot tell u from B
         assert bl.max_abs(u - b) > bl.UNITARY_TOL
         assert bl.entropy._transform_step(u) is None
         part = bl.Bipartition(16, d // 16)
@@ -335,6 +333,27 @@ class TestTransformDispatch:
             psi = bl.product_state(part, bl.RngStream(23, s))
             assert_allclose(samples.value.reshape(2, 3)[s], entropy_timeseries(u, psi, part, 3).value,
                             atol=1e-12)
+
+    def test_one_phase_off_b_in_the_last_block_is_rejected(self):
+        # the test above plants the phase in column d - 1, the first gate block;
+        # column 0 is in the last one
+        d = bl.entropy._TRANSFORM_MIN_D
+        u = bl.baker(d) * np.exp(1j * np.r_[1e-8, np.zeros(d - 1)])
+        assert bl.is_unitary(u)
+        assert bl.entropy._transform_step(u) is None
+
+    def test_wrong_signs_are_refused_at_their_first_block(self, monkeypatch):
+        # D' is the last candidate: B and D differ from it only in the second
+        # half of the columns, which the first block covers, so each of them
+        # costs one block and D' all of them
+        d = bl.entropy._TRANSFORM_MIN_D
+        u = bl.d_map(d, sign=-1)
+        signs = []
+        rows = bl.entropy._baker_rows
+        monkeypatch.setattr(bl.entropy, "_baker_rows", lambda psi, sign: signs.append(sign) or rows(psi, sign))
+        step = bl.entropy._transform_step(u)
+        assert step is not None and step.keywords == {"sign": -1}
+        assert signs == [0, +1] + [-1] * (d // bl.entropy._GATE_ROWS)
 
 
 @pytest.fixture

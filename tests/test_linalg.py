@@ -481,3 +481,74 @@ class TestTimeReversalEigensolve:
         diag = bl.eigensystem_diagnostics(u, eig)
         assert diag["max_residual"] < 1e-12
         assert diag["orthonormality_defect"] < 1e-12
+
+
+def dense_reversal_figures(u):
+    """The dense time-reversal gate: ``max |V U* V^dag - U^dag|`` for V = 1, G_d and (d even) 1_2 kron G_{d/2}."""
+    d = u.shape[0]
+    candidates = [np.eye(d), bl.antiperiodic_fourier(d)]
+    if d % 2 == 0:
+        candidates.append(np.kron(np.eye(2), bl.antiperiodic_fourier(d // 2)))
+    return [(v, bl.max_abs(v @ u.conj() @ v.conj().T - u.conj().T)) for v in candidates]
+
+
+def dense_time_reversal(u):
+    """``(True, V)`` for the first V the dense gate accepts (None for the identity), else ``(False, None)``."""
+    for k, (v, figure) in enumerate(dense_reversal_figures(u)):
+        if figure < bl.UNITARY_TOL:
+            return True, None if k == 0 else v
+    return False, None
+
+
+def reversal_input(name, d):
+    if name in {kind.value for kind in bl.MapKind}:
+        return bl.make_map(name, d)
+    return bl.sample_ensemble(name, d, bl.RngStream(412))
+
+
+class TestTimeReversalGate:
+    """The FFT gate of ``linalg._time_reversal`` against the dense V U* V^dag - U^dag."""
+
+    @pytest.mark.parametrize("d", [16, 64, 256, 300])
+    @pytest.mark.parametrize("name", ["baker", "dmap", "dprime", "bbar", "fourier", "identity", "coe",
+                                      "symmetric", "cue"])
+    def test_figure_and_choice_match_the_dense_gate(self, name, d):
+        u = reversal_input(name, d)
+        dense = dense_reversal_figures(u)
+        assert abs(bl.max_abs(u - u.T) - dense[0][1]) < 1e-14
+        for n, (_, figure) in zip((d, d // 2), dense[1:]):
+            assert abs(linalg._reversal_defect(u, n) - figure) < 1e-14
+        reversible, v = linalg._time_reversal(u)
+        ref_reversible, ref_v = dense_time_reversal(u)
+        assert reversible == ref_reversible
+        assert (v is None) == (ref_v is None)
+        if v is not None:
+            assert bl.max_abs(v - ref_v) < 1e-14
+
+    @pytest.mark.parametrize("scale, reversible", [(2.0, False), (0.5, True)])
+    def test_perturbation_is_judged_at_the_unchanged_tolerance(self, scale, reversible):
+        # D diag(e^{i eps theta}) breaks V = G_d at first order in eps; eps is
+        # tuned so that the dense figure reads scale * UNITARY_TOL
+        d = 64
+        theta = np.random.default_rng(413).uniform(-1.0, 1.0, d)
+
+        def perturbed(eps):
+            return bl.d_map(d) * np.exp(1j * eps * theta)
+
+        unit = dense_reversal_figures(perturbed(1e-6))[1][1] / 1e-6
+        u = perturbed(scale * bl.UNITARY_TOL / unit)
+        figures = [figure for _, figure in dense_reversal_figures(u)]
+        assert abs(figures[1] / bl.UNITARY_TOL - scale) < 0.05 * scale
+        assert figures[0] > 1e-2 and figures[2] > 1e-2  # the other candidates fail by far
+        assert bl.is_unitary(u)
+        got, v = linalg._time_reversal(u)
+        assert got is reversible
+        assert (v is not None) is reversible
+
+    @pytest.mark.parametrize("name, built", [("bbar", [32]), ("baker", [64]), ("cue", []), ("symmetric", [])])
+    def test_only_the_accepted_candidate_is_built(self, monkeypatch, name, built):
+        calls = []
+        kernel = linalg._fourier_kernel
+        monkeypatch.setattr(linalg, "_fourier_kernel", lambda n: calls.append(n) or kernel(n))
+        linalg._time_reversal(reversal_input(name, 64))
+        assert calls == built
