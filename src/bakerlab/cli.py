@@ -67,19 +67,29 @@ PROFILES = {
     },
 }
 
-#: complex d x d arrays alive at once while epinf builds and solves a map:
-#: tracemalloc reads a peak of 8.0-9.7 in ``eigensystem`` for B, Bbar, D and
-#: D' at d = 256..1024
-_EIGEN_COPIES = 10
-#: epinf's reduced eigenvector data holds d (d_a^2 + d_b^2) complex entries;
-#: with its Gram and hermiticity temporaries tracemalloc reads at most 3.0
-#: times that on top of six d x d arrays.  Over whole epinf runs at
-#: d = 256..1024 and splits 2x128..32x32 the peak stays under the sum the two
-#: constants give (at most 0.98 of it, at 2x128)
-_REDUCED_COPIES = 3
-#: gen-map holds the map as Python float pairs and JSON text: tracemalloc
-#: reads 12.7-15.1 complex d x d arrays' worth at d = 256..1024
-_GEN_MAP_COPIES = 16
+#: complex d x d arrays alive at once while epinf builds, solves and checks a
+#: map, the map included.  Besides the map, tracemalloc reads at most 5.1 in
+#: ``eigensystem`` (D and D' at d = 256, whose unsplit solve holds V, S and
+#: their bases; 4.5 at d = 512, B and Bbar 3.7 and 2.8), 3.5 in the resonance
+#: scan and 3.7 in the diagnostics, the eigenvectors included; at d <= 128,
+#: where each block is the whole matrix, up to 7.1
+_EIGEN_COPIES = 6
+#: epinf's reduced eigenvector data holds d (d_a^2 + d_b^2) complex entries,
+#: and its eigenvector blocks add at most 0.32 times that (tracemalloc at
+#: d = 64..512, splits 2x32..16x32) next to the map, the eigenvectors and the
+#: two real Grams.  Over eigensolve, scan and reduction of B, Bbar and D at
+#: d = 256, splits 16x16 and 2x128, the peak stays between 0.5 and 0.9 of the
+#: sum the two constants give (tests/test_cli.py)
+_REDUCED_COPIES = 1.5
+#: ``load_cmatrix`` parses a map file with ``json.load``: the text and one
+#: Python ``[re, im]`` list per entry, 11.8-12.9 complex d x d arrays' worth
+#: by tracemalloc at d = 16..512.  It is freed before the eigensolve, so an
+#: epinf --map-file run given --d needs the larger of this and the sum above
+_READ_COPIES = 13
+#: gen-map holds the map, its builder's temporaries and one row as Python
+#: floats and JSON text: tracemalloc reads 1.0-2.6 complex d x d arrays'
+#: worth at d = 256..1024
+_GEN_MAP_COPIES = 3
 #: bytes per float64 sample summarized outside the engine (ensemble entropies,
 #: --cue-reference draws) with the summary's temporaries, and per histogram
 #: bin (counts, edges and their JSON lists): tracemalloc reads at most 28 and
@@ -134,17 +144,19 @@ def _split(args, d: int) -> Bipartition:
     return part
 
 
-def _check_epinf_memory(part: Bipartition, cross=None):
+def _check_epinf_memory(part: Bipartition, cross=None, reading=False):
     """Refuse a split whose map, eigensolve and reduced data cannot fit in physical memory.
 
     The estimate adds the eigensolve's ``_EIGEN_COPIES`` d x d arrays and the
     reduction's ``_REDUCED_COPIES`` sets of reduced density matrices, so it
-    bounds both stages.  ``cross`` holds the ``(n_states, n_min, n_max)`` of
-    --cross-check, whose engine run is checked here too, before the
-    eigensolve instead of after it.
+    bounds both stages; when ``reading`` a map file, it is at least the
+    reader's ``_READ_COPIES``.  ``cross`` holds the ``(n_states, n_min,
+    n_max)`` of --cross-check, whose engine run is checked here too, before
+    the eigensolve instead of after it.
     """
     d = part.d
-    need = 16 * d * (_EIGEN_COPIES * d + _REDUCED_COPIES * (part.d_a**2 + part.d_b**2))
+    copies = _EIGEN_COPIES * d + _REDUCED_COPIES * (part.d_a**2 + part.d_b**2)
+    need = 16 * d * max(copies, _READ_COPIES * d if reading else 0)
     _require_memory(need, f"--d {d} with split {part.d_a}x{part.d_b} needs")
     if cross is not None:
         n_states, n_min, n_max = cross
@@ -302,7 +314,7 @@ def cmd_epinf(args) -> int:
     part = None
     if args.d is not None:  # refused before the map is built or loaded
         part = _split(args, args.d)
-        _check_epinf_memory(part, cross)
+        _check_epinf_memory(part, cross, reading=args.map_file is not None)
     if args.map_file is not None:
         u, label = _load_square(args.map_file), f"file:{args.map_file}"
         if args.d is not None and args.d != u.shape[0]:
@@ -315,8 +327,10 @@ def cmd_epinf(args) -> int:
         _check_epinf_memory(part, cross)
     eig = eigensystem(u)  # refuses a non-unitary u with LinAlgError (exit 3)
     resonance = commensurability_check(eig.phases, tol=args.tol)
+    # the reduced data is dropped before the diagnostics below run
     reduced = ReducedEigenData.from_eigensystem(eig, part)
     power = asymptotic_entangling_power(eig, part, reduced=reduced, resonance=resonance)
+    del reduced
     report = {
         "metadata": _metadata(args, kind=label, d=d, split=f"{part.d_a}x{part.d_b}", tol=args.tol),
         "entangling_power_asymptotic": power.value,

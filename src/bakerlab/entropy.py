@@ -32,6 +32,7 @@ from .linalg import (
     UNITARY_TOL,
     Bipartition,
     EigenSystem,
+    _blocks,
     as_matrix,
     assert_unitary,
     max_abs,
@@ -402,13 +403,19 @@ def asymptotic_power_mc(u, part: Bipartition, n_states: int, n_min: int, n_max: 
 # spectral (closed-form) asymptotics
 
 
+#: eigenvector blocks of :meth:`ReducedEigenData.from_eigensystem`: each
+#: block's products and hermiticity gate add at most 0.32 times the reduced
+#: density matrices (tracemalloc at d = 64..512, splits 2x32..16x32)
+_REDUCED_BLOCKS = 8
+
+
 @dataclass(frozen=True)
 class ReducedEigenData:
     """Reduced density matrices of every eigenvector and their overlaps.
 
     ``rho_a[i]`` / ``rho_b[i]`` are the two reductions of eigenvector ``i``;
     ``gram_a[i, j] = tr(rho_a[i] rho_a[j])`` and likewise for ``gram_b``.
-    Both Gram matrices are real and symmetric.
+    Both Gram matrices are real and exactly symmetric.
     """
 
     rho_a: np.ndarray
@@ -418,22 +425,31 @@ class ReducedEigenData:
 
     @classmethod
     def from_eigensystem(cls, eig: EigenSystem, part: Bipartition) -> "ReducedEigenData":
+        """Reduce every eigenvector, a block of eigenvectors at a time.
+
+        ``gram_a`` is ``Re(R R^dag)`` for the rows ``R[i] = rho_a[i].ravel()``:
+        one real SYRK ``x x^T`` on the interleaved float view ``x`` of R, which
+        is exactly symmetric and needs no complex d x d product.
+        """
         if eig.dim != part.d:
             raise ValueError(f"eigensystem dimension {eig.dim} does not match split {part.d_a}x{part.d_b}")
         d = part.d
-        e = eig.vectors.T.reshape(d, part.d_a, part.d_b)
-        e_dag = np.conj(np.swapaxes(e, 1, 2))
-        rho_a = e @ e_dag
-        rho_b = np.swapaxes(e, 1, 2) @ e.conj()
-        gram_a = (rho_a.reshape(d, -1) @ rho_a.reshape(d, -1).conj().T).real
-        gram_b = (rho_b.reshape(d, -1) @ rho_b.reshape(d, -1).conj().T).real
-
-        # cheap sanity gates; only user-built eigensystems can trip these
-        herm = max(max_abs(rho_a - np.conj(np.swapaxes(rho_a, 1, 2))),
-                   max_abs(rho_b - np.conj(np.swapaxes(rho_b, 1, 2))))
+        rho_a = np.empty((d, part.d_a, part.d_a), dtype=np.complex128)
+        rho_b = np.empty((d, part.d_b, part.d_b), dtype=np.complex128)
+        herm = 0.0
+        for s in _blocks(d, max(1, d // _REDUCED_BLOCKS)):
+            block = eig.vectors[:, s].T.reshape(-1, part.d_a, part.d_b)
+            rho_a[s] = block @ np.conj(np.swapaxes(block, 1, 2))
+            rho_b[s] = np.swapaxes(block, 1, 2) @ block.conj()
+            # cheap sanity gates; only user-built eigensystems can trip these
+            herm = max(herm, max_abs(rho_a[s] - np.conj(np.swapaxes(rho_a[s], 1, 2))),
+                       max_abs(rho_b[s] - np.conj(np.swapaxes(rho_b[s], 1, 2))))
         traces = np.einsum("iaa->i", rho_a).real
         if herm > 1e-10 or max_abs(traces - 1.0) > 1e-10:
             raise LinAlgError("reduced eigenvector data failed hermiticity/trace checks")
+        x_a = rho_a.reshape(d, -1).view(np.float64)
+        x_b = rho_b.reshape(d, -1).view(np.float64)
+        gram_a, gram_b = x_a @ x_a.T, x_b @ x_b.T
         for arr in (rho_a, rho_b, gram_a, gram_b):
             arr.setflags(write=False)
         return cls(rho_a=rho_a, rho_b=rho_b, gram_a=gram_a, gram_b=gram_b)
@@ -487,12 +503,15 @@ def commensurability_check(phases, tol: float = 1e-8) -> CommensurabilityReport:
     collide, so sorting the ``d**2`` circular differences and counting
     near-collisions covers all ``d**4`` quadruples in ``O(d^2 log d)``.
     """
-    phases = np.mod(np.asarray(phases, dtype=np.float64).ravel(), TWO_PI)
+    phases = np.asarray(phases, dtype=np.float64).ravel()
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tol must be in (0, 1), got {tol}")
     d = phases.size
     if d == 0:
         raise ValueError("need at least one phase")
+    if not np.isfinite(phases).all():  # the scan finds the k = l pairs among the exact zeros
+        raise ValueError("phases must be finite")
+    phases = np.mod(phases, TWO_PI)
     count, examples = _exhaustive_resonance_scan(phases, tol)
     return CommensurabilityReport(d, tol, True, d**4, count, examples)
 
@@ -505,30 +524,43 @@ def _exhaustive_resonance_scan(phases, tol):
     collision of distinct pairs stands for one resonance family (the mirrored
     quadruple is counted once).  The examples are the first nontrivial
     collisions ``(i, j)``, ``i < j``, in sorted order of ``i`` then ``j``.
+
+    Besides the sort permutation it holds three arrays of length d^2: the
+    sorted differences twice over (for the wrap-around) and the partner
+    counts.
     """
     d = phases.size
     n_pairs = d * d
     diff = np.mod(phases[:, None] - phases[None, :], TWO_PI).ravel()
     order = np.argsort(diff, kind="stable")
-    ds = diff[order]
-    ext = np.concatenate([ds, ds + TWO_PI])  # wrap-around: 2 pi - eps collides with 0
-    rows = np.arange(n_pairs)
-    ends = np.searchsorted(ext, ds + tol, side="left")
-    partners = ends - rows - 1  # j in (i, ends[i]) collide with sorted pair i
-    # the d zero differences k = l collide pairwise, trivially: drop those
-    # partners of a k = l pair that are k = l pairs too
-    diag = order % (d + 1) == 0
-    diag_before = np.concatenate([[0], np.cumsum(np.tile(diag, 2))])
-    trivial = np.where(diag, diag_before[ends] - diag_before[rows + 1], 0)
-    nontrivial = partners - trivial
-    count = int(nontrivial.sum())
+    ext = np.empty(2 * n_pairs)  # wrap-around: 2 pi - eps collides with 0
+    ds = np.take(diff, order, out=ext[:n_pairs])
+    del diff
+    np.add(ds, TWO_PI, out=ext[n_pairs:])
+    # partners[i]: the sorted pairs j in (i, ends[i]) that collide with pair i
+    partners = np.searchsorted(ext, ds + tol, side="left")
+    partners -= np.arange(1, n_pairs + 1)
+    # the d zero differences k = l collide pairwise, trivially.  They sort
+    # first, among the exact zeros; drop the partners of each k = l row that
+    # are k = l pairs too, in either copy of the sorted differences
+    zeros = int(np.searchsorted(ds, 0.0, side="right"))
+    diag = np.flatnonzero(order[:zeros] % (d + 1) == 0)
+    both = np.concatenate([diag, diag + n_pairs])
+    ends = diag + 1 + partners[diag]
+    trivial = np.searchsorted(both, ends, side="left") - np.searchsorted(both, diag, side="right")
+    partners[diag] -= trivial  # now the nontrivial partners of every row
+    count = int(partners.sum())
 
     # rows up to the one holding the last example; a row's first wanted
     # nontrivial partners lie among its first (wanted + trivial) partners
-    cum = np.cumsum(nontrivial)
+    cum = np.cumsum(partners)
     last = min(int(np.searchsorted(cum, MAX_RESONANCE_EXAMPLES)), n_pairs - 1)
-    sel = np.nonzero(nontrivial[: last + 1])[0]
-    take = np.minimum(partners[sel], MAX_RESONANCE_EXAMPLES + trivial[sel])
+    del cum
+    sel = np.nonzero(partners[: last + 1])[0]
+    skip = np.zeros(sel.size, dtype=np.int64)  # the trivial partners of each selected row
+    on_diag = np.isin(sel, diag)
+    skip[on_diag] = trivial[np.searchsorted(diag, sel[on_diag])]
+    take = np.minimum(partners[sel], MAX_RESONANCE_EXAMPLES) + skip
     i = np.repeat(sel, take)
     j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(take) - take, take)
     k, l = np.divmod(order[i], d)
@@ -631,6 +663,7 @@ def asymptotic_entangling_power(
     d, dp = part.d, part.d_prime
     s = reduced.gram_a + reduced.gram_b
     diag_term = float(np.sum(np.diagonal(reduced.gram_a) ** 2))
-    off_term = float(np.sum(s**2) - np.sum(np.diagonal(s) ** 2))
+    diag_s = np.sum(np.diagonal(s) ** 2)
+    off_term = float(np.sum(np.square(s, out=s)) - diag_s)  # s**2 in place
     value = (d + 1) / dp - 2.0 * diag_term / (d * dp) - off_term / (d * dp)
     return AsymptoticValue(float(value), resonance)

@@ -71,6 +71,25 @@ _CLUSTER_SPACINGS = 0.1
 _RITZ_EPS = 2e-15
 
 
+#: columns (or rows, or eigenvectors) in one block of the eigensolve's
+#: residuals, the diagnostics and the reduced eigen-data: each stage then
+#: holds a few d x ``_BLOCK`` temporaries instead of several d x d ones
+_BLOCK = 128
+
+
+def _blocks(n, size):
+    """Slices covering ``range(n)``: runs of ``size`` from 0, the remainder joined to the last.
+
+    Every run starts at a multiple of ``size`` and is at least ``size`` long
+    (or all of ``range(n)``), so a product on a block runs the same OpenBLAS
+    kernel tiles as the full product and gives the same bits, and a column
+    reduction stays a sequential sum; a narrow remainder, or near-equal runs
+    of an odd width, do not.
+    """
+    edges = [*range(0, size * max(n // size, 1), size), n]
+    return [np.s_[a:b] for a, b in zip(edges, edges[1:])]
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a two-dimensional complex128 array."""
     m = np.asarray(a, dtype=np.complex128)
@@ -232,19 +251,20 @@ def eigensystem(u) -> EigenSystem:
     split = d % 2 == 0 and max_abs(u[::-1, ::-1] - u) < UNITARY_TOL
     blocks = [(u, v)]
     if split:
-        rotated = _to_parity_basis(u)
         # every candidate V commutes with R, so Lambda^T V Lambda is block diagonal
-        v = v if v is None else _to_parity_basis(v)
-        halves = (np.s_[: d // 2], np.s_[d // 2 :])
-        blocks = [(rotated[s, s], v if v is None else v[s, s]) for s in halves]
+        blocks = list(zip(_parity_blocks(u), (None, None) if v is None else _parity_blocks(v)))
+    del v  # from here on each intermediate is dropped once it is used
     solved = [_eigh_reversible(x, vx) if reversible else _schur(x) for x, vx in blocks]
+    del blocks
     lam = np.concatenate([lam_x for lam_x, _ in solved])
     q = _from_parity_vectors(solved[0][1], solved[1][1]) if split else solved[0][1]
+    del solved
     phases = np.mod(np.angle(lam), 2.0 * np.pi)
     phases[phases == 2.0 * np.pi] = 0.0  # np.mod rounds phases just below 0 up to 2 pi
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
     vectors = q[:, order]
+    del q  # the gates below hold the sorted vectors and column blocks only
     phases.setflags(write=False)
     vectors.setflags(write=False)
     eig = EigenSystem(phases=phases, vectors=vectors)
@@ -369,8 +389,11 @@ def _eigh_reversible(u, v):
         return _real_eigenbasis(u)
     lam_v, o_v = _real_eigenbasis(v)
     root = np.sqrt(lam_v)
-    s = root.conj()[:, None] * _real_left(o_v.T, _real_right(u, o_v)) * root
+    s = _real_left(o_v.T, _real_right(u, o_v))
+    np.multiply(root.conj()[:, None], s, out=s)
+    s *= root
     lam, o = _real_eigenbasis(s)
+    del s
     return lam, _real_left(o_v, root[:, None] * o)
 
 
@@ -390,11 +413,16 @@ def _real_eigenbasis(s):
     run's fold and its stationary points.
     """
     n = s.shape[0]
-    mu, o = np.linalg.eigh(s.real + _MIX * s.imag)
+    a = _MIX * s.imag
+    mu, o = np.linalg.eigh(np.add(s.real, a, out=a))  # A = Re S + c Im S in one buffer
+    del a
     o = np.ascontiguousarray(o)  # a guard: the products below want C order
     so = _real_right(s, o)
-    lam = (so * o).sum(axis=0)
-    residual = np.linalg.norm(so - o * lam, axis=0)
+    lam = np.empty(n, dtype=np.complex128)
+    residual = np.empty(n)
+    for b in _blocks(n, _BLOCK):  # lam and the residual norms, per column
+        lam[b] = (so[:, b] * o[:, b]).sum(axis=0)
+        residual[b] = np.linalg.norm(so[:, b] - o[:, b] * lam[b], axis=0)
     close = np.diff(mu) < _CLUSTER_SPACINGS * 2.0 * np.hypot(1.0, _MIX) / n
     edges = np.diff(np.concatenate([[0], close, [0]]).astype(np.int8))
     for start, stop in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) + 1):
@@ -423,13 +451,19 @@ def _ritz_angle(mu):
 
 
 def _real_right(a, o):
-    """``a @ o`` for complex ``a`` and real ``o``, as two real products."""
-    return (a.real @ o) + 1j * (a.imag @ o)
+    """``a @ o`` for complex ``a`` and real ``o``, as two real products.
+
+    The sum ``(a.real @ o) + 1j * (a.imag @ o)`` is formed in place in the
+    complex part, so the bits are those of the plain expression.
+    """
+    out = 1j * (a.imag @ o)
+    return np.add(a.real @ o, out, out=out)
 
 
 def _real_left(o, a):
-    """``o @ a`` for real ``o`` and complex ``a``, as two real products."""
-    return (o @ a.real) + 1j * (o @ a.imag)
+    """``o @ a`` for real ``o`` and complex ``a``, as two real products (see :func:`_real_right`)."""
+    out = 1j * (o @ a.imag)
+    return np.add(o @ a.real, out, out=out)
 
 
 def _to_parity_basis(u):
@@ -446,12 +480,23 @@ def _to_parity_basis(u):
     h = u.shape[0] // 2
     a, b, c, dd = u[:h, :h], u[:h, h:], u[h:, :h], u[h:, h:]
     out = np.empty_like(u)
-    out[:h, :h] = a - b[:, ::-1] - c[::-1, :] + dd[::-1, ::-1]
+    out[:h, :h], out[h:, h:] = _parity_blocks(u)
     out[:h, h:] = a[:, ::-1] + b - c[::-1, ::-1] - dd[::-1, :]
     out[h:, :h] = a[::-1, :] - b[::-1, ::-1] + c - dd[:, ::-1]
-    out[h:, h:] = a[::-1, ::-1] + b[::-1, :] + c[:, ::-1] + dd
-    out *= 0.5
+    out[:h, h:] *= 0.5
+    out[h:, :h] *= 0.5
     return out
+
+
+def _parity_blocks(u):
+    """The odd- and even-parity blocks of :func:`_to_parity_basis`, without its off-diagonal half."""
+    h = u.shape[0] // 2
+    a, b, c, dd = u[:h, :h], u[:h, h:], u[h:, :h], u[h:, h:]
+    minus = a - b[:, ::-1] - c[::-1, :] + dd[::-1, ::-1]
+    plus = a[::-1, ::-1] + b[::-1, :] + c[:, ::-1] + dd
+    minus *= 0.5
+    plus *= 0.5
+    return minus, plus
 
 
 def _from_parity_blocks(minus, plus):
@@ -486,15 +531,31 @@ def _from_parity_vectors(w_minus, w_plus):
 
 
 def eigensystem_diagnostics(u, eig: EigenSystem) -> dict:
-    """Residual, orthonormality, and reconstruction errors of a decomposition."""
+    """Residual, orthonormality, and reconstruction errors of a decomposition.
+
+    Computed in blocks of ``_BLOCK`` columns (residual) and rows (Gram,
+    reconstruction): each entry is the same sum as in the full d x d
+    products, and the figures are their maxima, so they do not depend on the
+    block size.
+    """
     phases, vectors = eig.phases, eig.vectors
     u = as_matrix(u)
+    n = phases.size
     lam = np.exp(1j * phases)
-    residuals = np.linalg.norm(u @ vectors - vectors * lam, axis=0)
-    gram = vectors.conj().T @ vectors - np.eye(phases.size)
-    recon = (vectors * lam) @ vectors.conj().T - u
+    conj = vectors.conj()
+    residual = gram_defect = recon_error = 0.0
+    for s in _blocks(n, _BLOCK):
+        block = vectors[:, s]
+        residual = max(residual, float(np.linalg.norm(u @ block - block * lam[s], axis=0).max()))
+        gram = conj[:, s].T @ vectors
+        gram[:, s] -= np.eye(gram.shape[0])
+        gram_defect = max(gram_defect, max_abs(gram))
+        del gram
+        recon = (vectors[s] * lam) @ conj.T
+        recon -= u[s]
+        recon_error = max(recon_error, max_abs(recon))
     return {
-        "max_residual": float(residuals.max()),
-        "orthonormality_defect": max_abs(gram),
-        "reconstruction_error": max_abs(recon),
+        "max_residual": residual,
+        "orthonormality_defect": gram_defect,
+        "reconstruction_error": recon_error,
     }

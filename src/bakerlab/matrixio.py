@@ -86,12 +86,21 @@ def atomic_write(path, newline=None):
 
 
 def save_cmatrix(path, m):
-    """Write a matrix to ``path`` in cmatrix-json form, atomically."""
+    """Write a matrix to ``path`` in cmatrix-json form, atomically.
+
+    The bytes are those of ``json.dumps(cmatrix_to_dict(m)) + "\n"``, but the
+    entries are encoded a row at a time, so only one row is ever held as
+    Python floats and JSON text instead of the whole matrix.
+    """
     # json.dumps runs the C encoder; json.dump would stream through the
     # pure-Python iterencode for the same bytes
-    text = json.dumps(cmatrix_to_dict(m)) + "\n"
+    m = as_matrix(m)
     with atomic_write(path) as f:
-        f.write(text)
+        f.write(f'{{"dim_rows": {m.shape[0]}, "dim_cols": {m.shape[1]}, "entries": [')
+        for r, row in enumerate(m if m.size else ()):
+            pairs = json.dumps(np.column_stack([row.real, row.imag]).tolist())
+            f.write((", " if r else "") + pairs.removeprefix("[").removesuffix("]"))
+        f.write("]}\n")
 
 
 def load_cmatrix(path) -> np.ndarray:

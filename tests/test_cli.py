@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,7 +7,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 import bakerlab as bl
-from bakerlab.cli import _EIGEN_COPIES, _REDUCED_COPIES, _check_epinf_memory, _write_json, main
+from bakerlab.cli import (
+    _EIGEN_COPIES,
+    _READ_COPIES,
+    _REDUCED_COPIES,
+    _check_epinf_memory,
+    _write_json,
+    main,
+    parse_split,
+)
 
 
 def run(*argv):
@@ -351,6 +360,63 @@ class TestMemoryPreflight:
         physical_memory(need - 1)
         with pytest.raises(ValueError, match="--d 16 with split 2x8"):
             _check_epinf_memory(part)
+
+    @pytest.mark.parametrize("split", ["16x16", "2x128"])
+    @pytest.mark.parametrize("kind", ["baker", "bbar", "dmap"])
+    def test_epinf_stages_stay_within_the_estimate(self, monkeypatch, kind, split):
+        # what _check_epinf_memory budgets must bound every stage that epinf
+        # runs on the map, with the map and every live array counted
+        part = parse_split(split)
+        budget = []
+        monkeypatch.setattr("bakerlab.cli._require_memory", lambda need, what: budget.append(need))
+        _check_epinf_memory(part)
+        peaks = {}
+
+        def stage(name, fn, *args, **kwargs):
+            tracemalloc.reset_peak()
+            out = fn(*args, **kwargs)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+            return out
+
+        tracemalloc.start()
+        try:
+            u = stage("map", bl.make_map, kind, part.d)
+            eig = stage("eigensystem", bl.eigensystem, u)
+            resonance = stage("scan", bl.commensurability_check, eig.phases)
+            reduced = stage("reduced", bl.ReducedEigenData.from_eigensystem, eig, part)
+            stage("formula", bl.asymptotic_entangling_power, eig, part, reduced=reduced, resonance=resonance)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks.values()) < budget[0], {k: v / budget[0] for k, v in peaks.items()}
+        # and the estimate is not loose: it refuses only what is at most twice too large
+        assert max(peaks.values()) > budget[0] / 2, {k: v / budget[0] for k, v in peaks.items()}
+
+    def test_map_file_reader_stays_within_its_estimate(self, tmp_path):
+        d = 256
+        path = tmp_path / "m.json"
+        bl.save_cmatrix(path, bl.bbar(d))
+        tracemalloc.start()
+        try:
+            bl.load_cmatrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 16 * (_READ_COPIES - 2) * d * d < peak < 16 * _READ_COPIES * d * d
+
+    def test_epinf_with_map_file_and_d_counts_the_reader(self, monkeypatch, tmp_path, capsys):
+        part = bl.Bipartition(4, 4)
+        reader = 16 * _READ_COPIES * 16**2
+        assert reader > 16 * 16 * (_EIGEN_COPIES * 16 + _REDUCED_COPIES * (4**2 + 4**2))
+        path = tmp_path / "m.json"
+        bl.save_cmatrix(path, bl.baker(16))
+        monkeypatch.setattr("os.sysconf", lambda name: reader - 1 if name == "SC_PHYS_PAGES" else 1)
+        _check_epinf_memory(part)
+        assert run("epinf", "--kind", "baker", "--d", 16, "--split", "4x4", "--out", tmp_path / "kind.json") == 0
+        TestCountsRefusedUpFront.refuse_work(monkeypatch)
+        out = tmp_path / "file.json"
+        assert run("epinf", "--map-file", path, "--d", 16, "--split", "4x4", "--out", out) == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMatrixFreeCommands:

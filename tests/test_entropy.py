@@ -744,6 +744,11 @@ class TestCommensurability:
         with pytest.raises(ValueError):
             bl.commensurability_check(np.array([0.1, 0.2]), tol=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_phases(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            bl.commensurability_check(np.array([0.1, bad, 2.0]))
+
 
 def brute_force_collisions(phases, tol):
     """Nontrivial unordered collisions of ordered phase-difference pairs, in O(d^4).
@@ -812,6 +817,60 @@ class TestResonanceScanOracle:
         assert len(brute_force_collisions(sets["zeros"], 1e-8)) > bl.entropy.MAX_RESONANCE_EXAMPLES
 
 
+def reference_resonance_scan(phases, tol):
+    """The scan before its trivial partners were counted on the diagonal rows alone.
+
+    Builds per-row arrays of length d^2 (rows, diag, diag_before, trivial,
+    nontrivial, cum); kept to pin the slimmer scan to the same output.
+    """
+    cap = bl.entropy.MAX_RESONANCE_EXAMPLES
+    d = phases.size
+    n_pairs = d * d
+    diff = np.mod(phases[:, None] - phases[None, :], 2 * np.pi).ravel()
+    order = np.argsort(diff, kind="stable")
+    ds = diff[order]
+    ext = np.concatenate([ds, ds + 2 * np.pi])
+    rows = np.arange(n_pairs)
+    ends = np.searchsorted(ext, ds + tol, side="left")
+    partners = ends - rows - 1
+    diag = order % (d + 1) == 0
+    diag_before = np.concatenate([[0], np.cumsum(np.tile(diag, 2))])
+    trivial = np.where(diag, diag_before[ends] - diag_before[rows + 1], 0)
+    nontrivial = partners - trivial
+    count = int(nontrivial.sum())
+    cum = np.cumsum(nontrivial)
+    last = min(int(np.searchsorted(cum, cap)), n_pairs - 1)
+    sel = np.nonzero(nontrivial[: last + 1])[0]
+    take = np.minimum(partners[sel], cap + trivial[sel])
+    i = np.repeat(sel, take)
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(take) - take, take)
+    k, l = np.divmod(order[i], d)
+    n, m = np.divmod(order[j % n_pairs], d)
+    keep = np.nonzero(~((k == l) & (n == m)))[0][:cap]
+    residual = ext[j] - ds[i]
+    return count, tuple((int(k[t]), int(l[t]), int(m[t]), int(n[t]), float(residual[t])) for t in keep)
+
+
+@functools.lru_cache(maxsize=None)
+def scan_phase_sets():
+    sets = dict(oracle_phase_sets())
+    sets["baker-512"] = bl.eigensystem(bl.baker(512)).phases
+    sets["cue8-x-cue16"] = bl.eigensystem(
+        bl.kron(bl.sample_cue(8, bl.RngStream(24)), bl.sample_cue(16, bl.RngStream(25)))
+    ).phases
+    sets["d1"] = np.array([1.0])
+    sets["d2"] = np.array([0.25, 4.0])
+    return sets
+
+
+class TestResonanceScanReference:
+    @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-3, 0.3])
+    @pytest.mark.parametrize("name", ["baker-512", "cue8-x-cue16", "d1", "d2", *sorted(oracle_phase_sets())])
+    def test_matches_the_full_length_scan(self, name, tol):
+        phases = np.mod(scan_phase_sets()[name], 2 * np.pi)
+        assert bl.entropy._exhaustive_resonance_scan(phases, tol) == reference_resonance_scan(phases, tol)
+
+
 class TestReducedEigenData:
     def test_grams_match_partial_trace_oracle(self):
         part = bl.Bipartition(3, 4)
@@ -829,6 +888,15 @@ class TestReducedEigenData:
         data = bl.ReducedEigenData.from_eigensystem(bl.eigensystem(bl.d_map(16)), part)
         assert bl.max_abs(data.gram_a - data.gram_a.T) < 1e-12
         assert bl.max_abs(data.gram_b - data.gram_b.T) < 1e-12
+
+    @pytest.mark.parametrize("d, split", [(512, (16, 32)), (256, (2, 128))])
+    def test_grams_are_exactly_symmetric_and_match_the_complex_product(self, d, split):
+        part = bl.Bipartition(*split)
+        data = bl.ReducedEigenData.from_eigensystem(bl.eigensystem(bl.baker(d)), part)
+        for gram, rho in ((data.gram_a, data.rho_a), (data.gram_b, data.rho_b)):
+            assert np.array_equal(gram, gram.T)
+            rows = rho.reshape(d, -1)
+            assert bl.max_abs(gram - (rows @ rows.conj().T).real) < 1e-15
 
     def test_swap_identity_for_cross_reductions(self):
         # tr_A(rho_A^{ij} rho_A^{ji}) equals tr_B(rho_B^i rho_B^j)

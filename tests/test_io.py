@@ -51,6 +51,15 @@ class TestCmatrixJson:
         assert b"-0.0" in path.read_bytes() and b"5e-324" in path.read_bytes()
         assert np.array_equal(bl.load_cmatrix(path), m)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (64, 64)])
+    def test_row_by_row_writer_gives_the_bytes_of_one_dumps(self, tmp_path, shape):
+        rng = np.random.default_rng(sum(shape))
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m[0, 0] = -0.0 + 5e-324j
+        path = tmp_path / "m.json"
+        bl.save_cmatrix(path, m)
+        assert path.read_text() == json.dumps(bl.cmatrix_to_dict(m)) + "\n"
+
     @pytest.mark.parametrize(
         "payload",
         [
