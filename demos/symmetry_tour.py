@@ -49,9 +49,9 @@ print(f"max |R G + conj(G)|    = {bl.max_abs(r @ g + g.conj()):.2e}")
 # Time reversal: (G^-1 M G)* = M^-1 for every map in the family.
 print()
 print("time reversal (G^-1 M G)* = M^-1:")
-ginv = bl.dagger(g)
+ginv = g.conj().T
 for name, m in [("B", b), ("D", dplus), ("D'", dminus)]:
-    defect = bl.max_abs((ginv @ m @ g).conj() - bl.dagger(m))
+    defect = bl.max_abs((ginv @ m @ g).conj() - m.conj().T)
     print(f"  {name:4s} {defect:.2e}")
 
 # Lambda block-diagonalizes any reflection-symmetric unitary.  The two
@@ -59,11 +59,11 @@ for name, m in [("B", b), ("D", dplus), ("D'", dminus)]:
 w_odd, w_even = bl.reduce_by_symmetry(b)
 print()
 print(f"parity blocks of B: {w_odd.shape[0]}x{w_odd.shape[0]} each, both unitary:"
-      f" {bl.is_unitary(w_odd)} {bl.is_unitary(w_even)}")
+      f" {bl.unitarity_defect(w_odd) < bl.UNITARY_TOL} {bl.unitarity_defect(w_even) < bl.UNITARY_TOL}")
 rebuilt = lam @ np.block([
     [w_odd, np.zeros_like(w_odd)],
     [np.zeros_like(w_even), w_even],
-]) @ bl.dagger(lam)
+]) @ lam.conj().T
 print(f"reassembly error: {bl.max_abs(rebuilt - b):.2e}")
 
 # Bbar is built from the approximate maps on the parity blocks.

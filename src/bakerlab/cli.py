@@ -19,7 +19,7 @@ from numpy.linalg import LinAlgError
 from . import __version__
 # product_state is no longer called here; bench/test_smoke.py checks that it
 # stays bound in this module
-from .ensembles import EnsembleKind, RngStream, haar_state, product_state  # noqa: F401
+from .ensembles import EnsembleKind, RngStream, _haar_rows, product_state  # noqa: F401
 from .entropy import (
     ENSEMBLE_STREAM_LAYOUT,
     asymptotic_entangling_power,
@@ -35,7 +35,7 @@ from .entropy import (
 )
 from .linalg import Bipartition, eigensystem, eigensystem_diagnostics
 from .maps import MapKind, make_map
-from .matrixio import atomic_write, load_cmatrix, save_cmatrix
+from .matrixio import _header_dims, atomic_write, load_cmatrix, save_cmatrix
 from .reports import HistogramSummary, write_entropy_csv
 
 EXIT_OK = 0
@@ -43,12 +43,11 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 #: workload presets: "desk" finishes in seconds, "paper" matches the
-#: publication-scale protocols (10^6 .. 2x10^6 samples).
+#: publication-scale protocols (10^6 .. 2x10^6 samples).  The counts both
+#: presets share (timeseries --states 5 and --nmax 100, window --nmin 513)
+#: are the flags' defaults.
 PROFILES = {
     "desk": {
-        "timeseries_states": 5,
-        "timeseries_nmax": 100,
-        "window_nmin": 513,
         "window_nmax": 1512,
         "window_states": 100,
         "ensemble_samples": 300,
@@ -56,9 +55,6 @@ PROFILES = {
         "crosscheck_states": 100,
     },
     "paper": {
-        "timeseries_states": 5,
-        "timeseries_nmax": 100,
-        "window_nmin": 513,
         "window_nmax": 2512,
         "window_states": 1000,
         "ensemble_samples": 1000,
@@ -86,6 +82,12 @@ _REDUCED_COPIES = 1.5
 #: by tracemalloc at d = 16..512.  It is freed before the eigensolve, so an
 #: epinf --map-file run given --d needs the larger of this and the sum above
 _READ_COPIES = 13
+#: the fewest bytes a cmatrix-json entry takes, ``[0,0]`` and a comma: a map
+#: file without the header ``save_cmatrix`` writes is budgeted from its size
+_MIN_ENTRY_BYTES = 6
+#: more than the 54 bytes ``save_cmatrix`` writes per entry at most; a file
+#: longer than its header's entries take at this width is budgeted from its size
+_MAX_ENTRY_BYTES = 64
 #: gen-map holds the map, its builder's temporaries and one row as Python
 #: floats and JSON text: tracemalloc reads 1.0-2.6 complex d x d arrays'
 #: worth at d = 256..1024
@@ -102,6 +104,17 @@ _ENSEMBLE_COPIES = 5
 # reference draws (for --cue-reference) use stream ids in a disjoint block so
 # they can never collide with the per-state streams of the main sweep
 _REFERENCE_STREAM_BASE = 2**32
+#: --cue-reference states drawn from one stream as one batch
+_REFERENCE_CHUNK = 256
+#: complex (_REFERENCE_CHUNK, d) arrays alive at once while a chunk is drawn
+#: and reduced: tracemalloc reads at most 3.0 at d = 256..1024 (at d = 16
+#: fixed overheads dominate, under 1 MB in all)
+_REFERENCE_COPIES = 4
+#: version of the --cue-reference stream layout, recorded in the report.
+#: Layout 1 (unrecorded) drew reference i from stream _REFERENCE_STREAM_BASE + i;
+#: layout 2 draws chunk c, references c * _REFERENCE_CHUNK onward, as one
+#: batch from stream _REFERENCE_STREAM_BASE + c
+REFERENCE_STREAM_LAYOUT = 2
 
 
 def parse_split(text: str) -> Bipartition:
@@ -129,7 +142,7 @@ def _count(flag: str, value: int, low: int) -> int:
 
 def _window(args, profile: dict) -> tuple[int, int]:
     """The recorded window from --nmin/--nmax, refused unless 1 <= n_min <= n_max."""
-    n_min = _resolve(args.nmin, profile, "window_nmin")
+    n_min = args.nmin
     n_max = _resolve(args.nmax, profile, "window_nmax")
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= --nmin <= --nmax, got --nmin {n_min} --nmax {n_max}")
@@ -196,6 +209,26 @@ def _check_outputs(args):
         raise ValueError(f"cannot write --{flag.replace('_', '-')} {path}: {problem}")
 
 
+def _map_file_dim(path):
+    """Refuse a map file that ``load_cmatrix`` cannot parse in physical memory, before it parses an entry.
+
+    The ``_READ_COPIES`` budget counts the ``dim_rows`` x ``dim_cols`` entries
+    of the header ``save_cmatrix`` writes first; a file without it, or longer
+    than those entries take, counts one entry per ``_MIN_ENTRY_BYTES`` of its
+    size.  Returns the dimension of a square header, else None.
+    """
+    size = os.path.getsize(path)
+    dims = _header_dims(path)
+    if dims is not None and size > _MAX_ENTRY_BYTES * (dims[0] * dims[1] + 1):
+        dims = None
+    if dims is None:
+        entries, what = size // _MIN_ENTRY_BYTES + 1, f"{size} bytes"
+    else:
+        entries, what = dims[0] * dims[1], "{}x{}".format(*dims)
+    _require_memory(16 * _READ_COPIES * entries, f"reading map file {path} ({what}) needs")
+    return dims[0] if dims is not None and dims[0] == dims[1] else None
+
+
 def _load_square(path) -> np.ndarray:
     u = load_cmatrix(path)
     if u.shape[0] != u.shape[1]:
@@ -228,10 +261,9 @@ def cmd_gen_map(args) -> int:
 
 
 def cmd_timeseries(args) -> int:
-    profile = PROFILES[args.profile]
     part = _split(args, args.d)
-    n_states = _count("--states", _resolve(args.states, profile, "timeseries_states"), 1)
-    n_max = _count("--nmax", _resolve(args.nmax, profile, "timeseries_nmax"), 1)
+    n_states = _count("--states", args.states, 1)
+    n_max = _count("--nmax", args.nmax, 1)
     samples = empirical_asymptotic_distribution(args.kind, part, 1, n_max, n_states, RngStream(args.seed))
     metadata = _metadata(
         args, kind=args.kind, d=args.d, split=f"{part.d_a}x{part.d_b}", states=n_states, n_max=n_max
@@ -248,7 +280,8 @@ def cmd_histogram(args) -> int:
     n_min, n_max = _window(args, profile)
     _count("--bins", args.bins, 1)
     n_ref = _count("--cue-reference", args.cue_reference, 0)
-    _require_memory(_SAMPLE_BYTES * n_ref + _BIN_BYTES * args.bins * (2 if n_ref else 1),
+    chunk = 16 * _REFERENCE_COPIES * min(n_ref, _REFERENCE_CHUNK) * part.d
+    _require_memory(_SAMPLE_BYTES * n_ref + chunk + _BIN_BYTES * args.bins * (2 if n_ref else 1),
                     f"--bins {args.bins} with --cue-reference {n_ref} need")
     samples = empirical_asymptotic_distribution(args.kind, part, n_min, n_max, n_states, RngStream(args.seed))
     metadata = _metadata(
@@ -259,13 +292,14 @@ def cmd_histogram(args) -> int:
     report = summary.to_dict()
     report["cue_mean_entropy"] = cue_mean_entropy(part)
     report["cue_reference"] = None
-    if args.cue_reference:
-        ref = np.empty(args.cue_reference)
-        for i in range(args.cue_reference):
-            psi = haar_state(part.d, RngStream(args.seed, _REFERENCE_STREAM_BASE + i))
-            ref[i] = linear_entropies(psi[:, None], part)[0]
+    if n_ref:
+        ref = np.empty(n_ref)
+        for c, start in enumerate(range(0, n_ref, _REFERENCE_CHUNK)):
+            gen = RngStream(args.seed, _REFERENCE_STREAM_BASE + c).generator()
+            states = _haar_rows(gen, min(_REFERENCE_CHUNK, n_ref - start), part.d)
+            ref[start:start + len(states)] = linear_entropies(states.T, part)
         report["cue_reference"] = HistogramSummary.from_values(
-            ref, args.bins, {"samples": args.cue_reference}
+            ref, args.bins, {"samples": n_ref, "reference_layout": REFERENCE_STREAM_LAYOUT}
         ).to_dict()
     if args.raw_csv:
         write_entropy_csv(args.raw_csv, samples, metadata)
@@ -316,6 +350,10 @@ def cmd_epinf(args) -> int:
         part = _split(args, args.d)
         _check_epinf_memory(part, cross, reading=args.map_file is not None)
     if args.map_file is not None:
+        d = _map_file_dim(args.map_file)
+        if part is None and d is not None:  # the reader is budgeted; now the eigensolve
+            part = _split(args, d)
+            _check_epinf_memory(part, cross)
         u, label = _load_square(args.map_file), f"file:{args.map_file}"
         if args.d is not None and args.d != u.shape[0]:
             raise ValueError(f"--d {args.d} conflicts with map file dimension {u.shape[0]}")
@@ -359,6 +397,7 @@ def cmd_epinf(args) -> int:
 
 
 def cmd_spectrum_check(args) -> int:
+    _map_file_dim(args.map_file)  # _READ_COPIES > _EIGEN_COPIES: this bounds the eigensolve too
     u = _load_square(args.map_file)
     eig = eigensystem(u)  # refuses a non-unitary u with LinAlgError (exit 3)
     resonance = commensurability_check(eig.phases, tol=args.tol)
@@ -401,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("timeseries", parents=[run], help="entropy of iterated product states, as CSV")
     p.add_argument("--kind", required=True, choices=kinds)
     p.add_argument("--d", required=True, type=int)
-    p.add_argument("--states", type=int, default=None, help="number of initial product states")
-    p.add_argument("--nmax", type=int, default=None, help="number of map applications")
+    p.add_argument("--states", type=int, default=5, help="number of initial product states")
+    p.add_argument("--nmax", type=int, default=100, help="number of map applications")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_timeseries)
 
@@ -410,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=kinds)
     p.add_argument("--d", required=True, type=int)
     p.add_argument("--states", type=int, default=None)
-    p.add_argument("--nmin", type=int, default=None, help="first recorded application count")
+    p.add_argument("--nmin", type=int, default=513, help="first recorded application count")
     p.add_argument("--nmax", type=int, default=None, help="last recorded application count")
     p.add_argument("--bins", type=int, default=50)
     p.add_argument("--cue-reference", type=int, default=0, metavar="N",
@@ -437,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cross-check", action="store_true",
                    help="also run the brute-force late-time Monte-Carlo estimate")
     p.add_argument("--states", type=int, default=None, help="cross-check states")
-    p.add_argument("--nmin", type=int, default=None, help="cross-check window start")
+    p.add_argument("--nmin", type=int, default=513, help="cross-check window start")
     p.add_argument("--nmax", type=int, default=None, help="cross-check window end")
     p.set_defaults(func=cmd_epinf)
 

@@ -95,19 +95,6 @@ class EntropySamples:
             yield EntropySample(int(sid), int(step), float(val))
 
 
-def _state_as_matrix(psi, part: Bipartition) -> np.ndarray:
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape != (part.d,):
-        raise ValueError(f"state has shape {psi.shape}, expected ({part.d},) for split {part.d_a}x{part.d_b}")
-    return psi.reshape(part.d_a, part.d_b)
-
-
-def _purity(e: np.ndarray) -> float:
-    # work on the smaller subsystem; both reductions share singular values
-    g = e @ e.conj().T if e.shape[0] <= e.shape[1] else e.conj().T @ e
-    return float(np.einsum("ab,ab->", g, g.conj()).real)
-
-
 def _batch_entropy(rows: np.ndarray, part: Bipartition) -> np.ndarray:
     """Linear entropies of the states stored as rows, without checks."""
     e = rows.reshape(-1, part.d_a, part.d_b)
@@ -119,12 +106,11 @@ def _batch_entropy(rows: np.ndarray, part: Bipartition) -> np.ndarray:
 
 
 def linear_entropy(psi, part: Bipartition) -> float:
-    """Linear entropy of a normalized pure state under the given split."""
-    e = _state_as_matrix(psi, part)
-    norm_sq = np.einsum("ab,ab->", e, e.conj()).real
-    if abs(norm_sq - 1.0) > NORM_TOL:
-        raise ValueError(f"state is not normalized: sum |amp|^2 = {norm_sq!r}")
-    return 1.0 - _purity(e)
+    """Linear entropy of a normalized pure state: the one-column case of :func:`linear_entropies`."""
+    psi = np.asarray(psi, dtype=np.complex128)
+    if psi.shape != (part.d,):
+        raise ValueError(f"state has shape {psi.shape}, expected ({part.d},) for split {part.d_a}x{part.d_b}")
+    return float(linear_entropies(psi[:, None], part)[0])
 
 
 def linear_entropies(columns, part: Bipartition) -> np.ndarray:
@@ -147,13 +133,12 @@ def entangling_power_mc(u, part: Bipartition, n_samples: int, rng: RngStream):
     """Monte-Carlo entangling power of a single map application.
 
     Averages ``S_L(u psi)`` over random product states ``psi``; sample ``i``
-    draws from ``rng.offset(i)``.  This is the one-step window of
-    :func:`empirical_asymptotic_distribution`.  Returns ``(mean, std_error)``.
+    draws from ``rng.offset(i)``.  This is :func:`asymptotic_power_mc` with
+    the one-step window.  Returns ``(mean, std_error)``.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {n_samples}")
-    values = empirical_asymptotic_distribution(u, part, 1, 1, n_samples, rng).value
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n_samples))
+    return asymptotic_power_mc(u, part, n_samples, 1, 1, rng)
 
 
 #: version of the stream layout of :func:`ensemble_entropies`, echoed in
@@ -594,11 +579,11 @@ class AsymptoticValue:
         return self.value
 
 
-def _spectral_inputs(eig, part, reduced, resonance, tol):
+def _spectral_inputs(eig, part, reduced, resonance):
     if reduced is None:
         reduced = ReducedEigenData.from_eigensystem(eig, part)
     if resonance is None:
-        resonance = commensurability_check(eig.phases, tol)
+        resonance = commensurability_check(eig.phases)
     return reduced, resonance
 
 
@@ -609,7 +594,6 @@ def asymptotic_entropy(
     *,
     reduced: ReducedEigenData | None = None,
     resonance: CommensurabilityReport | None = None,
-    tol: float = 1e-8,
 ) -> AsymptoticValue:
     """Infinite-time average of ``S_L(u^n psi)`` from the spectrum of ``u``.
 
@@ -619,8 +603,9 @@ def asymptotic_entropy(
           - sum_{i != j} p_i p_j (tr(rho_a[i] rho_a[j]) + tr(rho_b[i] rho_b[j]))
 
     provided the eigenphases carry no nontrivial resonances.  Precomputed
-    ``reduced`` / ``resonance`` data are reused when given; an eigenvector as
-    input reproduces its stationary entropy exactly.
+    ``reduced`` / ``resonance`` data are reused when given; without them the
+    scan runs at :func:`commensurability_check`'s default tolerance.  An
+    eigenvector as input reproduces its stationary entropy exactly.
     """
     if eig.dim != part.d:
         raise ValueError(f"eigensystem dimension {eig.dim} does not match split {part.d_a}x{part.d_b}")
@@ -629,7 +614,7 @@ def asymptotic_entropy(
         raise ValueError(f"state has shape {psi.shape}, expected ({part.d},)")
     if abs(np.vdot(psi, psi).real - 1.0) > NORM_TOL:
         raise ValueError("state is not normalized")
-    reduced, resonance = _spectral_inputs(eig, part, reduced, resonance, tol)
+    reduced, resonance = _spectral_inputs(eig, part, reduced, resonance)
     p = np.abs(eig.vectors.conj().T @ psi) ** 2
     s = reduced.gram_a + reduced.gram_b
     diag_a = np.diagonal(reduced.gram_a)
@@ -644,7 +629,6 @@ def asymptotic_entangling_power(
     *,
     reduced: ReducedEigenData | None = None,
     resonance: CommensurabilityReport | None = None,
-    tol: float = 1e-8,
 ) -> AsymptoticValue:
     """Time-asymptotic entangling power from the spectrum alone.
 
@@ -659,7 +643,7 @@ def asymptotic_entangling_power(
     """
     if eig.dim != part.d:
         raise ValueError(f"eigensystem dimension {eig.dim} does not match split {part.d_a}x{part.d_b}")
-    reduced, resonance = _spectral_inputs(eig, part, reduced, resonance, tol)
+    reduced, resonance = _spectral_inputs(eig, part, reduced, resonance)
     d, dp = part.d, part.d_prime
     s = reduced.gram_a + reduced.gram_b
     diag_term = float(np.sum(np.diagonal(reduced.gram_a) ** 2))

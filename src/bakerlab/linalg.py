@@ -1,12 +1,12 @@
-"""Dense complex linear algebra: products, tensor structure, partial traces,
-and eigendecomposition of unitary matrices.
+"""Dense complex linear algebra: tensor structure, partial traces, unitarity
+gates, and eigendecomposition of unitary matrices.
 
 :func:`eigensystem` picks its solver from the symmetries of its input:
 
 * Reflection-symmetric unitaries (``R U R = U`` with R the index reversal
   ``j -> d-1-j``, d even) split into odd- and even-parity blocks of size d/2
   in the basis of ``bakerlab.maps.lambda_basis``.  Lambda is real with two
-  nonzeros per row, so the private helpers ``_to_parity_basis``,
+  nonzeros per row, so the private helpers ``_parity_blocks``,
   ``_from_parity_blocks`` and ``_from_parity_vectors`` apply it by slicing in
   O(d^2) instead of dense products, and each block is solved on its own.
 * Time-reversal-symmetric unitaries (``V U* V^dag = U^dag`` for V = 1, the
@@ -40,12 +40,9 @@ __all__ = [
     "EigenSystem",
     "as_matrix",
     "assert_unitary",
-    "dagger",
     "eigensystem",
     "eigensystem_diagnostics",
-    "is_unitary",
     "kron",
-    "matmul",
     "max_abs",
     "partial_trace",
     "unitarity_defect",
@@ -104,19 +101,6 @@ def max_abs(a) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible shapes for product: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
 def kron(a, b) -> np.ndarray:
     """Tensor product; the first argument is the most significant factor."""
     return np.kron(as_matrix(a), as_matrix(b))
@@ -130,15 +114,11 @@ def unitarity_defect(u) -> float:
     return max_abs(u @ u.conj().T - np.eye(u.shape[0]))
 
 
-def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
-    return unitarity_defect(u) < tol
-
-
-def assert_unitary(u, tol: float = UNITARY_TOL, name: str = "matrix"):
-    """Raise ``LinAlgError`` when ``u`` is not unitary within ``tol``."""
+def assert_unitary(u, name: str = "matrix"):
+    """Raise ``LinAlgError`` when ``u`` is not unitary within ``UNITARY_TOL``."""
     defect = unitarity_defect(u)
-    if not defect < tol:  # also trips on nan
-        raise LinAlgError(f"{name} is not unitary: max |U U^dag - 1| = {defect:.3e} (tol {tol:.1e})")
+    if not defect < UNITARY_TOL:  # also trips on nan
+        raise LinAlgError(f"{name} is not unitary: max |U U^dag - 1| = {defect:.3e} (tol {UNITARY_TOL:.1e})")
 
 
 @dataclass(frozen=True)
@@ -466,30 +446,13 @@ def _real_left(o, a):
     return np.add(o @ a.real, out, out=out)
 
 
-def _to_parity_basis(u):
-    """``Lambda^dag U Lambda`` by slicing, with R the reflection on d/2 states.
-
-    With A, B, C, D the quarters of ``u`` it reads
-
-        [[A - BR - RC + RDR, AR + B - RCR - RD],
-         [RA - RBR + C - DR, RAR + RB + CR + D]] / 2,
-
-    whose upper-left (odd-parity) and lower-right (even-parity) blocks carry
-    all of ``u`` when it commutes with the full reflection.
-    """
-    h = u.shape[0] // 2
-    a, b, c, dd = u[:h, :h], u[:h, h:], u[h:, :h], u[h:, h:]
-    out = np.empty_like(u)
-    out[:h, :h], out[h:, h:] = _parity_blocks(u)
-    out[:h, h:] = a[:, ::-1] + b - c[::-1, ::-1] - dd[::-1, :]
-    out[h:, :h] = a[::-1, :] - b[::-1, ::-1] + c - dd[:, ::-1]
-    out[:h, h:] *= 0.5
-    out[h:, :h] *= 0.5
-    return out
-
-
 def _parity_blocks(u):
-    """The odd- and even-parity blocks of :func:`_to_parity_basis`, without its off-diagonal half."""
+    """The odd- and even-parity diagonal blocks of ``Lambda^dag U Lambda``, by slicing.
+
+    With A, B, C, D the quarters of ``u`` and R the reflection on d/2 states
+    they read ``(A - BR - RC + RDR) / 2`` and ``(RAR + RB + CR + D) / 2``; they
+    carry all of ``u`` when it commutes with the full reflection.
+    """
     h = u.shape[0] // 2
     a, b, c, dd = u[:h, :h], u[:h, h:], u[h:, :h], u[h:, h:]
     minus = a - b[:, ::-1] - c[::-1, :] + dd[::-1, ::-1]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from contextlib import contextmanager, suppress
 
@@ -101,6 +102,17 @@ def save_cmatrix(path, m):
             pairs = json.dumps(np.column_stack([row.real, row.imag]).tolist())
             f.write((", " if r else "") + pairs.removeprefix("[").removesuffix("]"))
         f.write("]}\n")
+
+
+#: the opening :func:`save_cmatrix` writes, up to the first entry
+_HEADER = re.compile(rb'\{"dim_rows": ([1-9][0-9]*), "dim_cols": ([1-9][0-9]*), ')
+
+
+def _header_dims(path):
+    """``(rows, cols)`` from the file's first bytes; None unless it opens as :func:`save_cmatrix` writes."""
+    with open(path, "rb") as f:
+        match = _HEADER.match(f.read(128))
+    return None if match is None else (int(match[1]), int(match[2]))
 
 
 def load_cmatrix(path) -> np.ndarray:

@@ -11,8 +11,13 @@ from bakerlab.cli import (
     _EIGEN_COPIES,
     _READ_COPIES,
     _REDUCED_COPIES,
+    _REFERENCE_CHUNK,
+    _REFERENCE_COPIES,
+    _REFERENCE_STREAM_BASE,
+    PROFILES,
     _check_epinf_memory,
     _write_json,
+    build_parser,
     main,
     parse_split,
 )
@@ -133,6 +138,33 @@ class TestHistogram:
         ref = json.loads(out.read_text())["cue_reference"]
         assert ref["n_samples"] == 25
         assert sum(ref["counts"]) == 25
+
+    def test_cue_reference_is_drawn_a_chunk_per_stream(self, tmp_path):
+        # layout 2: chunk c holds references c * _REFERENCE_CHUNK onward, drawn
+        # as one batch from stream _REFERENCE_STREAM_BASE + c
+        n, part = _REFERENCE_CHUNK + 5, bl.Bipartition(4, 4)
+        out = tmp_path / "h.json"
+        assert run("histogram", "--kind", "baker", "--d", 16, "--split", "4x4", "--states", 2, "--nmin", 2,
+                   "--nmax", 6, "--cue-reference", n, "--seed", 7, "--out", out) == 0
+        ref = json.loads(out.read_text())["cue_reference"]
+        assert ref["metadata"] == {"samples": n, "reference_layout": 2}
+        streams = [bl.RngStream(7, _REFERENCE_STREAM_BASE + c) for c in range(2)]
+        values = np.concatenate([bl.linear_entropies(bl.ensembles._haar_rows(s.generator(), size, 16).T, part)
+                                 for s, size in zip(streams, [_REFERENCE_CHUNK, 5])])
+        assert ref == bl.HistogramSummary.from_values(values, 50, ref["metadata"]).to_dict()
+
+    @pytest.mark.parametrize("split", ["16x16", "2x128"])
+    def test_cue_reference_chunk_stays_within_its_estimate(self, split):
+        part = parse_split(split)
+        budget = 16 * _REFERENCE_COPIES * _REFERENCE_CHUNK * part.d
+        tracemalloc.start()
+        try:
+            gen = bl.RngStream(1, _REFERENCE_STREAM_BASE).generator()
+            bl.linear_entropies(bl.ensembles._haar_rows(gen, _REFERENCE_CHUNK, part.d).T, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert budget / 2 < peak < budget
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -306,6 +338,18 @@ class TestParsing:
         assert run("spectrum-check", map_path, "--budget", 10) == 2
         assert "--budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_counts_both_profiles_share_are_flag_defaults(self, tmp_path, profile):
+        out = tmp_path / "ts.csv"
+        assert run("timeseries", "--kind", "baker", "--d", 16, "--split", "4x4", "--profile", profile,
+                   "--out", out) == 0
+        samples, metadata = bl.read_entropy_csv(out)
+        assert (metadata["states"], metadata["n_max"]) == ("5", "100")
+        assert len(samples) == 5 * 100
+        for command in (["histogram", "--out", "h.json"], ["epinf"]):
+            args = build_parser().parse_args([*command, "--kind", "baker", "--d", "16", "--split", "4x4"])
+            assert args.nmin == 513
+
     def test_module_entry_point(self):
         import subprocess
         import sys
@@ -419,6 +463,53 @@ class TestMemoryPreflight:
         assert not out.exists()
 
 
+    def test_cue_reference_budget_counts_a_chunk_of_states(self, monkeypatch, tmp_path, capsys):
+        # the samples and bins fit, the chunk's complex (_REFERENCE_CHUNK, d) arrays do not
+        chunk = 16 * _REFERENCE_COPIES * _REFERENCE_CHUNK * 16
+        TestCountsRefusedUpFront.refuse_work(monkeypatch)
+        monkeypatch.setattr("os.sysconf", lambda name: chunk - 1 if name == "SC_PHYS_PAGES" else 1)
+        assert run(*TestCountsRefusedUpFront.HISTOGRAM, "--states", 2, "--nmin", 1, "--nmax", 2, "--bins", 1,
+                   "--cue-reference", _REFERENCE_CHUNK, "--out", tmp_path / "x.json") == 2
+        assert f"--cue-reference {_REFERENCE_CHUNK}" in capsys.readouterr().err
+
+    MAP_FILE_COMMANDS = [
+        pytest.param(["epinf", "--split", "4x4", "--map-file"], id="epinf"),
+        pytest.param(["spectrum-check"], id="spectrum-check"),
+    ]
+
+    @pytest.mark.parametrize("header", ["header", "no-header", "header-too-small"])
+    @pytest.mark.parametrize("command", MAP_FILE_COMMANDS)
+    def test_map_file_beyond_physical_memory_is_refused_before_it_is_parsed(self, monkeypatch, tmp_path,
+                                                                            capsys, command, header):
+        path = tmp_path / "m.json"
+        entries = bl.cmatrix_to_dict(bl.baker(16))["entries"]
+        if header == "header":
+            bl.save_cmatrix(path, bl.baker(16))
+            assert np.array_equal(bl.load_cmatrix(path), bl.baker(16))
+        elif header == "no-header":  # a valid file with its keys in another order, budgeted from its size
+            path.write_text(json.dumps({"entries": entries, "dim_rows": 16, "dim_cols": 16}))
+            assert np.array_equal(bl.load_cmatrix(path), bl.baker(16))
+        else:  # a header that understates the entries, budgeted from the size too
+            path.write_text(json.dumps({"dim_rows": 1, "dim_cols": 1, "entries": entries}))
+        reader = 16 * _READ_COPIES * 16**2
+        TestCountsRefusedUpFront.refuse_work(monkeypatch)
+        monkeypatch.setattr("os.sysconf", lambda name: reader - 1 if name == "SC_PHYS_PAGES" else 1)
+        out = tmp_path / "x.json"
+        assert run(*command, path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "physical memory" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", MAP_FILE_COMMANDS)
+    def test_map_file_header_budget_admits_what_fits(self, monkeypatch, tmp_path, command):
+        # for a 4x4 split at d = 16 the reader is epinf's largest stage too
+        path = tmp_path / "m.json"
+        bl.save_cmatrix(path, bl.baker(16))
+        reader = 16 * _READ_COPIES * 16**2
+        monkeypatch.setattr("os.sysconf", lambda name: reader if name == "SC_PHYS_PAGES" else 1)
+        assert run(*command, path, "--out", tmp_path / "x.json") == 0
+
+
 class TestMatrixFreeCommands:
     @pytest.mark.parametrize("argv", [
         ["histogram", "--kind", "baker", "--nmin", 2, "--nmax", 4, "--out", "h.json"],
@@ -447,7 +538,7 @@ class TestCountsRefusedUpFront:
             raise AssertionError("work started before the flags were checked")
 
         for name in ("make_map", "load_cmatrix", "empirical_asymptotic_distribution", "ensemble_entropies",
-                     "eigensystem", "save_cmatrix", "asymptotic_power_mc", "haar_state"):
+                     "eigensystem", "save_cmatrix", "asymptotic_power_mc", "_haar_rows"):
             monkeypatch.setattr(f"bakerlab.cli.{name}", refuse)
 
     @pytest.mark.parametrize("argv, flag", [

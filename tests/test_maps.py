@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 import bakerlab as bl
 
@@ -222,7 +223,7 @@ class TestSlicedParityRotation:
 
     @pytest.mark.parametrize("d", [2, 4, 10, 64])
     def test_conjugations_match_dense_lambda(self, d):
-        from bakerlab.linalg import _from_parity_blocks, _to_parity_basis
+        from bakerlab.linalg import _from_parity_blocks, _parity_blocks
 
         half = d // 2
         x = bl.sample_cue(half, bl.RngStream(31, d))
@@ -233,7 +234,10 @@ class TestSlicedParityRotation:
         blocks[half:, half:] = y
         assert_allclose(_from_parity_blocks(x, y), lam @ blocks @ lam.conj().T, rtol=0, atol=1e-15)
         u = bl.sample_cue(d, bl.RngStream(33, d))
-        assert_allclose(_to_parity_basis(u), lam.conj().T @ u @ lam, rtol=0, atol=1e-15)
+        dense = lam.conj().T @ u @ lam
+        minus, plus = _parity_blocks(u)
+        assert_allclose(minus, dense[:half, :half], rtol=0, atol=1e-15)
+        assert_allclose(plus, dense[half:, half:], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("d", [3, 8, 64])
     def test_reflection_commutator_equals_dense_products(self, d):
@@ -264,6 +268,32 @@ class TestReduceBySymmetry:
         blocks[half:, half:] = plus
         lam = bl.lambda_basis(d)
         assert_allclose(lam @ blocks @ lam.conj().T, b, atol=1e-12)
+
+    @pytest.mark.parametrize("target", [1e-14, 1e-12, 1e-10])
+    @pytest.mark.parametrize("d", [8, 32, 128])
+    def test_commutator_bounds_the_dropped_off_diagonal_blocks(self, d, target):
+        # only the diagonal blocks of Lambda^dag U Lambda are returned; each entry
+        # of the off-diagonal ones is half a sum of two entries of U - R U R, so
+        # the commutator gate bounds what is dropped
+        rng = np.random.default_rng(d)
+        h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h += h.conj().T
+        s = bl.sample_symmetric(d, bl.RngStream(61, d))
+
+        def perturbed(eps):
+            return s @ expm(1j * eps * h)
+
+        u = perturbed(target * 1e-6 / bl.reflection_commutator(perturbed(1e-6)))
+        commutator = bl.reflection_commutator(u)
+        assert target / 2 < commutator < 2 * target
+        half = d // 2
+        lam = bl.lambda_basis(d)
+        dense = lam.conj().T @ u @ lam
+        assert max(bl.max_abs(dense[:half, half:]), bl.max_abs(dense[half:, :half])) <= commutator
+        if commutator < bl.UNITARY_TOL:
+            minus, plus = bl.reduce_by_symmetry(u)
+            assert_allclose(minus, dense[:half, :half], rtol=0, atol=1e-15)
+            assert_allclose(plus, dense[half:, half:], rtol=0, atol=1e-15)
 
     def test_rejects_asymmetric_map_with_measured_norm(self):
         u = bl.sample_cue(8, bl.RngStream(5))

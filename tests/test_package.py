@@ -6,11 +6,12 @@ from pathlib import Path
 import bakerlab as bl
 
 # the public names bakerlab exported before it re-exported the module __all__s,
-# less entropy_timeseries, which moved into tests/test_entropy.py as a reference
+# less entropy_timeseries, which moved into tests/test_entropy.py as a reference,
+# and the callerless aliases matmul, dagger and is_unitary, which were removed
 LEGACY_EXPORTS = {
     "__version__",
     "EIGEN_TOL", "NORM_TOL", "UNITARY_TOL", "Bipartition", "EigenSystem", "as_matrix", "assert_unitary",
-    "dagger", "eigensystem", "eigensystem_diagnostics", "is_unitary", "kron", "matmul", "max_abs",
+    "eigensystem", "eigensystem_diagnostics", "kron", "max_abs",
     "partial_trace", "unitarity_defect",
     "MapKind", "antiperiodic_fourier", "baker", "bbar", "d_map", "lambda_basis", "make_map",
     "reduce_by_symmetry", "reflection", "reflection_commutator",
