@@ -79,8 +79,8 @@ _EIGEN_COPIES = 6
 _REDUCED_COPIES = 1.5
 #: ``load_cmatrix`` parses a map file with ``json.load``: the text and one
 #: Python ``[re, im]`` list per entry, 11.8-12.9 complex d x d arrays' worth
-#: by tracemalloc at d = 16..512.  It is freed before the eigensolve, so an
-#: epinf --map-file run given --d needs the larger of this and the sum above
+#: by tracemalloc at d = 16..512.  It is freed before the eigensolve, so a
+#: map file run needs the larger of this and the sum above
 _READ_COPIES = 13
 #: the fewest bytes a cmatrix-json entry takes, ``[0,0]`` and a comma: a map
 #: file without the header ``save_cmatrix`` writes is budgeted from its size
@@ -157,20 +157,18 @@ def _split(args, d: int) -> Bipartition:
     return part
 
 
-def _check_epinf_memory(part: Bipartition, cross=None, reading=False):
+def _check_epinf_memory(part: Bipartition, cross=None):
     """Refuse a split whose map, eigensolve and reduced data cannot fit in physical memory.
 
     The estimate adds the eigensolve's ``_EIGEN_COPIES`` d x d arrays and the
     reduction's ``_REDUCED_COPIES`` sets of reduced density matrices, so it
-    bounds both stages; when ``reading`` a map file, it is at least the
-    reader's ``_READ_COPIES``.  ``cross`` holds the ``(n_states, n_min,
-    n_max)`` of --cross-check, whose engine run is checked here too, before
-    the eigensolve instead of after it.
+    bounds both stages.  ``cross`` holds the ``(n_states, n_min, n_max)`` of
+    --cross-check, whose engine run is checked here too, before the
+    eigensolve instead of after it.
     """
     d = part.d
     copies = _EIGEN_COPIES * d + _REDUCED_COPIES * (part.d_a**2 + part.d_b**2)
-    need = 16 * d * max(copies, _READ_COPIES * d if reading else 0)
-    _require_memory(need, f"--d {d} with split {part.d_a}x{part.d_b} needs")
+    _require_memory(16 * d * copies, f"--d {d} with split {part.d_a}x{part.d_b} needs")
     if cross is not None:
         n_states, n_min, n_max = cross
         _check_memory(d, n_states, n_max - n_min + 1)
@@ -209,13 +207,14 @@ def _check_outputs(args):
         raise ValueError(f"cannot write --{flag.replace('_', '-')} {path}: {problem}")
 
 
-def _map_file_dim(path):
+def _map_file_dim(path, d=None):
     """Refuse a map file that ``load_cmatrix`` cannot parse in physical memory, before it parses an entry.
 
     The ``_READ_COPIES`` budget counts the ``dim_rows`` x ``dim_cols`` entries
     of the header ``save_cmatrix`` writes first; a file without it, or longer
     than those entries take, counts one entry per ``_MIN_ENTRY_BYTES`` of its
-    size.  Returns the dimension of a square header, else None.
+    size.  A header that fails :func:`_check_square` is refused here too.
+    Returns the dimension of the header, else None.
     """
     size = os.path.getsize(path)
     dims = _header_dims(path)
@@ -226,14 +225,17 @@ def _map_file_dim(path):
     else:
         entries, what = dims[0] * dims[1], "{}x{}".format(*dims)
     _require_memory(16 * _READ_COPIES * entries, f"reading map file {path} ({what}) needs")
-    return dims[0] if dims is not None and dims[0] == dims[1] else None
+    if dims is not None:
+        _check_square(*dims, d)
+        return dims[0]
 
 
-def _load_square(path) -> np.ndarray:
-    u = load_cmatrix(path)
-    if u.shape[0] != u.shape[1]:
-        raise ValueError(f"map file holds a non-square {u.shape[0]}x{u.shape[1]} matrix")
-    return u
+def _check_square(rows, cols, d=None):
+    """Refuse a map file's matrix unless it is square, and ``d`` x ``d`` when ``d`` is given."""
+    if rows != cols:
+        raise ValueError(f"map file holds a non-square {rows}x{cols} matrix")
+    if d is not None and d != rows:
+        raise ValueError(f"--d {d} conflicts with map file dimension {rows}")
 
 
 def _write_json(path, obj):
@@ -348,15 +350,14 @@ def cmd_epinf(args) -> int:
     part = None
     if args.d is not None:  # refused before the map is built or loaded
         part = _split(args, args.d)
-        _check_epinf_memory(part, cross, reading=args.map_file is not None)
+        _check_epinf_memory(part, cross)
     if args.map_file is not None:
-        d = _map_file_dim(args.map_file)
+        d = _map_file_dim(args.map_file, args.d)
         if part is None and d is not None:  # the reader is budgeted; now the eigensolve
             part = _split(args, d)
             _check_epinf_memory(part, cross)
-        u, label = _load_square(args.map_file), f"file:{args.map_file}"
-        if args.d is not None and args.d != u.shape[0]:
-            raise ValueError(f"--d {args.d} conflicts with map file dimension {u.shape[0]}")
+        u, label = load_cmatrix(args.map_file), f"file:{args.map_file}"
+        _check_square(*u.shape, args.d)  # a file without a header is checked once parsed
     else:
         u, label = make_map(args.kind, args.d), args.kind
     d = u.shape[0]
@@ -398,7 +399,8 @@ def cmd_epinf(args) -> int:
 
 def cmd_spectrum_check(args) -> int:
     _map_file_dim(args.map_file)  # _READ_COPIES > _EIGEN_COPIES: this bounds the eigensolve too
-    u = _load_square(args.map_file)
+    u = load_cmatrix(args.map_file)
+    _check_square(*u.shape)
     eig = eigensystem(u)  # refuses a non-unitary u with LinAlgError (exit 3)
     resonance = commensurability_check(eig.phases, tol=args.tol)
     report = {
@@ -421,11 +423,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     kinds = [k.value for k in MapKind]
 
-    # shared by every command that records a split, a seed and a profile
+    # shared by every command that records a split and a seed; preset by the
+    # ones whose counts default to a workload profile
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--split", required=True, help="subsystem split AxB with A*B = d")
     run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--profile", choices=sorted(PROFILES), default="desk")
+    preset = argparse.ArgumentParser(add_help=False)
+    preset.add_argument("--profile", choices=sorted(PROFILES), default="desk")
     # the flags of the two commands that scan eigenphases and may report to stdout
     scan = argparse.ArgumentParser(add_help=False)
     scan.add_argument("--tol", type=_tolerance, default=1e-8, help="resonance tolerance, in (0, 1)")
@@ -445,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_timeseries)
 
-    p = sub.add_parser("histogram", parents=[run], help="late-time entropy histogram of one map, as JSON")
+    p = sub.add_parser("histogram", parents=[run, preset],
+                       help="late-time entropy histogram of one map, as JSON")
     p.add_argument("--kind", required=True, choices=kinds)
     p.add_argument("--d", required=True, type=int)
     p.add_argument("--states", type=int, default=None)
@@ -458,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=cmd_histogram)
 
-    p = sub.add_parser("ensemble", parents=[run],
+    p = sub.add_parser("ensemble", parents=[run, preset],
                        help="single-application entropy histogram over a random-map ensemble")
     p.add_argument("--ensemble", required=True, choices=[k.value for k in EnsembleKind])
     p.add_argument("--d", required=True, type=int)
@@ -468,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("epinf", parents=[run, scan], help="closed-form asymptotic entangling power, as JSON")
+    p = sub.add_parser("epinf", parents=[run, preset, scan],
+                       help="closed-form asymptotic entangling power, as JSON")
     source = p.add_mutually_exclusive_group()
     source.add_argument("--kind", choices=kinds, default=None)
     source.add_argument("--map-file", default=None, help="cmatrix-json map to analyze instead of --kind/--d")

@@ -11,11 +11,11 @@ gates, and eigendecomposition of unitary matrices.
   O(d^2) instead of dense products, and each block is solved on its own.
 * Time-reversal-symmetric unitaries (``V U* V^dag = U^dag`` for V = 1, the
   antiperiodic Fourier kernel ``G_d``, or ``1_2 kron G_{d/2}``) are
-  diagonalized by real symmetric ``eigh`` solves instead of a complex Schur
-  factorization: with ``V = W W^T``, ``W^dag U W`` is a symmetric unitary
-  with a real orthogonal eigenbasis (Saraceno, Ann. Phys. 199, 37, 1990).
-  This covers B, D, D', Bbar, COE and the reflection-symmetric ensemble.
-* Everything else takes one dense complex Schur factorization.
+  diagonalized by real symmetric ``eigh`` solves: with ``V = W W^T``,
+  ``W^dag U W`` is a symmetric unitary with a real orthogonal eigenbasis
+  (Saraceno, Ann. Phys. 199, 37, 1990).  This covers B, D, D', Bbar, COE
+  and the reflection-symmetric ensemble.
+* Everything else (CUE, ``lambda``) takes one complex Hermitian ``eigh``.
 
 Conventions used throughout the package:
 
@@ -55,12 +55,12 @@ NORM_TOL = 1e-10
 #: base tolerance for eigenvector residuals (scaled by sqrt(d) where noted)
 EIGEN_TOL = 1e-8
 
-# c in the real combination Re S + c Im S that diagonalizes a symmetric
-# unitary S; any value other than 0 and +-1 works, and A folds phases about
-# atan(c)
+# c in the Hermitian combination H = (S + S^dag)/2 + c (S - S^dag)/2i that
+# diagonalizes a unitary S (Re S + c Im S for a symmetric S); any value other
+# than 0 and +-1 works, and H folds phases about atan(c)
 _MIX = 0.6180339887498949
 _FOLD = float(np.arctan(_MIX))
-# runs of A eigenvalues closer than this many mean spacings form a cluster;
+# runs of H eigenvalues closer than this many mean spacings form a cluster;
 # outside them a fold pair at gap g keeps a residual of ~eps / g
 _CLUSTER_SPACINGS = 0.1
 # a cluster is re-solved when a column residual exceeds this times n, about
@@ -206,12 +206,12 @@ def eigensystem(u) -> EigenSystem:
     * time reversal, ``V U* V^dag = U^dag`` for the first V among 1 (U
       symmetric), ``G_d`` (B, D, D') and ``1_2 kron G_{d/2}`` (Bbar, B): with
       ``V = W W^T``, ``W^dag U W`` is a symmetric unitary, which two real
-      symmetric ``eigh`` solves diagonalize (see ``_real_eigenbasis``).  Under
-      both symmetries this runs per parity block with V rotated alike.
+      symmetric ``eigh`` solves diagonalize.  Under both symmetries this runs
+      per parity block with V rotated alike.
 
-    Every other input, and every block without time reversal, takes a complex
-    Schur factorization, which is exactly the spectral decomposition of a
-    normal matrix.  The symmetries are only tested to ``UNITARY_TOL``, so the
+    Every other input, and every block without time reversal, takes one
+    complex Hermitian ``eigh`` (see ``_eigenbasis``, which serves both
+    cases).  The symmetries are only tested to ``UNITARY_TOL``, so the
     residual, orthonormality and reconstruction gates always run against
     ``u`` itself at full size: a slightly asymmetric input whose neglected
     part matters fails them just like a bad dense solve.
@@ -234,7 +234,7 @@ def eigensystem(u) -> EigenSystem:
         # every candidate V commutes with R, so Lambda^T V Lambda is block diagonal
         blocks = list(zip(_parity_blocks(u), (None, None) if v is None else _parity_blocks(v)))
     del v  # from here on each intermediate is dropped once it is used
-    solved = [_eigh_reversible(x, vx) if reversible else _schur(x) for x, vx in blocks]
+    solved = [_eigh_reversible(x, vx) if reversible else _eigenbasis(x) for x, vx in blocks]
     del blocks
     lam = np.concatenate([lam_x for lam_x, _ in solved])
     q = _from_parity_vectors(solved[0][1], solved[1][1]) if split else solved[0][1]
@@ -258,21 +258,6 @@ def eigensystem(u) -> EigenSystem:
     if not diag["reconstruction_error"] < EIGEN_TOL * d:
         raise LinAlgError(f"spectral reconstruction error {diag['reconstruction_error']:.3e}")
     return eig
-
-
-def _schur(u):
-    """Eigenvalues and Schur vectors of a normal matrix.
-
-    The only use of scipy: imported here, so a run that never needs Schur
-    never loads scipy or starts its OpenBLAS thread pool.
-    """
-    from scipy.linalg import schur
-
-    try:
-        t, q = schur(u, output="complex")
-    except LinAlgError as exc:
-        raise LinAlgError("eigensolver did not converge") from exc
-    return np.diagonal(t), q
 
 
 def _fourier_kernel(d):
@@ -366,62 +351,70 @@ def _eigh_reversible(u, v):
     real orthogonal, and the eigenvectors of U are ``W O``.
     """
     if v is None:
-        return _real_eigenbasis(u)
-    lam_v, o_v = _real_eigenbasis(v)
+        return _eigenbasis(u, real=True)
+    lam_v, o_v = _eigenbasis(v, real=True)
     root = np.sqrt(lam_v)
     s = _real_left(o_v.T, _real_right(u, o_v))
     np.multiply(root.conj()[:, None], s, out=s)
     s *= root
-    lam, o = _real_eigenbasis(s)
+    lam, o = _eigenbasis(s, real=True)
     del s
     return lam, _real_left(o_v, root[:, None] * o)
 
 
-def _real_eigenbasis(s):
-    """Eigenvalues and a real orthogonal eigenbasis O of a symmetric unitary S.
+def _eigenbasis(s, real=False):
+    """Eigenvalues and an orthonormal eigenbasis Q of a unitary S (``real``: symmetric S, real Q).
 
-    ``Re S`` and ``Im S`` commute, so one real ``eigh`` of
-    ``A = Re S + c Im S`` diagonalizes both, with eigenvalue
-    ``sqrt(1 + c^2) cos(theta - atan c)`` for the phase theta; the eigenvalues
-    of S are the diagonal of ``O^T S O``.  A does not tell apart a phase and
-    its fold ``2 atan c - theta``, nor a true degeneracy, so ``eigh`` may mix
-    their vectors.  Runs of A eigenvalues closer than ``_CLUSTER_SPACINGS``
-    mean spacings are therefore solved again by Rayleigh-Ritz, unless every
-    column already has a residual ``|S o - lam o|`` below ``_RITZ_EPS * n``
-    (exact degeneracies, as in the factors of V): a real ``eigh`` of
-    ``Re(exp(-i(atan c + beta)) O_c^T S O_c)`` with beta chosen away from the
+    ``H = (S + S^dag)/2 + c (S - S^dag)/2i``, which is ``Re S + c Im S`` when
+    ``real``, commutes with S, so one ``eigh`` of H diagonalizes S, with
+    eigenvalue ``sqrt(1 + c^2) cos(theta - atan c)`` for the phase theta; the
+    eigenvalues of S are the diagonal of ``Q^dag S Q``.  H does not tell apart
+    a phase and its fold ``2 atan c - theta``, nor a true degeneracy, so
+    ``eigh`` may mix their vectors.  Runs of H eigenvalues closer than
+    ``_CLUSTER_SPACINGS`` mean spacings are therefore solved again by
+    Rayleigh-Ritz, unless every column already has a residual
+    ``|S q - lam q|`` below ``_RITZ_EPS * n`` (exact degeneracies, as in the
+    factors of V): an ``eigh`` of the Hermitian part of
+    ``exp(-i(atan c + beta)) Q_c^dag S Q_c`` with beta chosen away from the
     run's fold and its stationary points.
     """
     n = s.shape[0]
-    a = _MIX * s.imag
-    mu, o = np.linalg.eigh(np.add(s.real, a, out=a))  # A = Re S + c Im S in one buffer
-    del a
-    o = np.ascontiguousarray(o)  # a guard: the products below want C order
-    so = _real_right(s, o)
+    if real:
+        h = _MIX * s.imag
+        np.add(s.real, h, out=h)  # H = Re S + c Im S in one buffer
+        right, left = _real_right, lambda q, x: _real_left(q.T, x)
+    else:
+        h = (0.5 - 0.5j * _MIX) * s
+        h += h.conj().T  # H = ((1 - ic) S + (1 + ic) S^dag) / 2
+        right, left = np.matmul, lambda q, x: q.conj().T @ x
+    mu, q = np.linalg.eigh(h)
+    del h
+    q = np.ascontiguousarray(q)  # a guard: the products below want C order
+    sq = right(s, q)
     lam = np.empty(n, dtype=np.complex128)
     residual = np.empty(n)
     for b in _blocks(n, _BLOCK):  # lam and the residual norms, per column
-        lam[b] = (so[:, b] * o[:, b]).sum(axis=0)
-        residual[b] = np.linalg.norm(so[:, b] - o[:, b] * lam[b], axis=0)
+        lam[b] = (sq[:, b] * q[:, b].conj()).sum(axis=0)
+        residual[b] = np.linalg.norm(sq[:, b] - q[:, b] * lam[b], axis=0)
     close = np.diff(mu) < _CLUSTER_SPACINGS * 2.0 * np.hypot(1.0, _MIX) / n
     edges = np.diff(np.concatenate([[0], close, [0]]).astype(np.int8))
     for start, stop in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) + 1):
         if residual[start:stop].max() < _RITZ_EPS * n:
             continue
-        block = _real_left(o[:, start:stop].T, so[:, start:stop])
-        turn = np.exp(-1j * (_FOLD + _ritz_angle(mu[start:stop].mean())))
-        _, q = np.linalg.eigh((turn * block).real)
-        o[:, start:stop] = o[:, start:stop] @ q
-        lam[start:stop] = ((block @ q) * q).sum(axis=0)
-    return lam, o
+        block = left(q[:, start:stop], sq[:, start:stop])
+        turned = np.exp(-1j * (_FOLD + _ritz_angle(mu[start:stop].mean()))) * block
+        _, r = np.linalg.eigh(turned.real if real else (turned + turned.conj().T) / 2)
+        q[:, start:stop] = q[:, start:stop] @ r
+        lam[start:stop] = ((block @ r) * r.conj()).sum(axis=0)
+    return lam, q
 
 
 def _ritz_angle(mu):
-    """A rotation beta that resolves a run of A eigenvalues around ``mu``.
+    """A rotation beta that resolves a run of H eigenvalues around ``mu``.
 
     The run's phases sit near ``atan c +- phi`` with
-    ``phi = arccos(mu / sqrt(1 + c^2))``.  ``Re(exp(-i(atan c + beta)) S)``
-    separates the two folds when ``sin beta`` is not small and nearby phases
+    ``phi = arccos(mu / sqrt(1 + c^2))``.  The Hermitian part of
+    ``exp(-i(atan c + beta)) S`` separates the two folds when ``sin beta`` is not small and nearby phases
     on either side when ``sin(beta -+ phi)`` is not, so beta is the centre of
     the widest gap between 0, phi and -phi modulo pi, at least pi/6 from each.
     """

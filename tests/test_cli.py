@@ -269,12 +269,35 @@ class TestEpinf:
         assert run("epinf", "--split", "4x4", "--out", tmp_path / "x.json") == 2
         assert "map-file" in capsys.readouterr().err
 
-    def test_dimension_conflict_with_file(self, tmp_path):
+    @pytest.mark.parametrize("argv, error", [
+        pytest.param(["epinf", "--split", "4x4", "--d", 16, "--map-file"], "--d 16 conflicts", id="epinf-d"),
+        pytest.param(["epinf", "--split", "2x3", "--map-file"], "non-square 2x3", id="epinf-non-square"),
+        pytest.param(["spectrum-check"], "non-square 2x3", id="spectrum-check-non-square"),
+    ])
+    def test_map_file_shape_is_refused_from_its_header(self, monkeypatch, tmp_path, capsys, argv, error):
+        path = tmp_path / "m.json"
+        bl.save_cmatrix(path, np.ones((2, 3)) if "non-square" in error else bl.baker(8))
+        TestCountsRefusedUpFront.refuse_work(monkeypatch)  # load_cmatrix among them: no entry is parsed
+        assert run(*argv, path, "--out", tmp_path / "x.json") == 2
+        assert error in capsys.readouterr().err
+
+    def test_map_file_without_header_is_refused_once_parsed(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"entries": bl.cmatrix_to_dict(bl.baker(8))["entries"],
+                                    "dim_rows": 8, "dim_cols": 8}))
+        parsed = []
+        monkeypatch.setattr("bakerlab.cli.load_cmatrix", lambda p: parsed.append(p) or bl.load_cmatrix(p))
+        assert run("epinf", "--split", "4x4", "--d", 16, "--map-file", path, "--out", tmp_path / "x.json") == 2
+        assert "--d 16 conflicts with map file dimension 8" in capsys.readouterr().err
+        assert parsed == [str(path)]
+
+    def test_dimension_conflict_with_file(self, tmp_path, capsys):
         map_path = tmp_path / "m.json"
         bl.save_cmatrix(map_path, bl.baker(8))
-        rc = run("epinf", "--map-file", map_path, "--d", 16, "--split", "2x4",
+        rc = run("epinf", "--map-file", map_path, "--d", 16, "--split", "4x4",
                  "--out", tmp_path / "x.json")
         assert rc == 2
+        assert "--d 16 conflicts with map file dimension 8" in capsys.readouterr().err
 
     def test_stdout_json_when_out_omitted(self, capsys):
         rc = run("epinf", "--kind", "baker", "--d", 8, "--split", "2x4")
@@ -340,11 +363,14 @@ class TestParsing:
 
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_counts_both_profiles_share_are_flag_defaults(self, tmp_path, profile):
+        # timeseries takes no profile: every count it has is a flag default
         out = tmp_path / "ts.csv"
-        assert run("timeseries", "--kind", "baker", "--d", 16, "--split", "4x4", "--profile", profile,
-                   "--out", out) == 0
+        timeseries = ["timeseries", "--kind", "baker", "--d", 16, "--split", "4x4", "--out", out]
+        assert run(*timeseries, "--profile", profile) == 2
+        assert run(*timeseries) == 0
         samples, metadata = bl.read_entropy_csv(out)
         assert (metadata["states"], metadata["n_max"]) == ("5", "100")
+        assert "profile" not in metadata
         assert len(samples) == 5 * 100
         for command in (["histogram", "--out", "h.json"], ["epinf"]):
             args = build_parser().parse_args([*command, "--kind", "baker", "--d", "16", "--split", "4x4"])
@@ -406,10 +432,11 @@ class TestMemoryPreflight:
             _check_epinf_memory(part)
 
     @pytest.mark.parametrize("split", ["16x16", "2x128"])
-    @pytest.mark.parametrize("kind", ["baker", "bbar", "dmap"])
+    @pytest.mark.parametrize("kind", ["baker", "bbar", "dmap", "lambda"])
     def test_epinf_stages_stay_within_the_estimate(self, monkeypatch, kind, split):
         # what _check_epinf_memory budgets must bound every stage that epinf
-        # runs on the map, with the map and every live array counted
+        # runs on the map, with the map and every live array counted; lambda
+        # has no time reversal and takes the complex eigh
         part = parse_split(split)
         budget = []
         monkeypatch.setattr("bakerlab.cli._require_memory", lambda need, what: budget.append(need))
@@ -710,7 +737,8 @@ class TestMetadata:
         keys = list(metadata)
         assert keys[0] == "command"
         assert metadata["command"] == argv[0]
-        tail = ["version"] if argv[0] == "spectrum-check" else ["seed", "profile", "version"]
+        tail = {"spectrum-check": ["version"], "timeseries": ["seed", "version"]}.get(
+            argv[0], ["seed", "profile", "version"])
         assert keys[-len(tail):] == tail
 
     def test_ensemble_records_the_stream_layout_among_its_fields(self, tmp_path):

@@ -325,7 +325,7 @@ NUMPY_EIGH_CASES = [
 
 
 class TestEigensolveBackends:
-    """Real symmetric solves run on numpy's LAPACK; scipy serves only the Schur fallback."""
+    """Every eigensolve is one Hermitian ``eigh`` on numpy's LAPACK: real with time reversal, else complex."""
 
     @pytest.mark.parametrize("kind,d", NUMPY_EIGH_CASES, ids=[f"{k}-{d}" for k, d in NUMPY_EIGH_CASES])
     def test_reversible_inputs_solve_by_numpy_eigh(self, monkeypatch, kind, d):
@@ -351,19 +351,87 @@ class TestEigensolveBackends:
         assert diag["max_residual"] < 1e-12
         assert diag["orthonormality_defect"] < 1e-12
 
-    def test_cue_takes_schur(self, monkeypatch):
+    def test_cue_takes_the_complex_eigenbasis(self, monkeypatch):
         calls = []
 
-        def counted(x):
-            calls.append(x.shape)
-            return schur_solve(x)
+        def counted(x, real=False):
+            calls.append((x.shape, real))
+            return solve(x, real=real)
 
-        schur_solve = linalg._schur
-        monkeypatch.setattr(linalg, "_schur", counted)
+        solve = linalg._eigenbasis
+        monkeypatch.setattr(linalg, "_eigenbasis", counted)
         u = bl.sample_cue(64, bl.RngStream(413))
-        eig = bl.eigensystem(u)  # raises unless the Schur vectors pass every gate
-        assert calls == [(64, 64)]
+        eig = bl.eigensystem(u)  # raises unless the vectors pass every gate
+        assert calls == [((64, 64), False)]
         assert circular_gap(eig.phases, schur_oracle(u).phases).max() < 1e-12
+
+
+def planted_case(kind, seed):
+    """``Q diag(exp(i theta)) Q^dag``, Q a CUE sample of d = 32, with ``kind``'s structure planted in theta."""
+    theta = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, 32)
+    if kind == "degenerate-5":
+        theta[:5] = 1.3
+    elif kind == "degenerate-1e-13":
+        theta[1:4] = theta[0] + np.array([1e-13, -1e-13, 5e-14])
+    else:  # three phases and their folds about atan(c), which H does not tell apart
+        theta[3:6] = 2 * np.arctan(linalg._MIX) - theta[:3]
+    q = bl.sample_cue(32, bl.RngStream(seed))
+    return (q * np.exp(1j * theta)) @ q.conj().T
+
+
+def cue_parity_blocks(d, seed):
+    """A reflection-symmetric unitary whose parity blocks are CUE samples: split, then complex eigh."""
+    blocks = np.zeros((d, d), dtype=complex)
+    blocks[: d // 2, : d // 2] = bl.sample_cue(d // 2, bl.RngStream(seed, 0))
+    blocks[d // 2 :, d // 2 :] = bl.sample_cue(d // 2, bl.RngStream(seed, 1))
+    lam = bl.lambda_basis(d)
+    return lam @ blocks @ lam.conj().T
+
+
+# (id, builder, split, degenerate): e_p(inf) is basis-free only without degeneracy
+COMPLEX_CASES = [
+    *[(f"cue-{d}", lambda d=d: bl.sample_cue(d, bl.RngStream(414, d)), split, False)
+      for d, split in ((8, (2, 4)), (64, (8, 8)), (256, (16, 16)), (512, (16, 32)))],
+    ("cue8-kron-cue16", lambda: np.kron(bl.sample_cue(8, bl.RngStream(415)), bl.sample_cue(16, bl.RngStream(416))),
+     (8, 16), False),
+    ("lambda-64", lambda: bl.make_map("lambda", 64), (8, 8), True),
+    ("lambda-256", lambda: bl.make_map("lambda", 256), (16, 16), True),
+    ("cue-parity-blocks", lambda: cue_parity_blocks(64, 417), (8, 8), False),
+    ("degenerate-5", lambda: planted_case("degenerate-5", 418), (4, 8), True),
+    ("degenerate-1e-13", lambda: planted_case("degenerate-1e-13", 419), (4, 8), True),
+    ("fold-pairs", lambda: planted_case("fold-pairs", 420), (4, 8), False),
+]
+
+
+class TestComplexEigensolve:
+    """Inputs without time reversal take the complex ``eigh``; the oracle is one dense Schur."""
+
+    @pytest.mark.parametrize("build,split,degenerate", [c[1:] for c in COMPLEX_CASES],
+                             ids=[c[0] for c in COMPLEX_CASES])
+    def test_matches_dense_schur(self, monkeypatch, build, split, degenerate):
+        u = build()
+        calls = []
+
+        def counted(x, real=False):
+            calls.append(real)
+            return solve(x, real=real)
+
+        solve = linalg._eigenbasis
+        monkeypatch.setattr(linalg, "_eigenbasis", counted)
+        eig = bl.eigensystem(u)  # raises unless all three gates pass
+        monkeypatch.undo()
+        assert calls and not any(calls)
+        ref = schur_oracle(u)
+        assert circular_gap(eig.phases, ref.phases).max() < 1e-12
+        diag = bl.eigensystem_diagnostics(u, eig)
+        d = u.shape[0]
+        assert diag["max_residual"] < bl.EIGEN_TOL * np.sqrt(d)
+        assert diag["orthonormality_defect"] < bl.EIGEN_TOL
+        assert diag["reconstruction_error"] < bl.EIGEN_TOL * d
+        if not degenerate:  # inside a degenerate eigenspace the basis, and so e_p(inf), is arbitrary
+            part = bl.Bipartition(*split)
+            ep = bl.asymptotic_entangling_power(eig, part).value
+            assert abs(ep - bl.asymptotic_entangling_power(ref, part).value) < 1e-12
 
 
 TIME_REVERSAL_CASES = [

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -44,19 +45,44 @@ def run_python(code, *args):
 
 
 def test_import_loads_no_scipy():
-    # scipy serves only the Schur fallback, so its OpenBLAS pool is not loaded up front
+    # scipy is the tests' oracle, not a runtime dependency
     proc = run_python("import sys, bakerlab, bakerlab.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
 
 def test_reversible_epinf_runs_without_scipy(tmp_path):
-    out = tmp_path / "ep.json"
+    # dmap is time-reversal symmetric (real eigh), lambda is not (complex eigh)
+    for kind in ("dmap", "lambda"):
+        out = tmp_path / f"ep-{kind}.json"
+        proc = run_python(
+            "import sys; sys.modules['scipy'] = None\n"
+            "from bakerlab.cli import main\n"
+            "sys.exit(main(['epinf', '--kind', sys.argv[1], '--d', '32', '--split', '4x8', '--out', sys.argv[2]]))",
+            kind, out,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.exists()
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    cue = tmp_path / "cue.json"
+    commands = [
+        ["gen-map", "--kind", "lambda", "--d", "16", "--out", tmp_path / "lambda.json"],
+        ["timeseries", "--kind", "baker", "--d", "16", "--split", "4x4", "--nmax", "3", "--out", tmp_path / "t.csv"],
+        ["histogram", "--kind", "baker", "--d", "16", "--split", "4x4", "--states", "2", "--nmin", "1",
+         "--nmax", "3", "--cue-reference", "4", "--out", tmp_path / "h.json"],
+        ["ensemble", "--ensemble", "cue", "--d", "16", "--split", "4x4", "--samples", "2", "--states", "2",
+         "--out", tmp_path / "e.json"],
+        ["epinf", "--map-file", cue, "--split", "4x4", "--cross-check", "--states", "2", "--nmin", "1",
+         "--nmax", "3", "--out", tmp_path / "ep.json"],
+        ["spectrum-check", cue, "--out", tmp_path / "sc.json"],
+    ]
+    bl.save_cmatrix(cue, bl.sample_cue(16, bl.RngStream(3)))
     proc = run_python(
-        "import sys; sys.modules['scipy'] = None\n"
+        "import json, sys; sys.modules['scipy'] = None\n"
         "from bakerlab.cli import main\n"
-        "sys.exit(main(['epinf', '--kind', 'dmap', '--d', '32', '--split', '4x8', '--out', sys.argv[1]]))",
-        out,
+        "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))",
+        json.dumps([[str(a) for a in argv] for argv in commands]),
     )
     assert proc.returncode == 0, proc.stderr
-    assert out.exists()
