@@ -366,7 +366,7 @@ def cmd_epinf(args) -> int:
         _check_epinf_memory(part, cross)
     eig = eigensystem(u)  # refuses a non-unitary u with LinAlgError (exit 3)
     resonance = commensurability_check(eig.phases, tol=args.tol)
-    # the reduced data is dropped before the diagnostics below run
+    # the reduced data is dropped before the cross-check below runs
     reduced = ReducedEigenData.from_eigensystem(eig, part)
     power = asymptotic_entangling_power(eig, part, reduced=reduced, resonance=resonance)
     del reduced
@@ -375,7 +375,7 @@ def cmd_epinf(args) -> int:
         "entangling_power_asymptotic": power.value,
         "assumptions_violated": power.assumptions_violated,
         "resonance": resonance.to_dict(),
-        "eigensolver": eigensystem_diagnostics(u, eig),
+        "eigensolver": eigensystem_diagnostics(u, eig),  # eigensystem's certificate, by one hash of u
         "cue_mean_entropy": cue_mean_entropy(part),
     }
     flag = " [resonances flagged]" if power.assumptions_violated else ""
@@ -406,7 +406,7 @@ def cmd_spectrum_check(args) -> int:
     report = {
         "metadata": _metadata(args, map_file=args.map_file, d=int(u.shape[0]), tol=args.tol),
         "phases": [float(p) for p in eig.phases],
-        "eigensolver": eigensystem_diagnostics(u, eig),
+        "eigensolver": eigensystem_diagnostics(u, eig),  # eigensystem's certificate, by one hash of u
         "resonance": resonance.to_dict(),
     }
     found = resonance.violation_count if resonance.has_nontrivial_resonance else "no"

@@ -27,7 +27,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -180,10 +182,18 @@ class EigenSystem:
 
     ``phases`` are the eigenphases in ``[0, 2*pi)``, ascending; column
     ``vectors[:, k]`` is the orthonormal eigenvector for ``phases[k]``.
+
+    ``diagnostics`` is the read-only certificate that :func:`eigensystem`
+    attaches: the figures of :func:`eigensystem_diagnostics` that its gates
+    passed, measured on the matrix whose shape and sha256 the private
+    ``_digest`` records.  A hand-built eigensystem, or a
+    ``dataclasses.replace`` copy, has none (both fields are None).
     """
 
     phases: np.ndarray
     vectors: np.ndarray
+    diagnostics: MappingProxyType | None = field(default=None, init=False, compare=False, repr=False)
+    _digest: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -257,6 +267,8 @@ def eigensystem(u) -> EigenSystem:
         raise LinAlgError(f"eigenbasis not orthonormal: defect {diag['orthonormality_defect']:.3e}")
     if not diag["reconstruction_error"] < EIGEN_TOL * d:
         raise LinAlgError(f"spectral reconstruction error {diag['reconstruction_error']:.3e}")
+    object.__setattr__(eig, "diagnostics", MappingProxyType(diag))
+    object.__setattr__(eig, "_digest", _digest(u))
     return eig
 
 
@@ -489,13 +501,39 @@ def _from_parity_vectors(w_minus, w_plus):
 def eigensystem_diagnostics(u, eig: EigenSystem) -> dict:
     """Residual, orthonormality, and reconstruction errors of a decomposition.
 
+    When ``eig`` carries the certificate of :func:`eigensystem` and ``u`` has
+    the shape and sha256 of the matrix it was measured on, this returns a
+    copy of ``eig.diagnostics``: one sha256 pass over the 16 d^2 bytes of
+    ``u`` instead of the three d^3 products below.  Otherwise the figures are
+    computed, in the same way :func:`eigensystem` computed them for its gates.
+
+    Raises
+    ------
+    ValueError
+        If ``u`` is not a ``eig.dim x eig.dim`` matrix.
+    """
+    u = as_matrix(u)
+    if u.shape != (eig.dim, eig.dim):
+        raise ValueError(f"matrix shape {u.shape} does not match eigensystem dimension {eig.dim}")
+    if eig.diagnostics is not None and eig._digest == _digest(u):
+        return dict(eig.diagnostics)
+    return _diagnostics(u, eig)
+
+
+def _digest(u):
+    """Shape and sha256 of a complex128 matrix's entries in C order; a C-contiguous ``u`` is not copied."""
+    return u.shape, hashlib.sha256(np.ascontiguousarray(u)).digest()
+
+
+def _diagnostics(u, eig):
+    """The figures of :func:`eigensystem_diagnostics`, computed.
+
     Computed in blocks of ``_BLOCK`` columns (residual) and rows (Gram,
     reconstruction): each entry is the same sum as in the full d x d
     products, and the figures are their maxima, so they do not depend on the
     block size.
     """
     phases, vectors = eig.phases, eig.vectors
-    u = as_matrix(u)
     n = phases.size
     lam = np.exp(1j * phases)
     conj = vectors.conj()

@@ -18,6 +18,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .linalg import (
+    _BLOCK,
     UNITARY_TOL,
     _fourier_apply,
     _fourier_kernel,
@@ -84,14 +85,25 @@ def _baker_family(d, sign):
     F is ``diag(G^{-1}, G^{-1})`` for B and ``diag(G^{-1}, sign G)`` for D and
     D', with ``G = G_{d/2}``.  F is symmetric, so transforming its rows by FFT
     gives ``F G_d = (G_d F)^T`` in O(d^2 log d) instead of a d^3 product.
+    F is built and transformed a block of at most d/4 rows at a time, each
+    block written straight into its columns of the output, so besides the
+    map only G and two blocks, at most d/2 rows together, are alive.
     """
     half = d // 2
     g = _fourier_kernel(half)
-    out = np.zeros((d, d), dtype=np.complex128)
-    out[:half, :half] = g.conj()
-    out[half:, half:] = sign * g if sign else g.conj()
-    out = _fourier_apply(out)  # rebinding frees F: two d x d arrays at most
-    return np.ascontiguousarray(out.T)
+    out = np.empty((d, d), dtype=np.complex128)
+    step = min(_BLOCK, d // 4)
+    for a in range(0, d, step):
+        b = min(a + step, d)
+        rows = np.zeros((b - a, d), dtype=np.complex128)
+        c = min(max(a, half), b)  # rows a:c of F are in its first block, c:b in its second
+        np.conjugate(g[a:c], out=rows[: c - a, :half])
+        if sign:
+            np.multiply(g[c - half : b - half], sign, out=rows[c - a :, half:])
+        else:
+            np.conjugate(g[c - half : b - half], out=rows[c - a :, half:])
+        out[:, a:b] = _fourier_apply(rows).T
+    return out
 
 
 def _baker_rows(psi, sign):

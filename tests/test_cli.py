@@ -342,6 +342,33 @@ class TestSpectrumCheck:
         assert run("spectrum-check", map_path) == 2
 
 
+class TestCertifiedDiagnostics:
+    """The report's eigensolver figures are eigensystem's certificate: one computation per run."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """The eigensystems ``linalg._diagnostics`` runs on, one entry per computation."""
+        calls, compute = [], bl.linalg._diagnostics
+        monkeypatch.setattr("bakerlab.linalg._diagnostics", lambda u, eig: calls.append(eig) or compute(u, eig))
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["epinf", "--split", "4x4", "--map-file"], id="epinf-map-file"),
+        pytest.param(["spectrum-check"], id="spectrum-check"),
+    ])
+    def test_diagnostics_are_computed_once(self, computed, tmp_path, argv):
+        path = tmp_path / "m.json"
+        bl.save_cmatrix(path, bl.bbar(16))
+        out = tmp_path / "x.json"
+        assert run(*argv, path, "--out", out) == 0
+        assert len(computed) == 1
+        assert json.loads(out.read_text())["eigensolver"] == dict(computed[0].diagnostics)
+
+    def test_epinf_by_kind_computes_once(self, computed, tmp_path):
+        assert run("epinf", "--kind", "dmap", "--d", 16, "--split", "4x4", "--out", tmp_path / "x.json") == 0
+        assert len(computed) == 1
+
+
 class TestParsing:
     def test_version_flag(self, capsys):
         assert run("--version") == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
@@ -595,3 +597,94 @@ class TestTimeReversalGate:
         monkeypatch.setattr(linalg, "_fourier_kernel", lambda n: calls.append(n) or kernel(n))
         linalg._time_reversal(reversal_input(name, 64))
         assert calls == built
+
+
+def certificate_input(kind, d):
+    if kind == "cue":
+        return bl.sample_cue(d, bl.RngStream(421, d))
+    return bl.make_map(kind, d)
+
+
+CERTIFICATE_CASES = [(kind, d) for kind in ("baker", "bbar", "dmap", "dprime", "cue", "lambda")
+                     for d in (16, 64, 256, 512)]
+
+
+class TestEigensystemCertificate:
+    """``eigensystem`` keeps the figures its gates passed; a byte-identical ``u`` looks them up."""
+
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """The matrices ``linalg._diagnostics`` runs on, one entry per computation."""
+        calls, compute = [], linalg._diagnostics
+        monkeypatch.setattr(linalg, "_diagnostics", lambda u, eig: calls.append(u) or compute(u, eig))
+        return calls
+
+    @pytest.mark.parametrize("kind,d", CERTIFICATE_CASES, ids=[f"{k}-{d}" for k, d in CERTIFICATE_CASES])
+    def test_looked_up_figures_equal_a_fresh_computation(self, computed, kind, d):
+        u = certificate_input(kind, d)
+        eig = bl.eigensystem(u)
+        assert len(computed) == 1  # the gates
+        looked_up = bl.eigensystem_diagnostics(u, eig)
+        assert len(computed) == 1
+        assert looked_up == dict(eig.diagnostics)
+        assert looked_up == bl.eigensystem_diagnostics(u, bl.EigenSystem(eig.phases, eig.vectors))
+        assert len(computed) == 2
+
+    def test_changed_entry_is_recomputed(self, computed):
+        u = bl.baker(64)
+        eig = bl.eigensystem(u)
+        u[3, 5] += 1e-6
+        diag = bl.eigensystem_diagnostics(u, eig)
+        assert len(computed) == 2
+        assert eig.diagnostics["reconstruction_error"] < 1e-13
+        assert diag["reconstruction_error"] == pytest.approx(1e-6, rel=1e-6)
+
+    def test_equal_bytes_hit_the_certificate(self, computed):
+        u = bl.bbar(64)
+        eig = bl.eigensystem(u)
+        copy = u.copy()
+        copy.setflags(write=False)
+        assert bl.eigensystem_diagnostics(copy, eig) == dict(eig.diagnostics)
+        assert len(computed) == 1
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_non_contiguous_u_gives_the_same_figures(self, layout):
+        u = bl.d_map(64)
+        eig = bl.eigensystem(u)
+        if layout == "fortran":
+            other = u.T.copy().T
+        else:
+            other = np.zeros((64, 128), dtype=complex)[:, ::2]
+            other[:] = u
+        assert not other.flags.c_contiguous
+        assert bl.eigensystem_diagnostics(other, eig) == dict(eig.diagnostics)
+
+    def test_hand_built_and_replaced_eigensystems_recompute(self, computed):
+        u = bl.baker(32)
+        eig = bl.eigensystem(u)
+        for other in (bl.EigenSystem(eig.phases, eig.vectors), dataclasses.replace(eig)):
+            assert other.diagnostics is None
+            assert other == eig
+            bl.eigensystem_diagnostics(u, other)
+        assert len(computed) == 3
+
+    def test_certificate_is_read_only(self):
+        eig = bl.eigensystem(bl.baker(16))
+        with pytest.raises(TypeError):
+            eig.diagnostics["max_residual"] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            eig.diagnostics = {}
+        assert "diagnostics" not in repr(eig)
+
+    @pytest.mark.parametrize("u", [bl.baker(8), bl.baker(16)[:, :8], np.eye(32)], ids=["d8", "16x8", "eye32"])
+    def test_mismatched_u_is_refused_by_name(self, monkeypatch, u):
+        eig = bl.eigensystem(bl.baker(16))
+
+        def refuse(*args):
+            raise AssertionError("a product or hash ran on a mismatched u")
+
+        monkeypatch.setattr(linalg, "_diagnostics", refuse)
+        monkeypatch.setattr(linalg, "_digest", refuse)
+        with pytest.raises(ValueError, match=rf"shape \({u.shape[0]}, {u.shape[1]}\) does not match "
+                                             r"eigensystem dimension 16"):
+            bl.eigensystem_diagnostics(u, eig)
