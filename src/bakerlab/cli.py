@@ -35,7 +35,7 @@ from .entropy import (
 )
 from .linalg import Bipartition, eigensystem, eigensystem_diagnostics
 from .maps import MapKind, make_map
-from .matrixio import _header_dims, atomic_write, load_cmatrix, save_cmatrix
+from .matrixio import _MIN_ENTRY_BYTES, _header_dims, atomic_write, load_cmatrix, save_cmatrix
 from .reports import HistogramSummary, write_entropy_csv
 
 EXIT_OK = 0
@@ -77,19 +77,23 @@ _EIGEN_COPIES = 6
 #: d = 256, splits 16x16 and 2x128, the peak stays between 0.5 and 0.9 of the
 #: sum the two constants give (tests/test_cli.py)
 _REDUCED_COPIES = 1.5
-#: ``load_cmatrix`` parses a map file with ``json.load``: the text and one
-#: Python ``[re, im]`` list per entry, 11.8-12.9 complex d x d arrays' worth
-#: by tracemalloc at d = 16..512.  It is freed before the eigensolve, so a
-#: map file run needs the larger of this and the sum above
-_READ_COPIES = 13
-#: the fewest bytes a cmatrix-json entry takes, ``[0,0]`` and a comma: a map
-#: file without the header ``save_cmatrix`` writes is budgeted from its size
-_MIN_ENTRY_BYTES = 6
+#: ``load_cmatrix`` streams a map file that opens as ``save_cmatrix`` writes
+#: it into the matrix it returns, one 16 KiB chunk of entries at a time:
+#: tracemalloc reads 1.24 and 1.06 complex d x d arrays at d = 256 and 512,
+#: the chunk's ~240 KiB of Python lists beyond the matrix
+_READ_COPIES = 2
+#: a map file in any other layout is parsed whole by ``json.load``: the text
+#: and one Python ``[re, im]`` list per entry, 11.9-12.4 complex d x d arrays'
+#: worth by tracemalloc at d = 16..1024.  Either reader is done before the
+#: eigensolve starts, so a map file run needs the larger of its reader's
+#: budget and the eigensolve's
+_JSON_LOAD_COPIES = 13
 #: more than the 54 bytes ``save_cmatrix`` writes per entry at most; a file
-#: longer than its header's entries take at this width is budgeted from its size
+#: longer than its header's entries take at this width is budgeted from its
+#: size, like a file without the header
 _MAX_ENTRY_BYTES = 64
 #: gen-map holds the map, its builder's temporaries and one row as Python
-#: floats and JSON text: tracemalloc reads 1.0-2.6 complex d x d arrays'
+#: floats and JSON text: tracemalloc reads 1.0-2.0 complex d x d arrays'
 #: worth at d = 256..1024
 _GEN_MAP_COPIES = 3
 #: bytes per float64 sample summarized outside the engine (ensemble entropies,
@@ -208,26 +212,32 @@ def _check_outputs(args):
 
 
 def _map_file_dim(path, d=None):
-    """Refuse a map file that ``load_cmatrix`` cannot parse in physical memory, before it parses an entry.
+    """Refuse a map file that ``load_cmatrix`` cannot read in physical memory, before it parses an entry.
 
-    The ``_READ_COPIES`` budget counts the ``dim_rows`` x ``dim_cols`` entries
-    of the header ``save_cmatrix`` writes first; a file without it, or longer
-    than those entries take, counts one entry per ``_MIN_ENTRY_BYTES`` of its
-    size.  A header that fails :func:`_check_square` is refused here too.
-    Returns the dimension of the header, else None.
+    A file that opens with the header ``save_cmatrix`` writes is budgeted at
+    ``_READ_COPIES`` per ``dim_rows`` x ``dim_cols`` entry; one without it,
+    or longer than its header's entries take, at ``_JSON_LOAD_COPIES`` per
+    ``_MIN_ENTRY_BYTES`` of its size.  A header that fails
+    :func:`_check_square` is refused here too.  Returns the dimension of the
+    header, else None.
     """
     size = os.path.getsize(path)
     dims = _header_dims(path)
     if dims is not None and size > _MAX_ENTRY_BYTES * (dims[0] * dims[1] + 1):
         dims = None
     if dims is None:
-        entries, what = size // _MIN_ENTRY_BYTES + 1, f"{size} bytes"
+        need, what = _JSON_LOAD_COPIES * (size // _MIN_ENTRY_BYTES + 1), f"{size} bytes"
     else:
-        entries, what = dims[0] * dims[1], "{}x{}".format(*dims)
-    _require_memory(16 * _READ_COPIES * entries, f"reading map file {path} ({what}) needs")
+        need, what = _READ_COPIES * dims[0] * dims[1], "{}x{}".format(*dims)
+    _require_memory(16 * need, f"reading map file {path} ({what}) needs")
     if dims is not None:
         _check_square(*dims, d)
         return dims[0]
+
+
+def _check_spectrum_memory(d):
+    """Refuse a ``d`` x ``d`` map whose eigensolve, scan and diagnostics cannot fit in physical memory."""
+    _require_memory(16 * _EIGEN_COPIES * d * d, f"the eigensolve of a {d}x{d} map needs")
 
 
 def _check_square(rows, cols, d=None):
@@ -398,9 +408,13 @@ def cmd_epinf(args) -> int:
 
 
 def cmd_spectrum_check(args) -> int:
-    _map_file_dim(args.map_file)  # _READ_COPIES > _EIGEN_COPIES: this bounds the eigensolve too
+    d = _map_file_dim(args.map_file)
+    if d is not None:  # the reader is budgeted; now the eigensolve
+        _check_spectrum_memory(d)
     u = load_cmatrix(args.map_file)
     _check_square(*u.shape)
+    if d is None:  # a file without a header is checked once parsed
+        _check_spectrum_memory(u.shape[0])
     eig = eigensystem(u)  # refuses a non-unitary u with LinAlgError (exit 3)
     resonance = commensurability_check(eig.phases, tol=args.tol)
     report = {

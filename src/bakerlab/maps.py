@@ -22,11 +22,9 @@ from .linalg import (
     UNITARY_TOL,
     _fourier_apply,
     _fourier_kernel,
-    _from_parity_blocks,
     _parity_blocks,
     as_matrix,
     assert_unitary,
-    kron,
     max_abs,
 )
 
@@ -79,19 +77,21 @@ def baker(d: int) -> np.ndarray:
     return _baker_family(d, 0)
 
 
-def _baker_family(d, sign):
+def _baker_family(d, sign, out=None):
     """``G_d F`` for the block-diagonal factor F of B (sign 0), D (+1) or D' (-1).
 
     F is ``diag(G^{-1}, G^{-1})`` for B and ``diag(G^{-1}, sign G)`` for D and
     D', with ``G = G_{d/2}``.  F is symmetric, so transforming its rows by FFT
     gives ``F G_d = (G_d F)^T`` in O(d^2 log d) instead of a d^3 product.
     F is built and transformed a block of at most d/4 rows at a time, each
-    block written straight into its columns of the output, so besides the
-    map only G and two blocks, at most d/2 rows together, are alive.
+    block written straight into its columns of the output (``out``, a
+    d x d view, when given), so besides the map only G and two blocks, at
+    most d/2 rows together, are alive.
     """
     half = d // 2
     g = _fourier_kernel(half)
-    out = np.empty((d, d), dtype=np.complex128)
+    if out is None:
+        out = np.empty((d, d), dtype=np.complex128)
     step = min(_BLOCK, d // 4)
     for a in range(0, d, step):
         b = min(a + step, d)
@@ -148,8 +148,13 @@ def lambda_basis(d: int) -> np.ndarray:
     itself applies Lambda by slicing (see ``bakerlab.linalg``).
     """
     _require_even(d, 2, "parity basis change")
-    y = np.array([[0.0, -1j], [1j, 0.0]])
-    return (np.eye(d) + 1j * kron(y, reflection(d // 2))) / np.sqrt(2.0)
+    h, i = d // 2, np.arange(d // 2)
+    s = 1.0 / np.sqrt(2.0)
+    out = np.zeros((d, d), dtype=np.complex128)
+    out[np.arange(d), np.arange(d)] = s
+    out[i, d - 1 - i] = s  # R in the upper right quarter
+    out[h + i, h - 1 - i] = -s  # -R in the lower left
+    return out
 
 
 def d_map(d: int, sign: int = +1) -> np.ndarray:
@@ -175,8 +180,19 @@ def bbar(d: int) -> np.ndarray:
     """
     if d < 8 or d % 4:
         raise ValueError(f"this construction needs d divisible by 4 and >= 8, got {d}")
-    half = d // 2
-    return _from_parity_blocks(d_map(half, +1), d_map(half, -1)[::-1, ::-1])
+    # Lambda diag(X, R Y R) Lambda^dag for X = D_{d/2}, Y = D'_{d/2} reads
+    # [[X + Y, (Y - X) R], [R (Y - X), R (X + Y) R]] / 2 in quarters: X and Y
+    # are built in the lower quarters, which are filled last
+    h = d // 2
+    out = np.empty((d, d), dtype=np.complex128)
+    x = _baker_family(h, +1, out[h:, h:])
+    y = _baker_family(h, -1, out[h:, :h])
+    np.add(x, y, out=out[:h, :h])
+    np.subtract(y, x, out=out[:h, h:][:, ::-1])
+    out[h:, h:] = out[:h, :h][::-1, ::-1]
+    out[h:, :h] = out[:h, h:][::-1, ::-1]
+    out *= 0.5
+    return out
 
 
 def reflection_commutator(u) -> float:

@@ -7,7 +7,17 @@ A cmatrix-json file holds a single JSON object::
 where ``entries`` lists the R*C complex entries in row-major order as
 ``[real, imaginary]`` pairs of IEEE-754 doubles.  Serialization uses Python's
 shortest round-trip float repr, so save -> load reproduces every entry bit
-for bit.
+for bit, signed zeros and subnormals included.
+
+:func:`load_cmatrix` reads a file that opens exactly as :func:`save_cmatrix`
+writes it, ``{"dim_rows": R, "dim_cols": C, "entries": [``, a chunk at a
+time: each chunk is cut at its last ``],`` entry boundary, parsed by
+:func:`json.loads` and copied into one preallocated array, so it holds the
+matrix and one chunk's entries instead of a Python list per entry.  Any other
+layout (another key order or spacing, a hand-written file) is parsed whole by
+:func:`json.load`, which holds ~12 matrices' worth of Python lists.  Both
+accept json's grammar, give the same bits and raise the same ``ValueError``
+messages for wrong counts, pairs and non-finite values.
 
 :func:`atomic_write` is the all-or-nothing text writer behind every file the
 package writes: cmatrix-json here, and the CSV and JSON reports.
@@ -36,6 +46,19 @@ def cmatrix_to_dict(m) -> dict:
     return {"dim_rows": int(m.shape[0]), "dim_cols": int(m.shape[1]), "entries": entries}
 
 
+_NOT_PAIRS = "matrix entries must be [real, imag] number pairs"
+_NOT_FINITE = "matrix entries must be finite"
+
+
+def _pairs(entries):
+    """``entries`` as an (n, 2) float64 array, or None unless each is a [real, imag] number pair."""
+    try:
+        arr = np.asarray(entries, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an integer beyond float range
+        return None
+    return arr if arr.shape == (len(entries), 2) else None
+
+
 def cmatrix_from_dict(obj) -> np.ndarray:
     """Rebuild a complex matrix from its dict form, validating the layout."""
     if not isinstance(obj, dict):
@@ -49,15 +72,12 @@ def cmatrix_from_dict(obj) -> np.ndarray:
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
-    try:
-        arr = np.asarray(entries, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError("matrix entries must be [real, imag] number pairs") from exc
-    if arr.shape != (rows * cols, 2):
-        raise ValueError("matrix entries must be [real, imag] number pairs")
+    arr = _pairs(entries)
+    if arr is None:
+        raise ValueError(_NOT_PAIRS)
     if not np.isfinite(arr).all():
-        raise ValueError("matrix entries must be finite")
-    return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
+        raise ValueError(_NOT_FINITE)
+    return arr.view(np.complex128).reshape(rows, cols)
 
 
 @contextmanager
@@ -105,21 +125,118 @@ def save_cmatrix(path, m):
 
 
 #: the opening :func:`save_cmatrix` writes, up to the first entry
-_HEADER = re.compile(rb'\{"dim_rows": ([1-9][0-9]*), "dim_cols": ([1-9][0-9]*), ')
+_HEADER = re.compile(rb'\{"dim_rows": ([1-9][0-9]*), "dim_cols": ([1-9][0-9]*), "entries": \[')
+#: the end of a file after its last entry: the closing brackets of the
+#: entries and of the object, and JSON whitespace
+_CLOSE = re.compile(rb"\][ \t\n\r]*\}[ \t\n\r]*\Z")
+#: the fewest bytes a cmatrix-json entry takes, ``[0,0]`` and a comma
+_MIN_ENTRY_BYTES = 6
+#: bytes the streamed reader reads at a time.  One chunk's parse holds ~15
+#: bytes of text, lists and floats per byte of it, ~240 KiB; 16 KiB reads as
+#: fast as 64 KiB at d = 256 and 512
+_CHUNK_BYTES = 1 << 14
+
+
+def _header(f):
+    """The :data:`_HEADER` match at the start of binary file ``f``, or None."""
+    return _HEADER.match(f.read(128))
 
 
 def _header_dims(path):
     """``(rows, cols)`` from the file's first bytes; None unless it opens as :func:`save_cmatrix` writes."""
     with open(path, "rb") as f:
-        match = _HEADER.match(f.read(128))
+        match = _header(f)
     return None if match is None else (int(match[1]), int(match[2]))
 
 
+def _not_json(path, what):
+    return ValueError(f"{path} is not valid JSON: {what}")
+
+
+def _parse_json(path, text, start=None):
+    """:func:`json.loads` of ``text``; ``ValueError`` naming ``path`` if it is not JSON.
+
+    ``start`` is the file offset of ``text[1]`` when ``text`` is a piece of
+    the file behind an added ``[``; the error then names the file's byte.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _not_json(path, exc if start is None else f"{exc.msg}: byte {start + exc.pos - 1}") from exc
+    except RecursionError:  # json's decoder recurses once per nested array or object
+        raise _not_json(path, "arrays nested too deeply") from None
+
+
+def _stream_entries(f, path, rows, cols):
+    """The entries after the header of binary file ``f``, as a complex ``rows`` x ``cols`` matrix.
+
+    Reads :data:`_CHUNK_BYTES` at a time and cuts the text at its last
+    ``],`` entry boundary: the entries before the cut are parsed by
+    :func:`json.loads` as one JSON array and copied into the output, the rest
+    is carried into the next chunk.  Only the output and one chunk's entries
+    are held.  Text without a ``],`` boundary is carried until one comes:
+    an entry longer than a chunk is parsed whole, and entries with
+    whitespace before their commas are parsed as one piece, at what
+    :func:`json.load` holds.  A parsing error is raised where it is met; the count, pair and finiteness checks of
+    :func:`cmatrix_from_dict` are raised once every entry has been counted, in
+    its order, so both readers refuse a file with the same message.
+    """
+    n = rows * cols
+    # a file holds at most one entry per _MIN_ENTRY_BYTES: a header that
+    # overstates its entries is refused by the count, not by allocation
+    out = np.empty((min(n, os.fstat(f.fileno()).st_size // _MIN_ENTRY_BYTES + 1), 2))
+    count, pairs, finite = 0, True, True
+    text, start = bytearray(), f.tell()  # start: the file offset of text[0]
+    while True:
+        seen = len(text)  # text carried from earlier reads holds no boundary
+        data = f.read(_CHUNK_BYTES)
+        text += data
+        if data:
+            cut = text.rfind(b"],", max(seen - 1, 0)) + 1
+            if not cut:
+                continue
+            piece = text[:cut]
+            del text[: cut + 1]
+        else:
+            close = _CLOSE.search(text)
+            if close is None:
+                raise _not_json(path, f"the entries are not closed by ']}}' before byte {start + len(text)}")
+            piece = text[: close.start()]
+        values = _parse_json(path, b"[" + piece + b"]", start)
+        if not values and count:  # a ',' with no entry after it
+            raise _not_json(path, f"Expecting value: byte {start}")
+        arr = _pairs(values)
+        if arr is None:
+            pairs = False
+        else:
+            finite = finite and bool(np.isfinite(arr).all())
+            if count + len(arr) <= len(out):
+                out[count : count + len(arr)] = arr
+        count += len(values)
+        if not data:
+            break
+        start += cut + 1
+    if count != n:
+        raise ValueError(f"expected {n} entries, got {count}")
+    if not pairs:
+        raise ValueError(_NOT_PAIRS)
+    if not finite:
+        raise ValueError(_NOT_FINITE)
+    return out.view(np.complex128).reshape(rows, cols)
+
+
 def load_cmatrix(path) -> np.ndarray:
-    """Load a cmatrix-json file; raises ``ValueError`` on malformed content."""
+    """Load a cmatrix-json file; raises ``ValueError`` on malformed content.
+
+    A file that opens as :func:`save_cmatrix` writes it is read a chunk at a
+    time (:func:`_stream_entries`); any other is parsed whole by
+    :func:`json.load` and checked by :func:`cmatrix_from_dict`.
+    """
+    with open(path, "rb") as f:
+        header = _header(f)
+        if header is not None:
+            f.seek(header.end())
+            return _stream_entries(f, path, int(header[1]), int(header[2]))
     with open(path) as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+        obj = _parse_json(path, f.read())  # what json.load does
     return cmatrix_from_dict(obj)

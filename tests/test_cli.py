@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 import bakerlab as bl
 from bakerlab.cli import (
     _EIGEN_COPIES,
+    _JSON_LOAD_COPIES,
     _READ_COPIES,
     _REDUCED_COPIES,
     _REFERENCE_CHUNK,
@@ -489,24 +490,34 @@ class TestMemoryPreflight:
         # and the estimate is not loose: it refuses only what is at most twice too large
         assert max(peaks.values()) > budget[0] / 2, {k: v / budget[0] for k, v in peaks.items()}
 
-    def test_map_file_reader_stays_within_its_estimate(self, tmp_path):
+    @pytest.mark.parametrize("layout, copies", [
+        pytest.param("header", _READ_COPIES, id="streamed"),
+        pytest.param("reordered", _JSON_LOAD_COPIES, id="json-load"),
+    ])
+    def test_map_file_reader_stays_within_its_estimate(self, tmp_path, layout, copies):
         d = 256
         path = tmp_path / "m.json"
         bl.save_cmatrix(path, bl.bbar(d))
+        if layout == "reordered":  # the keys in another order: parsed whole by json.load
+            obj = json.loads(path.read_text())
+            path.write_text(json.dumps({"entries": obj["entries"], "dim_rows": d, "dim_cols": d}))
         tracemalloc.start()
         try:
             bl.load_cmatrix(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 16 * (_READ_COPIES - 2) * d * d < peak < 16 * _READ_COPIES * d * d
+        assert 16 * (copies - 2) * d * d < peak < 16 * copies * d * d
 
     def test_epinf_with_map_file_and_d_counts_the_reader(self, monkeypatch, tmp_path, capsys):
+        # a file without save_cmatrix's header is budgeted for json.load,
+        # which needs more than the eigensolve and reduction of its --d
         part = bl.Bipartition(4, 4)
-        reader = 16 * _READ_COPIES * 16**2
-        assert reader > 16 * 16 * (_EIGEN_COPIES * 16 + _REDUCED_COPIES * (4**2 + 4**2))
         path = tmp_path / "m.json"
-        bl.save_cmatrix(path, bl.baker(16))
+        path.write_text(json.dumps({"entries": bl.cmatrix_to_dict(bl.baker(16))["entries"],
+                                    "dim_rows": 16, "dim_cols": 16}))
+        reader = 16 * _JSON_LOAD_COPIES * (path.stat().st_size // 6 + 1)
+        assert reader > 16 * 16 * (_EIGEN_COPIES * 16 + _REDUCED_COPIES * (4**2 + 4**2))
         monkeypatch.setattr("os.sysconf", lambda name: reader - 1 if name == "SC_PHYS_PAGES" else 1)
         _check_epinf_memory(part)
         assert run("epinf", "--kind", "baker", "--d", 16, "--split", "4x4", "--out", tmp_path / "kind.json") == 0
@@ -516,6 +527,19 @@ class TestMemoryPreflight:
         assert "physical memory" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_spectrum_check_refuses_an_eigensolve_beyond_memory_before_reading(self, monkeypatch, tmp_path,
+                                                                               capsys):
+        path = tmp_path / "m.json"
+        bl.save_cmatrix(path, bl.baker(16))
+        eigen = 16 * _EIGEN_COPIES * 16**2
+        assert eigen > 16 * _READ_COPIES * 16**2  # the reader fits, the eigensolve does not
+        TestCountsRefusedUpFront.refuse_work(monkeypatch)
+        monkeypatch.setattr("os.sysconf", lambda name: eigen - 1 if name == "SC_PHYS_PAGES" else 1)
+        out = tmp_path / "x.json"
+        assert run("spectrum-check", path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "eigensolve of a 16x16 map" in err and "physical memory" in err
+        assert not out.exists()
 
     def test_cue_reference_budget_counts_a_chunk_of_states(self, monkeypatch, tmp_path, capsys):
         # the samples and bins fit, the chunk's complex (_REFERENCE_CHUNK, d) arrays do not
@@ -556,11 +580,13 @@ class TestMemoryPreflight:
 
     @pytest.mark.parametrize("command", MAP_FILE_COMMANDS)
     def test_map_file_header_budget_admits_what_fits(self, monkeypatch, tmp_path, command):
-        # for a 4x4 split at d = 16 the reader is epinf's largest stage too
+        # the streamed reader is the smaller stage: what the eigensolve (and
+        # for epinf at a 4x4 split, the reduction) needs is the whole budget
         path = tmp_path / "m.json"
         bl.save_cmatrix(path, bl.baker(16))
-        reader = 16 * _READ_COPIES * 16**2
-        monkeypatch.setattr("os.sysconf", lambda name: reader if name == "SC_PHYS_PAGES" else 1)
+        need = 16 * 16 * (_EIGEN_COPIES * 16 + (_REDUCED_COPIES * (4**2 + 4**2) if command[0] == "epinf" else 0))
+        assert need > 16 * _READ_COPIES * 16**2
+        monkeypatch.setattr("os.sysconf", lambda name: need if name == "SC_PHYS_PAGES" else 1)
         assert run(*command, path, "--out", tmp_path / "x.json") == 0
 
 

@@ -1,10 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import bakerlab as bl
+from bakerlab.cli import main
+from bakerlab.matrixio import _header_dims
 
 
 class TestCmatrixJson:
@@ -80,10 +83,161 @@ class TestCmatrixJson:
         with pytest.raises(ValueError, match="finite"):
             bl.cmatrix_from_dict({"dim_rows": 1, "dim_cols": 1, "entries": [[np.inf, 0.0]]})
 
-    def test_rejects_invalid_json_file(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        pytest.param("{not json", id="not-json"),
+        pytest.param("[" * 100000 + "]" * 100000, id="nested-too-deep"),
+    ])
+    def test_rejects_invalid_json_file(self, tmp_path, text):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_text(text)
         with pytest.raises(ValueError, match="JSON"):
+            bl.load_cmatrix(path)
+
+    def test_rejects_an_integer_beyond_float_range(self):
+        with pytest.raises(ValueError, match="number pairs"):
+            bl.cmatrix_from_dict({"dim_rows": 1, "dim_cols": 1, "entries": [[10**400, 0]]})
+
+
+def bits(m):
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+def json_load_reader(path):
+    """The reader for any layout: the whole file parsed by json.load."""
+    with open(path) as f:
+        return bl.cmatrix_from_dict(json.load(f))
+
+
+#: the opening save_cmatrix writes for a 4 x 4 matrix, and the identity's entries
+HEADER_4 = '{"dim_rows": 4, "dim_cols": 4, "entries": ['
+IDENTITY_4 = ["[1.0, 0.0]" if i % 5 == 0 else "[0.0, 0.0]" for i in range(16)]
+
+
+def canonical_4(entries=IDENTITY_4, end="]}\n"):
+    return HEADER_4 + ", ".join(entries) + end
+
+
+class TestStreamedReader:
+    """load_cmatrix streams files that open as save_cmatrix writes them."""
+
+    KINDS_AND_DIMS = [(kind.value, d) for kind in bl.MapKind for d in [*range(1, 33), 48, 64, 100, 128, 256]]
+
+    def test_gen_map_output_of_every_kind_reads_back_bit_for_bit(self, tmp_path):
+        path = tmp_path / "m.json"
+        for kind, d in self.KINDS_AND_DIMS:
+            try:
+                m = bl.make_map(kind, d)
+            except ValueError:  # a dimension this kind does not exist at
+                continue
+            bl.save_cmatrix(path, m)  # the bytes gen-map writes
+            assert _header_dims(path) == (d, d)
+            streamed = bl.load_cmatrix(path)
+            assert streamed.shape == (d, d) and streamed.flags.c_contiguous
+            assert np.array_equal(bits(streamed), bits(m)), (kind, d)
+            assert np.array_equal(bits(streamed), bits(json_load_reader(path))), (kind, d)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 11, 64])
+    def test_entries_straddling_a_chunk(self, monkeypatch, tmp_path, chunk):
+        rng = np.random.default_rng(chunk)
+        m = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        m[0, 0], m[2, 3], m[5, 4] = complex(-0.0, 5e-324), complex(1e300, -1e-310), complex(-0.0, -0.0)
+        path = tmp_path / "m.json"
+        bl.save_cmatrix(path, m)
+        monkeypatch.setattr("bakerlab.matrixio._CHUNK_BYTES", chunk)
+        assert np.array_equal(bits(bl.load_cmatrix(path)), bits(m))
+
+    @pytest.mark.parametrize("layout", ["streamed", "reordered"])
+    def test_signed_zeros_subnormals_and_extremes_keep_their_bits(self, tmp_path, layout):
+        values = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, -1e-310, 2.2250738585072014e-308]
+        m = np.array([complex(a, b) for a in values for b in values]).reshape(8, 8)
+        path = tmp_path / "m.json"
+        bl.save_cmatrix(path, m)
+        if layout == "reordered":
+            obj = json.loads(path.read_text())
+            path.write_text(json.dumps({"dim_cols": 8, "entries": obj["entries"], "dim_rows": 8}))
+            assert _header_dims(path) is None
+        assert np.array_equal(bits(bl.load_cmatrix(path)), bits(m))
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(json.dumps({"entries": [[1, 0], [0, 1]], "dim_rows": 1, "dim_cols": 2}), id="key-order"),
+        pytest.param(json.dumps({"dim_rows": 1, "dim_cols": 2, "entries": [[1, 0], [0, 1]]}, indent=1),
+                     id="indented"),
+        pytest.param('{"dim_rows":1,"dim_cols":2,"entries":[[1,0],[0,1]]}', id="compact"),
+        pytest.param('{"dim_rows": 1, "dim_cols": 2, "entries": [[1, 0],[0, 1]]}', id="compact-entries"),
+        pytest.param('{"dim_rows": 1, "dim_cols": 2, "entries": [ [1, 0] ,\n\t[0, 1] ] }', id="spaced-entries"),
+        pytest.param('{"dim_rows": 1, "dim_cols": 2, "entries": [[1.0, 0.0], [0.0, 1.0]]}', id="no-newline"),
+    ])
+    def test_other_layouts_read_the_same_matrix(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        expected = np.array([[1, 1j]])
+        assert np.array_equal(bits(bl.load_cmatrix(path)), bits(expected))
+        assert np.array_equal(bits(json_load_reader(path)), bits(expected))
+
+    #: files that open as save_cmatrix writes and must be refused; None marks
+    #: a JSON error, whose message names the byte instead of json.load's column
+    MALFORMED = [
+        pytest.param(canonical_4(end="")[:-3], None, id="truncated-mid-entry"),
+        pytest.param(canonical_4(end=""), None, id="no-closing-brackets"),
+        pytest.param(canonical_4(end="]"), None, id="no-closing-brace"),
+        pytest.param(canonical_4(end="}\n"), None, id="no-closing-bracket"),
+        pytest.param(canonical_4(IDENTITY_4[:-1]), "expected 16 entries, got 15", id="one-short"),
+        pytest.param(canonical_4(IDENTITY_4 + ["[0.0, 0.0]"]), "expected 16 entries, got 17", id="one-extra"),
+        pytest.param(canonical_4(end=", ]}"), None, id="trailing-comma"),
+        pytest.param(canonical_4(["[1.0]"] + IDENTITY_4[1:]), "number pairs", id="single"),
+        pytest.param(canonical_4(IDENTITY_4[:-1] + ["[1, 2, 3]"]), "number pairs", id="triple"),
+        pytest.param(canonical_4(["[NaN, 0]"] + IDENTITY_4[1:]), "finite", id="nan"),
+        pytest.param(canonical_4(IDENTITY_4[:-1] + ["[0, Infinity]"]), "finite", id="infinity"),
+        pytest.param(canonical_4(["[+1, 0]"] + IDENTITY_4[1:]), None, id="plus-sign"),
+        pytest.param(canonical_4(["[01, 0]"] + IDENTITY_4[1:]), None, id="leading-zero"),
+        pytest.param(canonical_4(end="]}\njunk"), None, id="trailing-junk"),
+        pytest.param(canonical_4(end="]}]}"), None, id="closed-twice"),
+        pytest.param(canonical_4([f"[1{'0' * 400}, 0]"] + IDENTITY_4[1:]), "number pairs", id="integer-overflow"),
+        pytest.param(canonical_4(["[" * 100000 + "]" * 100000] + IDENTITY_4[1:]), None, id="nested-too-deep"),
+        # the count is checked before the pairs, and the pairs before finiteness
+        pytest.param(canonical_4(["[NaN, 0]", "[1]"] + IDENTITY_4[2:-1]), "expected 16 entries, got 15",
+                     id="short-bad-pair"),
+        pytest.param(canonical_4(["[NaN, 0]"] + IDENTITY_4[1:-1] + ["[1]"]), "number pairs", id="nan-and-pair"),
+    ]
+
+    @pytest.mark.parametrize("text, message", MALFORMED)
+    def test_malformed_files_are_refused(self, tmp_path, text, message):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert _header_dims(path) == (4, 4)
+        with pytest.raises(ValueError) as streamed:
+            bl.load_cmatrix(path)
+        if message is None:
+            assert str(streamed.value).startswith(f"{path} is not valid JSON: ")
+        else:  # the message the json.load path gives
+            assert message in str(streamed.value)
+            with pytest.raises(ValueError, match=re.escape(str(streamed.value))):
+                json_load_reader(path)
+
+    @pytest.mark.parametrize("chunk", [1, 5])
+    @pytest.mark.parametrize("text, message", MALFORMED)
+    def test_chunk_size_does_not_change_the_verdict(self, monkeypatch, tmp_path, chunk, text, message):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        monkeypatch.setattr("bakerlab.matrixio._CHUNK_BYTES", chunk)
+        with pytest.raises(ValueError, match="is not valid JSON" if message is None else message):
+            bl.load_cmatrix(path)
+
+    @pytest.mark.parametrize("argv", [["spectrum-check"], ["epinf", "--split", "2x2", "--map-file"]])
+    @pytest.mark.parametrize("text, message", MALFORMED)
+    def test_commands_exit_2_on_a_malformed_file(self, tmp_path, capsys, argv, text, message):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        out = tmp_path / "x.json"
+        assert main([*argv, str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("is not valid JSON" if message is None else message) in err
+        assert not out.exists()
+
+    def test_header_overstating_its_entries_is_refused_by_the_count(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"dim_rows": 100000000, "dim_cols": 100000000, "entries": [[1.0, 0.0]]}\n')
+        with pytest.raises(ValueError, match="expected 10000000000000000 entries, got 1"):
             bl.load_cmatrix(path)
 
 
