@@ -22,6 +22,7 @@ from . import __version__
 from .ensembles import EnsembleKind, RngStream, _haar_rows, product_state  # noqa: F401
 from .entropy import (
     ENSEMBLE_STREAM_LAYOUT,
+    ITERATION_VERSION,
     asymptotic_entangling_power,
     asymptotic_power_mc,
     commensurability_check,
@@ -83,11 +84,12 @@ _REDUCED_COPIES = 1.5
 #: the chunk's ~240 KiB of Python lists beyond the matrix
 _READ_COPIES = 2
 #: a map file in any other layout is parsed whole by ``json.load``: the text
-#: and one Python ``[re, im]`` list per entry, 11.9-12.4 complex d x d arrays'
-#: worth by tracemalloc at d = 16..1024.  Either reader is done before the
-#: eigensolve starts, so a map file run needs the larger of its reader's
-#: budget and the eigensolve's
-_JSON_LOAD_COPIES = 13
+#: and one Python ``[re, im]`` list per entry, 11.8-12.05 complex d x d
+#: arrays' worth by tracemalloc for B at d = 16..1024 and 10.9 for Bbar at
+#: d = 256, whose shorter text leaves the conversion to the array as the
+#: peak.  Either reader is done before the eigensolve starts, so a map file
+#: run needs the larger of its reader's budget and the eigensolve's
+_JSON_LOAD_COPIES = 12.5
 #: more than the 54 bytes ``save_cmatrix`` writes per entry at most; a file
 #: longer than its header's entries take at this width is budgeted from its
 #: size, like a file without the header
@@ -175,7 +177,7 @@ def _check_epinf_memory(part: Bipartition, cross=None):
     _require_memory(16 * d * copies, f"--d {d} with split {part.d_a}x{part.d_b} needs")
     if cross is not None:
         n_states, n_min, n_max = cross
-        _check_memory(d, n_states, n_max - n_min + 1)
+        _check_memory(d, n_states, n_max - n_min + 1, n_min=n_min)
 
 
 def _tolerance(text: str) -> float:
@@ -278,7 +280,8 @@ def cmd_timeseries(args) -> int:
     n_max = _count("--nmax", args.nmax, 1)
     samples = empirical_asymptotic_distribution(args.kind, part, 1, n_max, n_states, RngStream(args.seed))
     metadata = _metadata(
-        args, kind=args.kind, d=args.d, split=f"{part.d_a}x{part.d_b}", states=n_states, n_max=n_max
+        args, kind=args.kind, d=args.d, split=f"{part.d_a}x{part.d_b}", states=n_states, n_max=n_max,
+        iteration_version=ITERATION_VERSION,
     )
     write_entropy_csv(args.out, samples, metadata)
     print(f"wrote {len(samples)} entropy samples ({n_states} states x {n_max} steps) to {args.out}")
@@ -298,7 +301,7 @@ def cmd_histogram(args) -> int:
     samples = empirical_asymptotic_distribution(args.kind, part, n_min, n_max, n_states, RngStream(args.seed))
     metadata = _metadata(
         args, kind=args.kind, d=args.d, split=f"{part.d_a}x{part.d_b}", states=n_states,
-        n_min=n_min, n_max=n_max, bins=args.bins,
+        n_min=n_min, n_max=n_max, bins=args.bins, iteration_version=ITERATION_VERSION,
     )
     summary = HistogramSummary.from_values(samples.value, args.bins, metadata)
     report = summary.to_dict()
@@ -380,8 +383,10 @@ def cmd_epinf(args) -> int:
     reduced = ReducedEigenData.from_eigensystem(eig, part)
     power = asymptotic_entangling_power(eig, part, reduced=reduced, resonance=resonance)
     del reduced
+    # the engine's version is recorded only where the engine ran
+    engine = {} if cross is None else {"iteration_version": ITERATION_VERSION}
     report = {
-        "metadata": _metadata(args, kind=label, d=d, split=f"{part.d_a}x{part.d_b}", tol=args.tol),
+        "metadata": _metadata(args, kind=label, d=d, split=f"{part.d_a}x{part.d_b}", tol=args.tol, **engine),
         "entangling_power_asymptotic": power.value,
         "assumptions_violated": power.assumptions_violated,
         "resonance": resonance.to_dict(),

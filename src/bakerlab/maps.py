@@ -13,6 +13,7 @@ which obeys antiperiodic boundary conditions in both position and momentum.
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -22,6 +23,7 @@ from .linalg import (
     UNITARY_TOL,
     _fourier_apply,
     _fourier_kernel,
+    _fourier_phases,
     _parity_blocks,
     as_matrix,
     assert_unitary,
@@ -106,32 +108,85 @@ def _baker_family(d, sign, out=None):
     return out
 
 
-def _baker_rows(psi, sign):
+@functools.lru_cache(maxsize=8)
+def _baker_diagonals(d, sign, transpose):
+    """The three diagonals of :func:`_baker_rows` (of :func:`_baker_rows_t` when ``transpose``), read-only.
+
+    A step is ``pre``, one FFT, ``mid``, the other FFT, ``post``: ``mid``
+    combines the output diagonal of the first transform with the input
+    diagonal of the second (see :func:`bakerlab.linalg._fourier_phases`), so
+    a step takes three complex multiplies instead of four.  For D and D' the
+    second half of the diagonal that follows ``G_{d/2}^{-1}`` (``mid``, or
+    ``post`` of the transpose) also carries the twist ``-sign``, and is
+    applied to the reversed half (see :func:`_twist`).
+    """
+    h = d // 2
+    pre_h, post_h = _fourier_phases(h, True)  # G_{d/2}^{-1}
+    pre_d, post_d = _fourier_phases(d, False)  # G_d
+    after_h = np.tile(post_h, 2)
+    if sign:
+        after_h[h:] = -sign * post_h[::-1]
+    if transpose:
+        diagonals = (pre_d, post_d * np.tile(pre_h, 2), after_h)
+    else:
+        diagonals = (np.tile(pre_h, 2), after_h * pre_d, post_d)
+    for diagonal in diagonals:
+        diagonal.setflags(write=False)
+    return diagonals
+
+
+def _twist(x, diagonal, sign, out):
+    """``out = x diag(diagonal)`` on every row, with the second half of ``x`` reversed first when ``sign``.
+
+    ``R G = -G^{-1}`` (R the reversal), so D and D' apply ``sign G_{d/2}``
+    to the second half as ``-sign`` times the reversed ``G_{d/2}^{-1}``.
+    ``out`` must not be ``x`` when ``sign`` is set.
+    """
+    if not sign:
+        return np.multiply(x, diagonal, out=out)
+    h = x.shape[1] // 2
+    np.multiply(x[:, :h], diagonal[:h], out=out[:, :h])
+    np.multiply(x[:, h:][:, ::-1], diagonal[h:], out=out[:, h:])
+    return out
+
+
+def _baker_rows(psi, sign, work=None):
     """B (sign 0), D (+1) or D' (-1) applied to every row of an (S, d) array by FFT.
 
-    One FFT applies ``G_{d/2}^{-1}`` to both halves of every row.  For D and
-    D' the second half needs ``sign G_{d/2}`` instead, and since
-    ``R G = -G^{-1}`` (R the reversal) that is ``-sign`` times the reversed
-    half.  One more FFT applies ``G_d``.  The cost is O(S d log d) against
-    the O(S d^2) of a dense step; ``psi`` may be overwritten.
+    One FFT applies ``G_{d/2}^{-1}`` to both halves of every row, one more
+    applies ``G_d``, and three diagonals (:func:`_baker_diagonals`) do the
+    rest.  The cost is O(S d log d) against the O(S d^2) of a dense step.
+    ``psi``, C-contiguous, is overwritten with the result and returned;
+    ``work``, an array of its shape and dtype, is scratch, allocated when
+    not given.  With it the step allocates nothing.
     """
     s, d = psi.shape
-    z = _fourier_apply(psi.reshape(s, 2, d // 2), inverse=True)
-    if sign:
-        z[:, 1] = -sign * z[:, 1, ::-1]
-    return _fourier_apply(z.reshape(s, d))
+    pre, mid, post = _baker_diagonals(d, sign, False)
+    work = np.empty_like(psi) if work is None else work
+    np.multiply(psi, pre, out=work)
+    np.fft.fft(work.reshape(s, 2, d // 2), out=psi.reshape(s, 2, d // 2))
+    _twist(psi, mid, sign, work)
+    np.fft.ifft(work, norm="forward", out=psi)
+    return np.multiply(psi, post, out=psi)
 
 
-def _baker_rows_t(psi, sign):
+def _baker_rows_t(psi, sign, work=None):
     """The transpose ``F G_d`` of :func:`_baker_rows`'s map, applied to every row.
 
-    The same two FFTs in the reverse order; ``psi`` may be overwritten.
+    The same two FFTs in the reverse order, with the same contract: ``psi``
+    is overwritten with the result, ``work`` is scratch.
     """
     s, d = psi.shape
-    z = _fourier_apply(_fourier_apply(psi).reshape(s, 2, d // 2), inverse=True)
-    if sign:
-        z[:, 1] = -sign * z[:, 1, ::-1]
-    return z.reshape(s, d)
+    pre, mid, post = _baker_diagonals(d, sign, True)
+    work = np.empty_like(psi) if work is None else work
+    np.multiply(psi, pre, out=work)
+    np.fft.ifft(work, norm="forward", out=psi)
+    np.multiply(psi, mid, out=work)
+    np.fft.fft(work.reshape(s, 2, d // 2), out=psi.reshape(s, 2, d // 2))
+    if not sign:
+        return np.multiply(psi, post, out=psi)
+    np.copyto(psi, _twist(psi, post, sign, work))
+    return psi
 
 
 def lambda_basis(d: int) -> np.ndarray:

@@ -11,13 +11,15 @@ for bit, signed zeros and subnormals included.
 
 :func:`load_cmatrix` reads a file that opens exactly as :func:`save_cmatrix`
 writes it, ``{"dim_rows": R, "dim_cols": C, "entries": [``, a chunk at a
-time: each chunk is cut at its last ``],`` entry boundary, parsed by
-:func:`json.loads` and copied into one preallocated array, so it holds the
-matrix and one chunk's entries instead of a Python list per entry.  Any other
-layout (another key order or spacing, a hand-written file) is parsed whole by
-:func:`json.load`, which holds ~12 matrices' worth of Python lists.  Both
-accept json's grammar, give the same bits and raise the same ``ValueError``
-messages for wrong counts, pairs and non-finite values.
+time: each chunk is cut at its last entry boundary (``]``, JSON whitespace
+and a comma), parsed by :func:`json.loads` and copied into one preallocated
+array, so it holds the matrix and one chunk's entries instead of a Python
+list per entry.  Any other layout (another key order or spacing, a
+hand-written file) is parsed whole by :func:`json.load`, which holds ~12
+matrices' worth of Python lists.  Both accept json's grammar, give the same
+bits and raise the same ``ValueError`` messages for wrong counts, pairs
+(entries that are not two JSON numbers: strings, booleans and null
+included) and non-finite values.
 
 :func:`atomic_write` is the all-or-nothing text writer behind every file the
 package writes: cmatrix-json here, and the CSV and JSON reports.
@@ -25,6 +27,7 @@ package writes: cmatrix-json here, and the CSV and JSON reports.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -50,13 +53,23 @@ _NOT_PAIRS = "matrix entries must be [real, imag] number pairs"
 _NOT_FINITE = "matrix entries must be finite"
 
 
-def _pairs(entries):
-    """``entries`` as an (n, 2) float64 array, or None unless each is a [real, imag] number pair."""
+def _pairs(entries, numbers=None):
+    """``entries`` as an (n, 2) float64 array, or None unless each is a [real, imag] pair of JSON numbers.
+
+    Float conversion would take strings and booleans as numbers too, so the
+    entries' types are checked, unless the caller has already shown
+    ``numbers`` (see :func:`_number_text`).
+    """
     try:
-        arr = np.asarray(entries, dtype=np.float64)
+        if set(map(len, entries)) != {2}:
+            return None
+        values = itertools.chain.from_iterable(entries)
+        arr = np.fromiter(values, dtype=np.float64, count=2 * len(entries)).reshape(-1, 2)
     except (TypeError, ValueError, OverflowError):  # OverflowError: an integer beyond float range
         return None
-    return arr if arr.shape == (len(entries), 2) else None
+    if numbers is None:
+        numbers = set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}
+    return arr if numbers else None
 
 
 def cmatrix_from_dict(obj) -> np.ndarray:
@@ -129,6 +142,12 @@ _HEADER = re.compile(rb'\{"dim_rows": ([1-9][0-9]*), "dim_cols": ([1-9][0-9]*), 
 #: the end of a file after its last entry: the closing brackets of the
 #: entries and of the object, and JSON whitespace
 _CLOSE = re.compile(rb"\][ \t\n\r]*\}[ \t\n\r]*\Z")
+#: one byte of every JSON value that is neither a number nor an array: the
+#: ``"`` of a string, the ``{`` of an object, the ``u`` of true and null and
+#: the ``l`` of false
+_NOT_NUMBER_BYTES = (b'"', b"{", b"u", b"l")
+#: JSON whitespace, which may stand between an entry's ``]`` and its comma
+_WHITESPACE = b" \t\n\r"
 #: the fewest bytes a cmatrix-json entry takes, ``[0,0]`` and a comma
 _MIN_ENTRY_BYTES = 6
 #: bytes the streamed reader reads at a time.  One chunk's parse holds ~15
@@ -167,19 +186,46 @@ def _parse_json(path, text, start=None):
         raise _not_json(path, "arrays nested too deeply") from None
 
 
+def _number_text(piece):
+    """Whether the JSON text ``piece`` holds only arrays, numbers, NaN and Infinity.
+
+    Any other JSON value holds one of :data:`_NOT_NUMBER_BYTES`, which
+    json's NaN and Infinity do not.
+    """
+    return not any(byte in piece for byte in _NOT_NUMBER_BYTES)
+
+
+def _last_boundary(text, lo):
+    """``(close, comma)`` of the last entry boundary in ``text`` whose comma is at or after ``lo``, else None.
+
+    A boundary is an entry's closing ``]``, JSON whitespace and a comma.
+    Commas are searched from the end; the comma inside an entry has a number
+    before it, so it is passed over.  Each comma's whitespace is read once,
+    so text carried from earlier reads is not scanned again.
+    """
+    end = len(text)
+    while (comma := text.rfind(b",", lo, end)) >= 0:
+        close = comma - 1
+        while close >= 0 and text[close] in _WHITESPACE:
+            close -= 1
+        if close >= 0 and text[close] == ord("]"):
+            return close, comma
+        end = comma
+    return None
+
+
 def _stream_entries(f, path, rows, cols):
     """The entries after the header of binary file ``f``, as a complex ``rows`` x ``cols`` matrix.
 
-    Reads :data:`_CHUNK_BYTES` at a time and cuts the text at its last
-    ``],`` entry boundary: the entries before the cut are parsed by
-    :func:`json.loads` as one JSON array and copied into the output, the rest
-    is carried into the next chunk.  Only the output and one chunk's entries
-    are held.  Text without a ``],`` boundary is carried until one comes:
-    an entry longer than a chunk is parsed whole, and entries with
-    whitespace before their commas are parsed as one piece, at what
-    :func:`json.load` holds.  A parsing error is raised where it is met; the count, pair and finiteness checks of
-    :func:`cmatrix_from_dict` are raised once every entry has been counted, in
-    its order, so both readers refuse a file with the same message.
+    Reads :data:`_CHUNK_BYTES` at a time and cuts the text at its last entry
+    boundary (:func:`_last_boundary`): the entries before the cut are parsed
+    by :func:`json.loads` as one JSON array and copied into the output, the
+    rest is carried into the next chunk.  Only the output and one chunk's
+    entries are held; an entry longer than a chunk is carried until it
+    ends.  A parsing error is raised where it is met; the count, pair and
+    finiteness checks of :func:`cmatrix_from_dict` are raised once every
+    entry has been counted, in its order, so both readers refuse a file with
+    the same message.
     """
     n = rows * cols
     # a file holds at most one entry per _MIN_ENTRY_BYTES: a header that
@@ -188,24 +234,25 @@ def _stream_entries(f, path, rows, cols):
     count, pairs, finite = 0, True, True
     text, start = bytearray(), f.tell()  # start: the file offset of text[0]
     while True:
-        seen = len(text)  # text carried from earlier reads holds no boundary
+        seen = len(text)  # text carried from earlier reads holds no boundary's comma
         data = f.read(_CHUNK_BYTES)
         text += data
         if data:
-            cut = text.rfind(b"],", max(seen - 1, 0)) + 1
-            if not cut:
+            boundary = _last_boundary(text, seen)
+            if boundary is None:
                 continue
-            piece = text[:cut]
-            del text[: cut + 1]
+            close, comma = boundary
+            piece = text[: close + 1]
+            del text[: comma + 1]
         else:
             close = _CLOSE.search(text)
             if close is None:
                 raise _not_json(path, f"the entries are not closed by ']}}' before byte {start + len(text)}")
-            piece = text[: close.start()]
+            piece, comma = text[: close.start()], None
         values = _parse_json(path, b"[" + piece + b"]", start)
         if not values and count:  # a ',' with no entry after it
             raise _not_json(path, f"Expecting value: byte {start}")
-        arr = _pairs(values)
+        arr = _pairs(values, numbers=_number_text(piece))
         if arr is None:
             pairs = False
         else:
@@ -213,9 +260,9 @@ def _stream_entries(f, path, rows, cols):
             if count + len(arr) <= len(out):
                 out[count : count + len(arr)] = arr
         count += len(values)
-        if not data:
+        if comma is None:
             break
-        start += cut + 1
+        start += comma + 1
     if count != n:
         raise ValueError(f"expected {n} entries, got {count}")
     if not pairs:

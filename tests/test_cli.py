@@ -459,6 +459,15 @@ class TestMemoryPreflight:
         with pytest.raises(ValueError, match="--d 16 with split 2x8"):
             _check_epinf_memory(part)
 
+    def test_cross_check_counts_the_jump_only_when_it_is_taken(self, monkeypatch):
+        budget = []
+        monkeypatch.setattr("bakerlab.entropy._require_memory", lambda need, what: budget.append(need))
+        part = bl.Bipartition(8, 8)
+        _check_epinf_memory(part, (100, 513, 1512))  # the desk cross-check: the dense map jumps
+        _check_epinf_memory(part, (100, 1, 1000))  # the same window without a burn-in
+        assert bl.entropy._jump_pays(64, 100, 513, fft=False)
+        assert budget[0] - budget[1] == 16 * bl.entropy._JUMP_COPIES * 64**2
+
     @pytest.mark.parametrize("split", ["16x16", "2x128"])
     @pytest.mark.parametrize("kind", ["baker", "bbar", "dmap", "lambda"])
     def test_epinf_stages_stay_within_the_estimate(self, monkeypatch, kind, split):
@@ -801,6 +810,21 @@ class TestMetadata:
             "command", "ensemble", "d", "split", "samples", "states", "bins", "stream_layout",
             "seed", "profile", "version",
         ]
+
+    @pytest.mark.parametrize("artifact", ["timeseries", "histogram", "histogram-raw-csv", "epinf-cross-check"])
+    def test_engine_artifacts_record_the_iteration_version(self, tmp_path, artifact):
+        runs = self._runs(tmp_path)
+        runs["epinf-cross-check"] = ([*runs["epinf"][0], "--cross-check", "--states", 3, "--nmin", 2,
+                                      "--nmax", 4], "ep.json")
+        argv, name = runs[artifact]
+        assert run(*argv) == 0
+        assert int(self._read(tmp_path / name)["iteration_version"]) == bl.entropy.ITERATION_VERSION == 2  # CSV: a string
+
+    @pytest.mark.parametrize("artifact", ["ensemble", "epinf", "spectrum-check"])
+    def test_artifacts_without_the_engine_do_not(self, tmp_path, artifact):
+        argv, name = self._runs(tmp_path)[artifact]
+        assert run(*argv) == 0
+        assert "iteration_version" not in self._read(tmp_path / name)
 
     def test_split_is_recorded_in_lower_case(self, tmp_path):
         argv = ["histogram", "--kind", "baker", "--d", 16, "--split", "4X4", "--states", 2,

@@ -350,7 +350,8 @@ class TestTransformDispatch:
         u = bl.d_map(d, sign=-1)
         signs = []
         rows = bl.entropy._baker_rows
-        monkeypatch.setattr(bl.entropy, "_baker_rows", lambda psi, sign: signs.append(sign) or rows(psi, sign))
+        monkeypatch.setattr(bl.entropy, "_baker_rows",
+                            lambda psi, sign, work=None: signs.append(sign) or rows(psi, sign, work))
         step = bl.entropy._transform_step(u)
         assert step is not None and step.keywords == {"sign": -1}
         assert signs == [0, +1] + [-1] * (d // bl.entropy._GATE_ROWS)
@@ -396,10 +397,10 @@ class TestBlockedIteration:
     def test_worker_exception_propagates(self, monkeypatch, forced_blocks):
         step = bl.entropy._transform_step(bl.baker(256))
 
-        def failing(rows):
+        def failing(rows, work=None):
             if rows.shape[0] == 2:  # the second and third of the blocks 3, 2, 2
                 raise RuntimeError("step failed in a worker")
-            return step(rows)
+            return step(rows, work=work)
 
         monkeypatch.setattr(bl.entropy, "_transform_step", lambda u: failing)
         with pytest.raises(RuntimeError, match="in a worker"):
@@ -433,13 +434,13 @@ class TestBlockedIteration:
         step = bl.entropy._transform_step(u)
         calls = []
 
-        def late_failure(rows):  # the block of 3 fails after the block of 4 has finished
+        def late_failure(rows, work=None):  # the block of 3 fails after the block of 4 has finished
             if rows.shape[0] == 3:
                 calls.append(1)
                 time.sleep(0.002)
                 if len(calls) == 20:
                     raise RuntimeError("late failure")
-            return step(rows)
+            return step(rows, work=work)
 
         monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
         monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 2)
@@ -462,8 +463,8 @@ class TestBlockedIteration:
         u, part = bl.baker(256), bl.Bipartition(16, 16)
         step = bl.entropy._transform_step(u)
 
-        def last_block_grows(rows):  # only the block of 2 of the blocks 3, 3, 2 drifts
-            return step(rows) * (1 + 1e-9) if rows.shape[0] == 2 else step(rows)
+        def last_block_grows(rows, work=None):  # only the block of 2 of the blocks 3, 3, 2 drifts
+            return step(rows, work=work) * (1 + 1e-9) if rows.shape[0] == 2 else step(rows, work=work)
 
         monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
         monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 3)
@@ -495,7 +496,7 @@ class TestNormDriftGuard:
     def test_fires_on_a_step_that_grows_the_norm(self, monkeypatch, workers):
         monkeypatch.setattr(bl.entropy, "_worker_count", lambda: workers)
         monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
-        monkeypatch.setattr(bl.entropy, "_transform_step", lambda u: lambda rows: rows * (1 + 1e-9))
+        monkeypatch.setattr(bl.entropy, "_transform_step", lambda u: lambda rows, work=None: rows * (1 + 1e-9))
         with pytest.raises(np.linalg.LinAlgError, match="drifted"):
             bl.empirical_asymptotic_distribution(bl.baker(16), bl.Bipartition(4, 4), 1, 3, 5,
                                                  bl.RngStream(28))
@@ -512,6 +513,160 @@ class TestNormDriftGuard:
         samples = bl.empirical_asymptotic_distribution(bl.make_map(kind, 256), bl.Bipartition(16, 16),
                                                        1, 300, 4, bl.RngStream(30))
         assert len(samples) == 4 * 300
+
+
+class TestBurnInJump:
+    """n_min > 1: every state jumps to step n_min - 1 by one power of the map, when that is cheaper."""
+
+    SPLITS = {64: (8, 8), 256: (16, 16), 300: (15, 20)}
+
+    @staticmethod
+    def count_jumps(monkeypatch):
+        calls = []
+        power = bl.entropy._matrix_power
+        monkeypatch.setattr(bl.entropy, "_matrix_power", lambda base, m: calls.append(m) or power(base, m))
+        return calls
+
+    # B, D and D' take the FFT step at 256 and 300 and the dense one at 64;
+    # the map file holds D as a matrix, which takes the FFT step once detected
+    @pytest.mark.parametrize("name", ["baker", "dmap", "dprime", "bbar", "cue", "identity", "map-file"])
+    @pytest.mark.parametrize("d", [64, 256, 300])
+    @pytest.mark.parametrize("n_min", [2, 65, 513])
+    def test_jump_equals_stepping(self, monkeypatch, tmp_path, name, d, n_min):
+        part = bl.Bipartition(*self.SPLITS[d])
+        if name == "cue":
+            u = bl.sample_cue(d, bl.RngStream(50))
+        elif name == "map-file":
+            bl.save_cmatrix(tmp_path / "d.json", bl.d_map(d))
+            u = bl.load_cmatrix(tmp_path / "d.json")
+        else:
+            u = name
+        jumps = self.count_jumps(monkeypatch)
+
+        def run(jump):
+            monkeypatch.setattr(bl.entropy, "_jump_pays", lambda *args: jump)
+            return bl.empirical_asymptotic_distribution(u, part, n_min, n_min + 3, 3, bl.RngStream(51))
+
+        stepped = run(False)
+        assert jumps == []
+        jumped = run(True)
+        assert jumps == [n_min - 1]
+        assert np.array_equal(jumped.time_step, stepped.time_step)
+        assert_allclose(jumped.value, stepped.value, rtol=0, atol=1e-12)
+
+    def test_matrix_power_matches_numpy(self):
+        base = bl.sample_cue(16, bl.RngStream(52))
+        for m in range(1, 40):
+            assert_allclose(bl.entropy._matrix_power(base, m), np.linalg.matrix_power(base, m),
+                            rtol=0, atol=1e-13)
+
+    def test_cost_rule(self):
+        pays = bl.entropy._jump_pays
+        assert pays(256, 100, 513, fft=True)  # the trajectory workload's d = 256 histogram
+        assert pays(64, 100, 513, fft=False)  # the spectral workload's d = 64 cross-check
+        assert not pays(1024, 50, 101, fft=True)  # the trajectory workload's d = 1024 histogram
+        assert pays(512, 100, 513, fft=True) and not pays(2048, 100, 513, fft=True)
+        assert not pays(256, 100, 1, fft=True)  # no burn-in
+        assert not pays(64, 100, 2, fft=False)  # one step: the power is the map itself
+        assert pays(1024, 50, 513, fft=False)  # a dense step costs d^2 per state
+        assert not pays(1024, 50, 101, fft=False)
+
+    @pytest.mark.parametrize("kind, d, d_a, states, n_min, jumps", [
+        ("baker", 256, 16, 100, 513, True),
+        ("baker", 64, 8, 100, 513, True),
+        ("baker", 1024, 32, 50, 101, False),
+        ("baker", 256, 16, 100, 1, False),
+    ])
+    def test_engine_follows_the_rule(self, monkeypatch, kind, d, d_a, states, n_min, jumps):
+        calls = self.count_jumps(monkeypatch)
+        part = bl.Bipartition(d_a, d // d_a)
+        samples = bl.empirical_asymptotic_distribution(kind, part, n_min, n_min + 1, states, bl.RngStream(53))
+        assert len(samples) == 2 * states
+        assert calls == ([n_min - 1] if jumps else [])
+
+    @pytest.mark.parametrize("u, dense", [("baker", False), (bl.baker(64), True)])
+    def test_steps_when_the_squares_do_not_fit(self, monkeypatch, u, dense):
+        d = 256 if isinstance(u, str) else 64
+        n_states, n_min, window = 100, 513, 10
+        part = bl.Bipartition(16 if d == 256 else 8, 16 if d == 256 else 8)
+        need = 24 * n_states * window + 16 * (bl.entropy._BATCH_COPIES * n_states * d + (2 * d * d if dense else 0))
+        squares = 16 * bl.entropy._JUMP_COPIES * d * d
+
+        def physical_memory(nbytes):  # as that many 1-byte pages
+            monkeypatch.setattr("os.sysconf", lambda name: nbytes if name == "SC_PHYS_PAGES" else 1)
+
+        physical_memory(need + squares)
+        assert bl.entropy._check_memory(d, n_states, window, dense=dense, n_min=n_min) is True
+        physical_memory(need + squares - 1)  # a run that fits without the jump still runs, stepping
+        assert bl.entropy._check_memory(d, n_states, window, dense=dense, n_min=n_min) is False
+        calls = self.count_jumps(monkeypatch)
+        samples = bl.empirical_asymptotic_distribution(u, part, n_min, n_min + window - 1, n_states,
+                                                       bl.RngStream(54))
+        assert len(samples) == n_states * window and calls == []
+        physical_memory(need - 1)
+        with pytest.raises(ValueError, match="physical memory"):
+            bl.entropy._check_memory(d, n_states, window, dense=dense, n_min=n_min)
+
+    @pytest.mark.parametrize("kind", ["baker", "dprime"])
+    def test_jumped_samples_are_the_same_at_any_worker_count(self, monkeypatch, kind):
+        calls = self.count_jumps(monkeypatch)
+        monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
+        monkeypatch.setattr(bl.entropy, "_jump_pays", lambda *args: True)
+
+        def run(workers):
+            monkeypatch.setattr(bl.entropy, "_worker_count", lambda: workers)
+            return bl.empirical_asymptotic_distribution(kind, bl.Bipartition(16, 16), 513, 520, 7,
+                                                        bl.RngStream(55)).value
+
+        assert np.array_equal(run(1), run(3))
+        assert calls == [512, 512]
+
+
+class TestAllocationFreeStep:
+    """The FFT step, its gate and the entropy reduction run in caller-owned buffers."""
+
+    @pytest.mark.parametrize("sign", [0, +1, -1])
+    def test_step_writes_its_result_over_the_input(self, sign):
+        d = 300
+        u = bl.maps._baker_family(d, sign)
+        x = bl.product_states(bl.Bipartition(2, d // 2), 5, bl.RngStream(56)).T.copy()
+        rows, work = x.copy(), np.empty_like(x)
+        assert bl.maps._baker_rows(rows, sign, work) is rows
+        assert_allclose(rows, x @ u.T, rtol=0, atol=1e-14)
+        rows = x.copy()
+        assert bl.maps._baker_rows_t(rows, sign, work) is rows
+        assert_allclose(rows, x @ u, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("d_a, d_b", [(2, 2), (16, 16), (8, 32), (32, 8), (15, 20)])
+    def test_buffered_reduction_has_the_bits_of_linear_entropies(self, d_a, d_b):
+        part = bl.Bipartition(d_a, d_b)
+        rows = bl.product_states(part, 9, bl.RngStream(57)).T.copy()
+        rows = (rows @ bl.sample_cue(part.d, bl.RngStream(58)).T).copy()  # entangled states
+        out = np.empty(9)
+        got = bl.entropy._batch_entropy(rows, part, bl.entropy._entropy_buffers(9, part), out)
+        assert got is out
+        assert np.array_equal(out, bl.linear_entropies(rows.T, part))
+
+    @pytest.mark.parametrize("kind, sign", [("baker", 0), ("dmap", +1), ("dprime", -1)])
+    @pytest.mark.parametrize("d", [256, 300])
+    def test_gate_figure_is_the_same_at_any_thread_count(self, monkeypatch, kind, sign, d):
+        step = functools.partial(bl.entropy._baker_rows, sign=sign)
+        step_t = functools.partial(bl.entropy._baker_rows_t, sign=sign)
+        figures = []
+        for workers in (1, 2, 3, 64):
+            monkeypatch.setattr(bl.entropy, "_worker_count", lambda: workers)
+            figures.append(bl.entropy._assert_unitary_step(step, step_t, d))
+        assert figures == [figures[0]] * 4
+
+    def test_gate_runs_on_every_worker(self, monkeypatch):
+        threads = set()
+        step = bl.entropy._baker_rows
+        monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 3)
+        monkeypatch.setattr(bl.entropy, "_baker_rows",
+                            lambda psi, sign, work=None: threads.add(threading.get_ident()) or step(psi, sign, work))
+        bl.entropy._assert_unitary_step(functools.partial(bl.entropy._baker_rows, sign=0),
+                                        functools.partial(bl.entropy._baker_rows_t, sign=0), 256)
+        assert len(threads) == 3
 
 
 class TestMemoryPreflight:
@@ -597,10 +752,12 @@ class TestMatrixFreeKinds:
         with pytest.raises(ValueError, match="even dimension"):
             bl.empirical_asymptotic_distribution("baker", bl.Bipartition(15, 17), 1, 2, 2, bl.RngStream(44))
 
-    def test_scaled_step_fails_the_unitarity_gate(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_scaled_step_fails_the_unitarity_gate(self, monkeypatch, workers):
+        monkeypatch.setattr(bl.entropy, "_worker_count", lambda: workers)
         step = bl.entropy._baker_rows
         monkeypatch.setattr(bl.entropy, "_baker_rows",
-                            lambda psi, sign: step(psi, sign) * (1 + 2 * bl.UNITARY_TOL))
+                            lambda psi, sign, work=None: step(psi, sign, work) * (1 + 2 * bl.UNITARY_TOL))
         with pytest.raises(np.linalg.LinAlgError, match=r"not unitary: max \|U U\^dag - 1\| = 2\.00\de-10"):
             bl.empirical_asymptotic_distribution("baker", bl.Bipartition(16, 16), 1, 2, 2, bl.RngStream(45))
 
@@ -613,8 +770,9 @@ class TestMatrixFreeKinds:
         dense = bl.unitarity_defect(corrupted)
         assert dense > bl.UNITARY_TOL
         step, step_t = bl.entropy._baker_rows, bl.entropy._baker_rows_t
-        monkeypatch.setattr(bl.entropy, "_baker_rows", lambda psi, sign: step(psi * scale, sign))
-        monkeypatch.setattr(bl.entropy, "_baker_rows_t", lambda psi, sign: step_t(psi, sign) * scale)
+        monkeypatch.setattr(bl.entropy, "_baker_rows", lambda psi, sign, work=None: step(psi * scale, sign, work))
+        monkeypatch.setattr(bl.entropy, "_baker_rows_t",
+                            lambda psi, sign, work=None: step_t(psi, sign, work) * scale)
         part = bl.Bipartition(16, 16)
         with pytest.raises(np.linalg.LinAlgError, match="not unitary") as err:
             bl.empirical_asymptotic_distribution(kind, part, 1, 2, 2, bl.RngStream(46))

@@ -1,12 +1,13 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import bakerlab as bl
-from bakerlab.cli import main
+from bakerlab.cli import _READ_COPIES, main
 from bakerlab.matrixio import _header_dims
 
 
@@ -92,6 +93,11 @@ class TestCmatrixJson:
         path.write_text(text)
         with pytest.raises(ValueError, match="JSON"):
             bl.load_cmatrix(path)
+
+    @pytest.mark.parametrize("entry", [["1e0", 0.0], [True, 0.0], [0.0, False], [None, 0.0], [0.0, "nan"]])
+    def test_rejects_entries_that_are_not_numbers(self, entry):
+        with pytest.raises(ValueError, match="number pairs"):
+            bl.cmatrix_from_dict({"dim_rows": 1, "dim_cols": 2, "entries": [[1, 0.0], entry]})
 
     def test_rejects_an_integer_beyond_float_range(self):
         with pytest.raises(ValueError, match="number pairs"):
@@ -198,6 +204,14 @@ class TestStreamedReader:
         pytest.param(canonical_4(["[NaN, 0]", "[1]"] + IDENTITY_4[2:-1]), "expected 16 entries, got 15",
                      id="short-bad-pair"),
         pytest.param(canonical_4(["[NaN, 0]"] + IDENTITY_4[1:-1] + ["[1]"]), "number pairs", id="nan-and-pair"),
+        # JSON values that float conversion would take as numbers
+        pytest.param(canonical_4(['["1e0", 0.0]'] + IDENTITY_4[1:]), "number pairs", id="string"),
+        pytest.param(canonical_4(IDENTITY_4[:-1] + ["[0.0, true]"]), "number pairs", id="true"),
+        pytest.param(canonical_4(["[false, 0.0]"] + IDENTITY_4[1:]), "number pairs", id="false"),
+        pytest.param(canonical_4(IDENTITY_4[:5] + ["[null, 0.0]"] + IDENTITY_4[6:]), "number pairs", id="null"),
+        pytest.param(canonical_4(['[{"re": 1}, 0]'] + IDENTITY_4[1:]), "number pairs", id="object"),
+        pytest.param(canonical_4(["[NaN, 0]"] + IDENTITY_4[1:-1] + ["[true, 0]"]), "number pairs",
+                     id="nan-and-boolean"),
     ]
 
     @pytest.mark.parametrize("text, message", MALFORMED)
@@ -233,6 +247,56 @@ class TestStreamedReader:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and ("is not valid JSON" if message is None else message) in err
         assert not out.exists()
+
+    #: the same 1 x 2 matrix of non-numbers, in the layout save_cmatrix writes and in another
+    NOT_NUMBERS = {
+        "streamed": '{"dim_rows": 1, "dim_cols": 2, "entries": [["1e0", true], [false, "2"]]}\n',
+        "reordered": '{"entries": [["1e0", true], [false, "2"]], "dim_rows": 1, "dim_cols": 2}\n',
+    }
+
+    @pytest.mark.parametrize("layout", sorted(NOT_NUMBERS))
+    def test_strings_and_booleans_are_not_numbers(self, tmp_path, layout):
+        path = tmp_path / "m.json"
+        path.write_text(self.NOT_NUMBERS[layout])
+        assert (_header_dims(path) is None) == (layout == "reordered")
+        for reader in (bl.load_cmatrix, json_load_reader):
+            with pytest.raises(ValueError, match="must be \\[real, imag\\] number pairs"):
+                reader(path)
+
+    @pytest.mark.parametrize("argv", [["spectrum-check"], ["epinf", "--split", "2x2", "--map-file"]])
+    @pytest.mark.parametrize("layout", ["streamed", "reordered"])
+    def test_commands_exit_2_on_entries_that_are_not_numbers(self, tmp_path, capsys, argv, layout):
+        entries = ['["1e0", true]', '[false, "2"]'] + IDENTITY_4[2:]
+        text = canonical_4(entries)
+        if layout == "reordered":
+            text = json.dumps({"entries": json.loads(text)["entries"], "dim_rows": 4, "dim_cols": 4})
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert (_header_dims(path) is None) == (layout == "reordered")
+        out = tmp_path / "x.json"
+        assert main([*argv, str(path), "--out", str(out)]) == 2
+        assert "error: matrix entries must be [real, imag] number pairs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gap", [" ", "\n", " \t\r\n "])
+    def test_whitespace_before_commas_is_cut_there(self, tmp_path, gap):
+        d = 256
+        m = bl.baker(d)
+        path = tmp_path / "m.json"
+        bl.save_cmatrix(path, m)
+        text = path.read_bytes()
+        assert text.count(b"], [") == d * d - 1
+        path.write_bytes(text.replace(b"], [", b"]" + gap.encode() + b",["))
+        assert _header_dims(path) == (d, d)
+        tracemalloc.start()
+        try:
+            streamed = bl.load_cmatrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(bits(streamed), bits(m))
+        assert np.array_equal(bits(streamed), bits(json_load_reader(path)))
+        assert peak < _READ_COPIES * 16 * d * d
 
     def test_header_overstating_its_entries_is_refused_by_the_count(self, tmp_path):
         path = tmp_path / "m.json"
