@@ -177,7 +177,7 @@ def _check_epinf_memory(part: Bipartition, cross=None):
     _require_memory(16 * d * copies, f"--d {d} with split {part.d_a}x{part.d_b} needs")
     if cross is not None:
         n_states, n_min, n_max = cross
-        _check_memory(d, n_states, n_max - n_min + 1, n_min=n_min)
+        _check_memory(d, n_states, n_max - n_min + 1)
 
 
 def _tolerance(text: str) -> float:

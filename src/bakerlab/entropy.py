@@ -228,12 +228,19 @@ def empirical_asymptotic_distribution(
     ``n_min - 1`` at once by the power ``(U^T)^(n_min - 1)`` of the map that
     is iterated (``u.T``, or the FFT step applied to the identity), formed
     by binary powering.  For 100 states and ``n_min = 513`` the FFT step
-    jumps up to d = 798 (measured: the jump wins at d = 768, 312 against
-    401 ms, and ties at 896) and a dense map at every d; a jump moves the
+    jumps up to d = 642 (measured: the jump ties at d = 640, 209 against
+    216 ms, and loses at 704) and a dense map at every d; a jump moves the
     samples by at most a few 1e-14, which ``ITERATION_VERSION`` records in
-    the artifacts.  The rule reads only the run's sizes, and every
-    state's arithmetic is independent of its block, so the samples are the
-    same at any CPU count.
+    the artifacts.  The jump is taken only where its d x d arrays fit in
+    physical memory (see :func:`_takes_jump`), so a host too small for them
+    steps, and its samples differ in those last bits.
+
+    The FFT step, the jump's products (see :func:`_product`) and the
+    entropy reduction give every state the same bits in any row block and
+    on any number of OpenBLAS threads, so on the FFT path the samples are the
+    same at any CPU count.  A dense step is one GEMM over the whole inner
+    dimension, which keeps that property up to d = 256 but not beyond (at
+    d = 300 OpenBLAS gives other bits on one thread than on two).
 
     Raises ``ValueError`` before any allocation when the run would need more
     than the physical memory, and ``LinAlgError`` when the map is not
@@ -251,7 +258,7 @@ def empirical_asymptotic_distribution(
         raise ValueError(f"n_states must be >= 1, got {n_states}")
     d, window = part.d, n_max - n_min + 1
     sign = _KIND_SIGNS.get(kind) if d % 2 == 0 and d >= _TRANSFORM_MIN_D else None
-    jump = _check_memory(d, n_states, window, dense=sign is None, n_min=n_min)
+    _check_memory(d, n_states, window, dense=sign is None)
     if sign is not None:
         step = functools.partial(_baker_rows, sign=sign)
         _assert_unitary_step(step, functools.partial(_baker_rows_t, sign=sign), d)
@@ -260,27 +267,25 @@ def empirical_asymptotic_distribution(
             u = make_map(kind, d)
         assert_unitary(u, name="map")
         step = _transform_step(u)
-        if step is not None:  # the rule weighs the step that will run
-            jump = _takes_jump(d, n_states, n_min, window, fft=True, dense=True)
-    blocks, one_step = 1, None  # one_step: U^T, the operator the rows are multiplied by
-    if step is None:
-        def step(rows, work=None):  # one GEMM on the states as the columns of a (d, S) array
+    blocks, fft = 1, step is not None
+    if fft:
+        blocks = _block_count(n_states, d)
+    else:
+        def step(rows):  # one GEMM on the states as the columns of a (d, S) array
             return (u @ rows.T).T
 
-        one_step = u.T
-    else:
-        blocks = _block_count(n_states, d)
     psi = np.empty((n_states, d), dtype=np.complex128)
     for s in range(n_states):
         psi[s] = product_state(part, rng.offset(s))
-    start = n_min - 1 if jump else 0
-    if jump:
-        if one_step is None:  # row k of U^T is the step applied to e_k
-            one_step = step(np.eye(d, dtype=np.complex128), work=np.empty((d, d), dtype=np.complex128))
-        psi = psi @ _matrix_power(one_step, start)
+    start = n_min - 1 if _takes_jump(d, n_states, n_min, window, fft=fft, dense=sign is None) else 0
+    if start:  # row k of the operator U^T that multiplies the rows is the step applied to e_k
+        one_step = step(np.eye(d, dtype=np.complex128), work=np.empty((d, d), dtype=np.complex128)) if fft else u.T
+        power = _matrix_power(one_step, start)
         del one_step
+        psi = _product(psi, power, np.empty_like(psi))
+        del power
     out = np.empty((n_states, window))
-    iterate = functools.partial(_iterate, step, part=part, n_min=n_min, n_max=n_max, start=start)
+    iterate = functools.partial(_iterate, step, part=part, n_min=n_min, n_max=n_max, start=start, buffered=fft)
     finals = _in_threads(iterate, blocks, np.array_split(psi, blocks), np.array_split(out, blocks))
     psi = finals[0] if blocks == 1 else np.concatenate(finals)
     drift = max_abs(np.einsum("sd,sd->s", psi, psi.conj()).real - 1.0)
@@ -293,17 +298,20 @@ def empirical_asymptotic_distribution(
     )
 
 
-def _iterate(step, psi, out, part, n_min, n_max, start=0):
+def _iterate(step, psi, out, part, n_min, n_max, start=0, buffered=False):
     """Apply ``step`` to the rows ``psi``, which are at step ``start``, up to step ``n_max``, filling ``out`` from step ``n_min``.
 
-    The block owns its work buffers, so the FFT step and the entropy
-    reduction allocate nothing.  Runs in a worker thread when the states are
-    blocked, so it calls private helpers only.  Returns the final states.
+    The block owns its work buffers: the entropy reduction's, and when
+    ``buffered`` the step's (the FFT step's ``work``), so neither allocates;
+    a step that is not ``buffered`` returns a new array.  Runs in a worker
+    thread when the states are blocked, so it calls private helpers only.
+    Returns the final states.
     """
-    work = np.empty_like(psi)
+    if buffered:
+        step = functools.partial(step, work=np.empty_like(psi))
     buffers = _entropy_buffers(len(psi), part)
     for n in range(start + 1, n_max + 1):
-        psi = step(psi, work=work)
+        psi = step(psi)
         if n >= n_min:
             _batch_entropy(psi, part, buffers, out[:, n - n_min])
     return psi
@@ -320,18 +328,47 @@ def _in_threads(fn, threads, *iterables):
 def _matrix_power(base, m):
     """``base ** m`` (``m >= 1``) by binary powering: ``m.bit_length() - 1`` squarings and ``m.bit_count() - 1`` products.
 
-    Holds two d x d arrays besides ``base``: the power and one scratch
-    array, which every product writes into.
+    Every product is a :func:`_product`, so the bits do not depend on the
+    CPU count.  Holds three d x d arrays besides ``base``: the power, one
+    scratch array, which every product writes into, and the product's
+    partial sums.
     """
     power = base.copy()
     scratch = np.empty_like(power)
     for bit in bin(m)[3:]:
-        np.matmul(power, power, out=scratch)
-        power, scratch = scratch, power
+        power, scratch = _product(power, power, scratch), power
         if bit == "1":
-            np.matmul(power, base, out=scratch)
-            power, scratch = scratch, power
+            power, scratch = _product(power, base, scratch), power
     return power
+
+
+#: inner-dimension run of :func:`_product`.  OpenBLAS cuts a longer inner
+#: dimension into runs whose bounds depend on its thread count: square
+#: products at d = 258, 300, 514, 700 and 798 gave other bits on one thread
+#: than on 2, 3 and 4 (OpenBLAS 0.3.31, Haswell kernels), at multiples of 128
+#: the same bits.  A run of this length is one run of OpenBLAS's own on any
+#: thread count
+_RUN = 128
+#: output rows :func:`_product` sums at a time: its partial sums take this
+#: many rows at most, and blocks of rows keep every entry's bits
+_RUN_ROWS = 256
+
+
+def _product(a, b, out):
+    """``a @ b`` written into ``out``, in an order that does not depend on OpenBLAS's thread count.
+
+    Each block of ``_RUN_ROWS`` output rows is the sum, in a fixed order, of
+    the products over runs of ``_RUN`` of the inner dimension; the runs cost
+    10-20% over one GEMM at d = 512-768.  ``out`` must not overlap ``a`` or
+    ``b``.
+    """
+    part = np.empty((min(len(a), _RUN_ROWS), b.shape[1]), dtype=out.dtype)
+    for r in range(0, len(a), _RUN_ROWS):
+        rows, block = a[r:r + _RUN_ROWS], out[r:r + _RUN_ROWS]
+        np.matmul(rows[:, :_RUN], b[:_RUN], out=block)
+        for k in range(_RUN, a.shape[1], _RUN):
+            block += np.matmul(rows[:, k:k + _RUN], b[k:k + _RUN], out=part[: len(block)])
+    return out
 
 
 #: complex state entries a row block must hold before another thread pays
@@ -354,25 +391,25 @@ def _block_count(n_states, d):
 
 
 #: (S, d) complex arrays alive at once: the initial states, the states and
-#: the step's work buffer (a new product per step on a dense map), the
-#: entropy buffers (at most 2 S d entries) and the final states; tracemalloc
-#: reads a peak of 3.5-5.2 while iterating at d = 64..1024 with 1, 2 and 4
-#: row blocks and 64 or 256 states, beyond the samples and the d x d arrays
-#: counted below
+#: the FFT step's work buffer (on a dense map, the new product each step
+#: returns), the entropy buffers (at most 2 S d entries) and the final
+#: states; tracemalloc reads a peak of at most 5.0 while iterating at
+#: d = 64..1024 with 1, 2 and 4 row blocks and 64 or 256 states, beyond the
+#: samples and the d x d arrays counted below
 _BATCH_COPIES = 6
 #: complex d x d arrays the burn-in jump holds: the one-step operator, its
-#: power and the scratch array of :func:`_matrix_power`
-_JUMP_COPIES = 3
+#: power, the scratch array of :func:`_matrix_power` and, at most as large,
+#: the partial sums of :func:`_product`
+_JUMP_COPIES = 4
 #: time of one FFT step of one state per d log2(d), in complex
-#: multiply-adds of a square GEMM.  Both sides use the 2 CPUs of the host it
-#: was measured on (the steps in two row blocks, the GEMMs on OpenBLAS's two
-#: threads), 100 states, 512 burn-in steps: jump against stepping, in ms,
-#: read 16 / 248 at d = 256, 112 / 227 at 512, 196 / 389 at 640, 312 / 401
-#: at 768, 487 / 491 at 896, 865 / 590 at 1024 and 6013 / 1192 at 2048,
-#: which this value puts between 768 and 896 (the rule switches at 798).
-#: The rule reads only the run's sizes, so its choice, and the samples, do
-#: not depend on the CPU count
-_FFT_STEP_COST = 12
+#: multiply-adds of a square :func:`_product`.  Both sides use the 2 CPUs of
+#: the host it was measured on (the steps in two row blocks, the products on
+#: OpenBLAS's two threads), 100 states, 512 burn-in steps: jump against
+#: stepping, in ms (medians of 5), read 20 / 139 at d = 256, 110 / 179 at
+#: 512, 209 / 216 at 640, 330 / 276 at 704, 360 / 308 at 768, 508 / 378 at
+#: 896 and 782 / 465 at 1024, which this value puts between 640 and 704 (the
+#: rule switches at 642)
+_FFT_STEP_COST = 8
 
 
 def _jump_pays(d, n_states, n_min, fft):
@@ -393,32 +430,35 @@ def _jump_pays(d, n_states, n_min, fft):
 
 
 def _takes_jump(d, n_states, n_min, window, fft, dense):
-    """Whether the engine jumps the burn-in: the jump is cheaper (:func:`_jump_pays`) and its d x d arrays fit in memory."""
-    return _jump_pays(d, n_states, n_min, fft) and _fits(_memory_need(d, n_states, window, dense, jump=True))
+    """Whether the engine jumps the burn-in with the FFT step (``fft``) or the dense one.
+
+    It does when the jump is cheaper (:func:`_jump_pays`) and its
+    ``_JUMP_COPIES`` d x d arrays fit in physical memory beside what
+    :func:`_check_memory` counts for the run (``dense``: the map is a
+    matrix).  So the jump never makes a run fail that check, and a host too
+    small for its arrays steps instead.
+    """
+    return (_jump_pays(d, n_states, n_min, fft)
+            and _fits(_memory_need(d, n_states, window, dense) + 16 * _JUMP_COPIES * d * d))
 
 
-def _memory_need(d, n_states, window, dense, jump):
-    """Bytes an engine run holds at its peak; see :func:`_check_memory`."""
-    squares = (2 if dense else 0) + (_JUMP_COPIES if jump else 0)
-    return 24 * n_states * window + 16 * (_BATCH_COPIES * n_states * d + squares * d * d)
+def _memory_need(d, n_states, window, dense):
+    """Bytes an engine run holds at its peak, the burn-in jump aside; see :func:`_check_memory`."""
+    return 24 * n_states * window + 16 * (_BATCH_COPIES * n_states * d + (2 * d * d if dense else 0))
 
 
-def _check_memory(d, n_states, window, dense=True, n_min=1):
+def _check_memory(d, n_states, window, dense=True):
     """Refuse a run whose arrays cannot fit in physical memory, before allocating them.
 
     The estimate is the three ``EntropySamples`` columns (8 bytes each per
-    sample), ``_BATCH_COPIES`` complex (S, d) batches, for a ``dense`` map
-    the two complex d x d temporaries of the unitarity and transform gates,
-    and ``_JUMP_COPIES`` d x d arrays when the run jumps the burn-in to
-    ``n_min - 1``.  A map iterated without a matrix holds no d x d array
-    otherwise.  The jump is taken only when it fits, so it never makes a run
-    fail this check.  Returns whether the run jumps, weighing the dense step
-    for a ``dense`` map and the FFT step otherwise.
+    sample), ``_BATCH_COPIES`` complex (S, d) batches and, for a ``dense``
+    map, the two complex d x d temporaries of the unitarity and transform
+    gates.  A map iterated without a matrix holds no d x d array.  The
+    burn-in jump's arrays are not counted: it is taken only where they fit
+    beside these (see :func:`_takes_jump`).
     """
-    jump = _takes_jump(d, n_states, n_min, window, fft=not dense, dense=dense)
-    need = _memory_need(d, n_states, window, dense, jump)
-    _require_memory(need, f"{n_states} states x {window} window steps at d = {d} need")
-    return jump
+    _require_memory(_memory_need(d, n_states, window, dense),
+                    f"{n_states} states x {window} window steps at d = {d} need")
 
 
 def _physical_memory():

@@ -1,8 +1,11 @@
 import functools
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -554,11 +557,31 @@ class TestBurnInJump:
         assert np.array_equal(jumped.time_step, stepped.time_step)
         assert_allclose(jumped.value, stepped.value, rtol=0, atol=1e-12)
 
-    def test_matrix_power_matches_numpy(self):
-        base = bl.sample_cue(16, bl.RngStream(52))
-        for m in range(1, 40):
+    # at d = 300 every product sums three runs of the inner dimension in two
+    # blocks of rows (see entropy._product)
+    @pytest.mark.parametrize("d, exponents", [(16, range(1, 40)), (300, (1, 2, 3, 6))])
+    def test_matrix_power_matches_numpy(self, d, exponents):
+        base = bl.sample_cue(d, bl.RngStream(52))
+        for m in exponents:
             assert_allclose(bl.entropy._matrix_power(base, m), np.linalg.matrix_power(base, m),
                             rtol=0, atol=1e-13)
+
+    def test_product_bits_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS reads its thread count at start-up, so each count runs in
+        # a process of its own; at d = 300 one GEMM gives other bits on one
+        # thread than on two
+        code = ("import hashlib, numpy as np, bakerlab.entropy as e; "
+                "a = np.random.default_rng(62).standard_normal((300, 600)).view(complex); "
+                "print(hashlib.sha256(e._product(a, a.T.copy(), np.empty_like(a)).tobytes()).hexdigest())")
+        src = str(Path(bl.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout)
+        assert len(digests) == 1
 
     def test_cost_rule(self):
         pays = bl.entropy._jump_pays
@@ -596,16 +619,17 @@ class TestBurnInJump:
             monkeypatch.setattr("os.sysconf", lambda name: nbytes if name == "SC_PHYS_PAGES" else 1)
 
         physical_memory(need + squares)
-        assert bl.entropy._check_memory(d, n_states, window, dense=dense, n_min=n_min) is True
+        assert bl.entropy._takes_jump(d, n_states, n_min, window, fft=not dense, dense=dense)
         physical_memory(need + squares - 1)  # a run that fits without the jump still runs, stepping
-        assert bl.entropy._check_memory(d, n_states, window, dense=dense, n_min=n_min) is False
+        assert not bl.entropy._takes_jump(d, n_states, n_min, window, fft=not dense, dense=dense)
+        bl.entropy._check_memory(d, n_states, window, dense=dense)
         calls = self.count_jumps(monkeypatch)
         samples = bl.empirical_asymptotic_distribution(u, part, n_min, n_min + window - 1, n_states,
                                                        bl.RngStream(54))
         assert len(samples) == n_states * window and calls == []
         physical_memory(need - 1)
         with pytest.raises(ValueError, match="physical memory"):
-            bl.entropy._check_memory(d, n_states, window, dense=dense, n_min=n_min)
+            bl.entropy._check_memory(d, n_states, window, dense=dense)
 
     @pytest.mark.parametrize("kind", ["baker", "dprime"])
     def test_jumped_samples_are_the_same_at_any_worker_count(self, monkeypatch, kind):
