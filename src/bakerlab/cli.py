@@ -35,7 +35,7 @@ from .entropy import (
     _require_memory,
 )
 from .linalg import Bipartition, eigensystem, eigensystem_diagnostics
-from .maps import MapKind, make_map
+from .maps import MAP_VERSION, MapKind, make_map
 from .matrixio import _MIN_ENTRY_BYTES, _header_dims, atomic_write, load_cmatrix, save_cmatrix
 from .reports import HistogramSummary, write_entropy_csv
 
@@ -95,8 +95,9 @@ _JSON_LOAD_COPIES = 12.5
 #: size, like a file without the header
 _MAX_ENTRY_BYTES = 64
 #: gen-map holds the map, its builder's temporaries and one row as Python
-#: floats and JSON text: tracemalloc reads 1.0-2.0 complex d x d arrays'
-#: worth at d = 256..1024
+#: floats and JSON text: tracemalloc reads 1.0-2.4 complex d x d arrays'
+#: worth at d = 256..1024, the most for D and D' at 256, whose 128 unit rows
+#: and their scratch make one more d x d array
 _GEN_MAP_COPIES = 3
 #: bytes per float64 sample summarized outside the engine (ensemble entropies,
 #: --cue-reference draws) with the summary's temporaries, and per histogram
@@ -281,7 +282,7 @@ def cmd_timeseries(args) -> int:
     samples = empirical_asymptotic_distribution(args.kind, part, 1, n_max, n_states, RngStream(args.seed))
     metadata = _metadata(
         args, kind=args.kind, d=args.d, split=f"{part.d_a}x{part.d_b}", states=n_states, n_max=n_max,
-        iteration_version=ITERATION_VERSION,
+        iteration_version=ITERATION_VERSION, map_version=MAP_VERSION,
     )
     write_entropy_csv(args.out, samples, metadata)
     print(f"wrote {len(samples)} entropy samples ({n_states} states x {n_max} steps) to {args.out}")
@@ -302,6 +303,7 @@ def cmd_histogram(args) -> int:
     metadata = _metadata(
         args, kind=args.kind, d=args.d, split=f"{part.d_a}x{part.d_b}", states=n_states,
         n_min=n_min, n_max=n_max, bins=args.bins, iteration_version=ITERATION_VERSION,
+        map_version=MAP_VERSION,
     )
     summary = HistogramSummary.from_values(samples.value, args.bins, metadata)
     report = summary.to_dict()
@@ -383,10 +385,12 @@ def cmd_epinf(args) -> int:
     reduced = ReducedEigenData.from_eigensystem(eig, part)
     power = asymptotic_entangling_power(eig, part, reduced=reduced, resonance=resonance)
     del reduced
-    # the engine's version is recorded only where the engine ran
+    # the engine's version is recorded only where the engine ran, the map's where a kind was built
     engine = {} if cross is None else {"iteration_version": ITERATION_VERSION}
+    built = {} if args.map_file is not None else {"map_version": MAP_VERSION}
     report = {
-        "metadata": _metadata(args, kind=label, d=d, split=f"{part.d_a}x{part.d_b}", tol=args.tol, **engine),
+        "metadata": _metadata(args, kind=label, d=d, split=f"{part.d_a}x{part.d_b}", tol=args.tol,
+                              **engine, **built),
         "entangling_power_asymptotic": power.value,
         "assumptions_violated": power.assumptions_violated,
         "resonance": resonance.to_dict(),

@@ -152,13 +152,10 @@ def sample_symmetric(d: int, rng: RngStream) -> np.ndarray:
     return _from_parity_blocks(_coe(gen, half), _coe(gen, half))  # odd block drawn first
 
 
+#: the sampler of each ensemble, called with the dimension and the stream
+_SAMPLERS = {EnsembleKind.CUE: sample_cue, EnsembleKind.COE: sample_coe, EnsembleKind.SYMMETRIC: sample_symmetric}
+
+
 def sample_ensemble(kind, d: int, rng: RngStream) -> np.ndarray:
     """Draw one matrix from the ensemble named by ``kind``."""
-    kind = EnsembleKind(kind)
-    if kind is EnsembleKind.CUE:
-        return sample_cue(d, rng)
-    if kind is EnsembleKind.COE:
-        return sample_coe(d, rng)
-    if kind is EnsembleKind.SYMMETRIC:
-        return sample_symmetric(d, rng)
-    raise ValueError(f"unhandled ensemble kind {kind!r}")  # pragma: no cover
+    return _SAMPLERS[EnsembleKind(kind)](d, rng)

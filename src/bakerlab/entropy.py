@@ -38,7 +38,7 @@ from .linalg import (
     assert_unitary,
     max_abs,
 )
-from .maps import MapKind, _baker_rows, _baker_rows_t, make_map
+from .maps import _STEPS, MapKind, _diagonal, _unit_blocks, make_map
 
 __all__ = [
     "AsymptoticValue",
@@ -257,11 +257,11 @@ def empirical_asymptotic_distribution(
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
     d, window = part.d, n_max - n_min + 1
-    sign = _KIND_SIGNS.get(kind) if d % 2 == 0 and d >= _TRANSFORM_MIN_D else None
-    _check_memory(d, n_states, window, dense=sign is None)
-    if sign is not None:
-        step = functools.partial(_baker_rows, sign=sign)
-        _assert_unitary_step(step, functools.partial(_baker_rows_t, sign=sign), d)
+    steps = _STEPS.get(kind) if d % 2 == 0 and d >= _TRANSFORM_MIN_D else None
+    _check_memory(d, n_states, window, dense=steps is None)
+    if steps is not None:
+        step, step_t = steps
+        _assert_unitary_step(step, step_t, d)
     else:
         if kind is not None:
             u = make_map(kind, d)
@@ -277,7 +277,7 @@ def empirical_asymptotic_distribution(
     psi = np.empty((n_states, d), dtype=np.complex128)
     for s in range(n_states):
         psi[s] = product_state(part, rng.offset(s))
-    start = n_min - 1 if _takes_jump(d, n_states, n_min, window, fft=fft, dense=sign is None) else 0
+    start = n_min - 1 if _takes_jump(d, n_states, n_min, window, fft=fft, dense=steps is None) else 0
     if start:  # row k of the operator U^T that multiplies the rows is the step applied to e_k
         one_step = step(np.eye(d, dtype=np.complex128), work=np.empty((d, d), dtype=np.complex128)) if fft else u.T
         power = _matrix_power(one_step, start)
@@ -489,8 +489,6 @@ def _require_memory(need, what):
 #: B, D and D' are iterated by FFT from this dimension up; below it one dense
 #: GEMM per step is faster (per-step timings in CHANGES.md)
 _TRANSFORM_MIN_D = 256
-#: the ``maps._baker_rows`` sign of each kind iterated by FFT
-_KIND_SIGNS = {MapKind.BAKER: 0, MapKind.DMAP: +1, MapKind.DPRIME: -1}
 #: rows of the identity pushed through a candidate transform at a time, over
 #: all threads: the FFT gate gives each of its threads blocks of
 #: ``_GATE_ROWS // threads`` rows
@@ -500,11 +498,11 @@ _GATE_ROWS = 64
 def _transform_step(u):
     """The FFT step of ``u`` when it is B, D or D', else None.
 
-    Each candidate (``maps._baker_rows`` with sign 0, +1, -1) is applied to
+    Each candidate (the steps of ``maps._STEPS``: B, D, D') is applied to
     the identity, ``_GATE_ROWS`` rows at a time, and must reproduce every
     column of ``u`` within ``UNITARY_TOL``: the map that is iterated is the
     one that passed the unitarity gate.  The first block holds the last
-    columns, in the half where the three kinds differ, so a wrong sign is
+    columns, in the half where the three kinds differ, so a wrong kind is
     refused after one block.  Inputs with d below ``_TRANSFORM_MIN_D`` or
     odd are not tested.
     """
@@ -513,8 +511,7 @@ def _transform_step(u):
         return None
     unit = np.empty((_GATE_ROWS, d), dtype=np.complex128)
     work = np.empty_like(unit)
-    for sign in _KIND_SIGNS.values():
-        step = functools.partial(_baker_rows, sign=sign)
+    for step, _ in _STEPS.values():
         if all(max_abs(step(rows, work=work[: len(rows)]) - u[:, start:start + len(rows)].T) < UNITARY_TOL
                for start, rows in _unit_blocks(unit, _gate_starts(d, _GATE_ROWS))):
             return step
@@ -563,20 +560,6 @@ def _gate_defect(step, step_t, d, rows, starts):
 def _gate_starts(d, rows):
     """First rows of the ``rows``-row blocks of the d x d identity, last block first."""
     return list(reversed(range(0, d, rows)))
-
-
-def _unit_blocks(unit, starts):
-    """``(start, rows)``: e_start, e_(start+1), ... of the identity, written over the first rows of ``unit`` in turn."""
-    for start in starts:
-        rows = unit[: min(len(unit), unit.shape[1] - start)]
-        rows[:] = 0.0
-        _diagonal(rows, start)[:] = 1.0
-        yield start, rows
-
-
-def _diagonal(rows, start):
-    """Writable view of the entries ``(i, start + i)`` of ``rows``."""
-    return np.einsum("ii->i", rows[:, start:start + len(rows)])
 
 
 def asymptotic_power_mc(u, part: Bipartition, n_states: int, n_min: int, n_max: int, rng: RngStream):

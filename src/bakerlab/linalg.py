@@ -467,17 +467,20 @@ def _parity_blocks(u):
     return minus, plus
 
 
-def _from_parity_blocks(minus, plus):
-    """``Lambda diag(X, Y) Lambda^dag`` for parity blocks X (odd), Y (even).
+def _from_parity_blocks(minus, plus, out=None):
+    """``Lambda diag(X, Y) Lambda^dag`` for parity blocks X (odd), Y (even), into ``out`` when given.
 
-    In quarters it reads [[X + RYR, RY - XR], [YR - RX, RXR + Y]] / 2.
+    In quarters it reads [[X + RYR, RY - XR], [YR - RX, RXR + Y]] / 2; the
+    lower quarters are copied from the upper ones, reversed, so X and Y may
+    be views of ``out``'s lower quarters.
     """
     h = minus.shape[0]
-    out = np.empty((2 * h, 2 * h), dtype=np.complex128)
-    out[:h, :h] = minus + plus[::-1, ::-1]
-    out[:h, h:] = plus[::-1, :] - minus[:, ::-1]
-    out[h:, :h] = plus[:, ::-1] - minus[::-1, :]
-    out[h:, h:] = minus[::-1, ::-1] + plus
+    if out is None:
+        out = np.empty((2 * h, 2 * h), dtype=np.complex128)
+    np.add(minus, plus[::-1, ::-1], out=out[:h, :h])
+    np.subtract(plus[::-1, :], minus[:, ::-1], out=out[:h, h:])
+    out[h:, :h] = out[:h, h:][::-1, ::-1]
+    out[h:, h:] = out[:h, :h][::-1, ::-1]
     out *= 0.5
     return out
 

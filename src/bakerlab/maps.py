@@ -8,6 +8,10 @@ family below is built entirely from the half-integer Fourier kernel
     G_d[j, k] = exp(2 pi i (j + 1/2)(k + 1/2) / d) / sqrt(d)
 
 which obeys antiperiodic boundary conditions in both position and momentum.
+
+B, D and D' are one FFT step, :func:`_baker_rows`: their matrices are that
+step applied to the identity, and Bbar is built from D and D' by the parity
+rotation.  Each kind is one row of the tables behind :func:`make_map`.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from numpy.linalg import LinAlgError
 from .linalg import (
     _BLOCK,
     UNITARY_TOL,
-    _fourier_apply,
     _fourier_kernel,
     _fourier_phases,
+    _from_parity_blocks,
     _parity_blocks,
     as_matrix,
     assert_unitary,
@@ -42,6 +46,11 @@ __all__ = [
     "reflection",
     "reflection_commutator",
 ]
+
+#: version of the B, D, D' and Bbar entries, recorded in artifacts made from a
+#: map kind: 1 (unrecorded) transformed the rows of B's block-diagonal factor
+#: by FFT, 2 applies the FFT step to the identity (entries moved by < 1e-15)
+MAP_VERSION = 2
 
 
 def antiperiodic_fourier(d: int) -> np.ndarray:
@@ -80,32 +89,33 @@ def baker(d: int) -> np.ndarray:
 
 
 def _baker_family(d, sign, out=None):
-    """``G_d F`` for the block-diagonal factor F of B (sign 0), D (+1) or D' (-1).
+    """B (sign 0), D (+1) or D' (-1) as a matrix: the FFT step :func:`_baker_rows` applied to the identity.
 
-    F is ``diag(G^{-1}, G^{-1})`` for B and ``diag(G^{-1}, sign G)`` for D and
-    D', with ``G = G_{d/2}``.  F is symmetric, so transforming its rows by FFT
-    gives ``F G_d = (G_d F)^T`` in O(d^2 log d) instead of a d^3 product.
-    F is built and transformed a block of at most d/4 rows at a time, each
-    block written straight into its columns of the output (``out``, a
-    d x d view, when given), so besides the map only G and two blocks, at
-    most d/2 rows together, are alive.
+    Row k of the step applied to the unit rows is column k of the map, so the
+    map is filled ``_BLOCK`` columns at a time, into ``out`` (a d x d view)
+    when given, and equals the step bit for bit, in O(d^2 log d).
     """
-    half = d // 2
-    g = _fourier_kernel(half)
     if out is None:
         out = np.empty((d, d), dtype=np.complex128)
-    step = min(_BLOCK, d // 4)
-    for a in range(0, d, step):
-        b = min(a + step, d)
-        rows = np.zeros((b - a, d), dtype=np.complex128)
-        c = min(max(a, half), b)  # rows a:c of F are in its first block, c:b in its second
-        np.conjugate(g[a:c], out=rows[: c - a, :half])
-        if sign:
-            np.multiply(g[c - half : b - half], sign, out=rows[c - a :, half:])
-        else:
-            np.conjugate(g[c - half : b - half], out=rows[c - a :, half:])
-        out[:, a:b] = _fourier_apply(rows).T
+    unit = np.empty((min(_BLOCK, d), d), dtype=np.complex128)
+    work = np.empty_like(unit)
+    for start, rows in _unit_blocks(unit, range(0, d, _BLOCK)):
+        out[:, start:start + len(rows)] = _baker_rows(rows, sign, work[: len(rows)]).T
     return out
+
+
+def _unit_blocks(unit, starts):
+    """``(start, rows)``: e_start, e_(start+1), ... of the identity, written over the first rows of ``unit`` in turn."""
+    for start in starts:
+        rows = unit[: min(len(unit), unit.shape[1] - start)]
+        rows[:] = 0.0
+        _diagonal(rows, start)[:] = 1.0
+        yield start, rows
+
+
+def _diagonal(rows, start):
+    """Writable view of the entries ``(i, start + i)`` of ``rows``."""
+    return np.einsum("ii->i", rows[:, start:start + len(rows)])
 
 
 @functools.lru_cache(maxsize=8)
@@ -235,19 +245,13 @@ def bbar(d: int) -> np.ndarray:
     """
     if d < 8 or d % 4:
         raise ValueError(f"this construction needs d divisible by 4 and >= 8, got {d}")
-    # Lambda diag(X, R Y R) Lambda^dag for X = D_{d/2}, Y = D'_{d/2} reads
-    # [[X + Y, (Y - X) R], [R (Y - X), R (X + Y) R]] / 2 in quarters: X and Y
-    # are built in the lower quarters, which are filled last
+    # X = D_{d/2} and Y = D'_{d/2} are built in the lower quarters, which
+    # _from_parity_blocks reads before it writes them
     h = d // 2
     out = np.empty((d, d), dtype=np.complex128)
     x = _baker_family(h, +1, out[h:, h:])
     y = _baker_family(h, -1, out[h:, :h])
-    np.add(x, y, out=out[:h, :h])
-    np.subtract(y, x, out=out[:h, h:][:, ::-1])
-    out[h:, h:] = out[:h, :h][::-1, ::-1]
-    out[h:, :h] = out[:h, h:][::-1, ::-1]
-    out *= 0.5
-    return out
+    return _from_parity_blocks(x, y[::-1, ::-1], out)
 
 
 def reflection_commutator(u) -> float:
@@ -300,25 +304,31 @@ class MapKind(enum.Enum):
     IDENTITY = "identity"
 
 
+def _identity(d):
+    if d < 1:
+        raise ValueError(f"identity needs dimension >= 1, got {d}")
+    return np.eye(d, dtype=np.complex128)
+
+
+#: the constructor of each kind, called with the dimension
+_CONSTRUCTORS = {
+    MapKind.BAKER: baker,
+    MapKind.DMAP: functools.partial(d_map, sign=+1),
+    MapKind.DPRIME: functools.partial(d_map, sign=-1),
+    MapKind.BBAR: bbar,
+    MapKind.REFLECTION: reflection,
+    MapKind.FOURIER: antiperiodic_fourier,
+    MapKind.LAMBDA: lambda_basis,
+    MapKind.IDENTITY: _identity,
+}
+
+#: the FFT step and its transpose of each kind that is applied without a matrix
+_STEPS = {
+    kind: (functools.partial(_baker_rows, sign=sign), functools.partial(_baker_rows_t, sign=sign))
+    for kind, sign in ((MapKind.BAKER, 0), (MapKind.DMAP, +1), (MapKind.DPRIME, -1))
+}
+
+
 def make_map(kind, d: int) -> np.ndarray:
     """Build the map named by ``kind`` (a :class:`MapKind` or its value)."""
-    kind = MapKind(kind)
-    if kind is MapKind.BAKER:
-        return baker(d)
-    if kind is MapKind.DMAP:
-        return d_map(d, +1)
-    if kind is MapKind.DPRIME:
-        return d_map(d, -1)
-    if kind is MapKind.BBAR:
-        return bbar(d)
-    if kind is MapKind.REFLECTION:
-        return reflection(d)
-    if kind is MapKind.FOURIER:
-        return antiperiodic_fourier(d)
-    if kind is MapKind.LAMBDA:
-        return lambda_basis(d)
-    if kind is MapKind.IDENTITY:
-        if d < 1:
-            raise ValueError(f"identity needs dimension >= 1, got {d}")
-        return np.eye(d, dtype=np.complex128)
-    raise ValueError(f"unhandled map kind {kind!r}")  # pragma: no cover
+    return _CONSTRUCTORS[MapKind(kind)](d)

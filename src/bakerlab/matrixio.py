@@ -80,7 +80,8 @@ def cmatrix_from_dict(obj) -> np.ndarray:
     if missing:
         raise ValueError(f"cmatrix payload is missing fields: {sorted(missing)}")
     rows, cols = obj["dim_rows"], obj["dim_cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+    # type, not isinstance: JSON true and false load as bool, a subclass of int
+    if not (type(rows) is int and type(cols) is int) or rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive integers, got {rows!r} x {cols!r}")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:

@@ -733,6 +733,16 @@ class TestFileErrors:
         assert run(*[str(a).format(missing=missing) for a in argv]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["epinf", "--split", "1x1", "--map-file"], id="epinf-map-file"),
+        pytest.param(["spectrum-check"], id="spectrum-check"),
+    ])
+    def test_boolean_dimensions_are_refused(self, tmp_path, capsys, argv):
+        path = tmp_path / "m.json"
+        path.write_text('{"entries": [[1, 0]], "dim_rows": true, "dim_cols": true}')
+        assert run(*argv, path, "--out", tmp_path / "x.json") == 2
+        assert "matrix dimensions must be positive integers" in capsys.readouterr().err
+
     def test_message_names_the_output_not_a_temporary_file(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run("gen-map", "--kind", "baker", "--d", 8, "--out", "nodir/x.json") == 2
@@ -804,6 +814,16 @@ class TestMetadata:
         tail = {"spectrum-check": ["version"], "timeseries": ["seed", "version"]}.get(
             argv[0], ["seed", "profile", "version"])
         assert keys[-len(tail):] == tail
+        if artifact in ("ensemble", "spectrum-check"):  # no map kind built
+            assert "map_version" not in metadata
+        else:
+            assert int(metadata["map_version"]) == bl.maps.MAP_VERSION == 2  # CSV: a string
+
+    def test_map_file_epinf_records_no_map_version(self, tmp_path):
+        path = tmp_path / "b16.json"
+        bl.save_cmatrix(path, bl.baker(16))
+        assert run("epinf", "--map-file", path, "--split", "4x4", "--out", tmp_path / "ep.json") == 0
+        assert "map_version" not in self._read(tmp_path / "ep.json")
 
     def test_ensemble_records_the_stream_layout_among_its_fields(self, tmp_path):
         argv, name = self._runs(tmp_path)["ensemble"]

@@ -24,6 +24,14 @@ def swap_subsystems(part):
     return s
 
 
+def patch_steps(monkeypatch, rows=None, rows_t=None):
+    """Make every FFT step of the engine's step table call ``rows(psi, sign, work)``, its transposes ``rows_t``."""
+    table = {kind: (functools.partial(rows or step.func, **step.keywords),
+                    functools.partial(rows_t or step_t.func, **step_t.keywords))
+             for kind, (step, step_t) in bl.maps._STEPS.items()}
+    monkeypatch.setattr(bl.entropy, "_STEPS", table)
+
+
 def local_pair(part, stream):
     gen_a = bl.sample_cue(part.d_a, stream)
     gen_b = bl.sample_cue(part.d_b, stream.offset(1))
@@ -316,6 +324,17 @@ class TestTransformDispatch:
         psi = bl.product_states(bl.Bipartition(2, d // 2), 3, bl.RngStream(21))
         assert_allclose(step(psi.T.copy()), (u @ psi).T, atol=1e-13)
 
+    @pytest.mark.parametrize("kind", ["baker", "dmap", "dprime"])
+    def test_built_map_matches_its_step_exactly(self, kind):
+        d = bl.entropy._TRANSFORM_MIN_D
+        u = bl.make_map(kind, d)
+        step = bl.entropy._transform_step(u)
+        assert step is bl.maps._STEPS[bl.MapKind(kind)][0]
+        unit = np.empty((bl.entropy._GATE_ROWS, d), dtype=complex)
+        figure = max(bl.max_abs(step(rows) - u[:, start:start + len(rows)].T)
+                     for start, rows in bl.maps._unit_blocks(unit, bl.entropy._gate_starts(d, len(unit))))
+        assert figure == 0.0
+
     def test_other_inputs_take_the_dense_step(self):
         d = bl.entropy._TRANSFORM_MIN_D
         assert bl.entropy._transform_step(bl.sample_cue(d, bl.RngStream(22))) is None
@@ -352,9 +371,8 @@ class TestTransformDispatch:
         d = bl.entropy._TRANSFORM_MIN_D
         u = bl.d_map(d, sign=-1)
         signs = []
-        rows = bl.entropy._baker_rows
-        monkeypatch.setattr(bl.entropy, "_baker_rows",
-                            lambda psi, sign, work=None: signs.append(sign) or rows(psi, sign, work))
+        rows = bl.maps._baker_rows
+        patch_steps(monkeypatch, lambda psi, sign, work=None: signs.append(sign) or rows(psi, sign, work))
         step = bl.entropy._transform_step(u)
         assert step is not None and step.keywords == {"sign": -1}
         assert signs == [0, +1] + [-1] * (d // bl.entropy._GATE_ROWS)
@@ -674,8 +692,8 @@ class TestAllocationFreeStep:
     @pytest.mark.parametrize("kind, sign", [("baker", 0), ("dmap", +1), ("dprime", -1)])
     @pytest.mark.parametrize("d", [256, 300])
     def test_gate_figure_is_the_same_at_any_thread_count(self, monkeypatch, kind, sign, d):
-        step = functools.partial(bl.entropy._baker_rows, sign=sign)
-        step_t = functools.partial(bl.entropy._baker_rows_t, sign=sign)
+        step = functools.partial(bl.maps._baker_rows, sign=sign)
+        step_t = functools.partial(bl.maps._baker_rows_t, sign=sign)
         figures = []
         for workers in (1, 2, 3, 64):
             monkeypatch.setattr(bl.entropy, "_worker_count", lambda: workers)
@@ -683,13 +701,21 @@ class TestAllocationFreeStep:
         assert figures == [figures[0]] * 4
 
     def test_gate_runs_on_every_worker(self, monkeypatch):
+        # ThreadPoolExecutor gives a share to a worker that is already idle, so
+        # a fast gate could finish on two threads; each thread's first step
+        # waits until three step at once (a gate on fewer breaks the barrier)
         threads = set()
-        step = bl.entropy._baker_rows
+        barrier = threading.Barrier(3, timeout=10)
+
+        def step(psi, sign, work=None):
+            if threading.get_ident() not in threads:
+                threads.add(threading.get_ident())
+                barrier.wait()
+            return bl.maps._baker_rows(psi, sign, work)
+
         monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 3)
-        monkeypatch.setattr(bl.entropy, "_baker_rows",
-                            lambda psi, sign, work=None: threads.add(threading.get_ident()) or step(psi, sign, work))
-        bl.entropy._assert_unitary_step(functools.partial(bl.entropy._baker_rows, sign=0),
-                                        functools.partial(bl.entropy._baker_rows_t, sign=0), 256)
+        bl.entropy._assert_unitary_step(functools.partial(step, sign=0),
+                                        functools.partial(bl.maps._baker_rows_t, sign=0), 256)
         assert len(threads) == 3
 
 
@@ -779,9 +805,8 @@ class TestMatrixFreeKinds:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_scaled_step_fails_the_unitarity_gate(self, monkeypatch, workers):
         monkeypatch.setattr(bl.entropy, "_worker_count", lambda: workers)
-        step = bl.entropy._baker_rows
-        monkeypatch.setattr(bl.entropy, "_baker_rows",
-                            lambda psi, sign, work=None: step(psi, sign, work) * (1 + 2 * bl.UNITARY_TOL))
+        step = bl.maps._baker_rows
+        patch_steps(monkeypatch, lambda psi, sign, work=None: step(psi, sign, work) * (1 + 2 * bl.UNITARY_TOL))
         with pytest.raises(np.linalg.LinAlgError, match=r"not unitary: max \|U U\^dag - 1\| = 2\.00\de-10"):
             bl.empirical_asymptotic_distribution("baker", bl.Bipartition(16, 16), 1, 2, 2, bl.RngStream(45))
 
@@ -793,10 +818,9 @@ class TestMatrixFreeKinds:
         corrupted = bl.make_map(kind, d) * scale
         dense = bl.unitarity_defect(corrupted)
         assert dense > bl.UNITARY_TOL
-        step, step_t = bl.entropy._baker_rows, bl.entropy._baker_rows_t
-        monkeypatch.setattr(bl.entropy, "_baker_rows", lambda psi, sign, work=None: step(psi * scale, sign, work))
-        monkeypatch.setattr(bl.entropy, "_baker_rows_t",
-                            lambda psi, sign, work=None: step_t(psi, sign, work) * scale)
+        step, step_t = bl.maps._baker_rows, bl.maps._baker_rows_t
+        patch_steps(monkeypatch, lambda psi, sign, work=None: step(psi * scale, sign, work),
+                    lambda psi, sign, work=None: step_t(psi, sign, work) * scale)
         part = bl.Bipartition(16, 16)
         with pytest.raises(np.linalg.LinAlgError, match="not unitary") as err:
             bl.empirical_asymptotic_distribution(kind, part, 1, 2, 2, bl.RngStream(46))
@@ -808,8 +832,8 @@ class TestMatrixFreeKinds:
     @pytest.mark.parametrize("kind, sign", [("baker", 0), ("dmap", +1), ("dprime", -1)])
     @pytest.mark.parametrize("d", [256, 300])
     def test_gate_figure_is_the_size_of_the_dense_defect(self, kind, sign, d):
-        figure = bl.entropy._assert_unitary_step(functools.partial(bl.entropy._baker_rows, sign=sign),
-                                                 functools.partial(bl.entropy._baker_rows_t, sign=sign), d)
+        figure = bl.entropy._assert_unitary_step(functools.partial(bl.maps._baker_rows, sign=sign),
+                                                 functools.partial(bl.maps._baker_rows_t, sign=sign), d)
         dense = bl.unitarity_defect(bl.make_map(kind, d))
         assert 0 < figure < 8 * dense < 1e-13
 

@@ -74,6 +74,7 @@ class TestCmatrixJson:
             {"dim_rows": 1, "dim_cols": 1, "entries": [[0, 0, 0]]},  # not a pair
             {"dim_rows": 1, "dim_cols": 1, "entries": [["a", "b"]]},  # not numbers
             [1, 2, 3],  # not an object
+            {"dim_rows": True, "dim_cols": True, "entries": [[1, 0]]},  # JSON booleans as dims
         ],
     )
     def test_rejects_malformed_payloads(self, payload):

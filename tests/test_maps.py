@@ -239,6 +239,19 @@ class TestSlicedParityRotation:
         assert_allclose(minus, dense[:half, :half], rtol=0, atol=1e-15)
         assert_allclose(plus, dense[half:, half:], rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("d", [2, 10, 64])
+    def test_blocks_may_be_views_of_the_output(self, d):
+        from bakerlab.linalg import _from_parity_blocks
+
+        half = d // 2
+        x = bl.sample_cue(half, bl.RngStream(35, d))
+        y = bl.sample_cue(half, bl.RngStream(36, d))
+        out = np.empty((d, d), dtype=complex)
+        out[half:, half:], out[half:, :half] = x, y[::-1, ::-1]
+        got = _from_parity_blocks(out[half:, half:], out[half:, :half][::-1, ::-1], out)
+        assert got is out
+        assert out.tobytes() == _from_parity_blocks(x, y).tobytes()
+
     @pytest.mark.parametrize("d", [3, 8, 64])
     def test_reflection_commutator_equals_dense_products(self, d):
         u = bl.sample_cue(d, bl.RngStream(34, d))
@@ -378,3 +391,10 @@ class TestRowTransforms:
         x = bl.product_states(bl.Bipartition(2, d // 2), 3, bl.RngStream(40)).T
         assert_allclose(bl.maps._baker_rows(x.copy(), sign), x @ u.T, rtol=0, atol=1e-14)
         assert_allclose(bl.maps._baker_rows_t(x.copy(), sign), x @ u, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("kind, sign", [("baker", 0), ("dmap", +1), ("dprime", -1)])
+    @pytest.mark.parametrize("d", [6, 64, 256, 300])  # 300 = 2 blocks of 128 and a remainder of 44
+    def test_built_map_is_the_step_applied_to_the_identity(self, kind, sign, d):
+        u = bl.make_map(kind, d)
+        step = bl.maps._baker_rows(np.eye(d, dtype=complex), sign).T
+        assert u.tobytes() == np.ascontiguousarray(step).tobytes()
