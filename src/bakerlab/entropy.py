@@ -53,7 +53,6 @@ __all__ = [
     "cue_mean_entropy",
     "empirical_asymptotic_distribution",
     "ensemble_entropies",
-    "entangling_power_mc",
     "linear_entropies",
     "linear_entropy",
 ]
@@ -149,18 +148,6 @@ def cue_mean_entropy(part: Bipartition) -> float:
     return (part.d_a - 1) * (part.d_b - 1) / (part.d + 1)
 
 
-def entangling_power_mc(u, part: Bipartition, n_samples: int, rng: RngStream):
-    """Monte-Carlo entangling power of a single map application.
-
-    Averages ``S_L(u psi)`` over random product states ``psi``; sample ``i``
-    draws from ``rng.offset(i)``.  This is :func:`asymptotic_power_mc` with
-    the one-step window.  Returns ``(mean, std_error)``.
-    """
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples for a standard error, got {n_samples}")
-    return asymptotic_power_mc(u, part, n_samples, 1, 1, rng)
-
-
 #: version of the stream layout of :func:`ensemble_entropies`, echoed in
 #: ``ensemble`` metadata.  Layout 1 (unrecorded) gave every state its own
 #: stream ``n_maps + m * n_states + s``; layout 2 draws each map's states as
@@ -194,8 +181,10 @@ def ensemble_entropies(
 #: --cross-check``).  Version 1 (unrecorded) stepped through the burn-in and
 #: applied four diagonals per FFT step; version 2 jumps the burn-in where
 #: that is cheaper (see :func:`_jump_pays`) and combines the FFT step's two
-#: middle diagonals, which moves the last bits of the samples
-ITERATION_VERSION = 2
+#: middle diagonals, which moves the last bits of the samples; version 3
+#: runs the dense step through :func:`_product`, which moves the last bits of
+#: some dense samples
+ITERATION_VERSION = 3
 
 
 def empirical_asymptotic_distribution(
@@ -215,13 +204,14 @@ def empirical_asymptotic_distribution(
     ``_TRANSFORM_MIN_D``: those are never built, and their unitarity gate
     runs by FFT on every CPU (see :func:`_assert_unitary_step`).
 
-    A step is one dense product ``u @ psi``, except when the map is B, D or
-    D' (see :func:`bakerlab.maps.baker`, :func:`bakerlab.maps.d_map`) given
-    by kind, or as a matrix within ``UNITARY_TOL`` entrywise, and d is at
-    least ``_TRANSFORM_MIN_D``: then two FFTs per step apply the map in
+    A step is one dense product of the states with ``u.T`` (see
+    :func:`_dense_rows`), except when the map is B, D or D' (see
+    :func:`bakerlab.maps.baker`, :func:`bakerlab.maps.d_map`) given by kind,
+    or as a matrix within ``UNITARY_TOL`` entrywise, and d is at least
+    ``_TRANSFORM_MIN_D``: then two FFTs per step apply the map in
     O(d log d) per state, and the states are split into contiguous row
-    blocks (see :func:`_block_count`), one per thread, each iterated to
-    ``n_max`` steps by :func:`_iterate` in its own work buffers.
+    blocks (see :func:`_block_count`), one per thread.  Each block is
+    iterated in place to ``n_max`` steps by :func:`_iterate`.
 
     The burn-in records nothing, so when ``n_min > 1`` and one product is
     cheaper (see :func:`_jump_pays`), every state is moved to step
@@ -235,12 +225,10 @@ def empirical_asymptotic_distribution(
     physical memory (see :func:`_takes_jump`), so a host too small for them
     steps, and its samples differ in those last bits.
 
-    The FFT step, the jump's products (see :func:`_product`) and the
-    entropy reduction give every state the same bits in any row block and
-    on any number of OpenBLAS threads, so on the FFT path the samples are the
-    same at any CPU count.  A dense step is one GEMM over the whole inner
-    dimension, which keeps that property up to d = 256 but not beyond (at
-    d = 300 OpenBLAS gives other bits on one thread than on two).
+    The FFT step, the dense step and the jump's products (see
+    :func:`_product`) and the entropy reduction give every state the same
+    bits in any row block and on any number of OpenBLAS threads, so the
+    samples are the same at any CPU count.
 
     Raises ``ValueError`` before any allocation when the run would need more
     than the physical memory, and ``LinAlgError`` when the map is not
@@ -267,27 +255,25 @@ def empirical_asymptotic_distribution(
             u = make_map(kind, d)
         assert_unitary(u, name="map")
         step = _transform_step(u)
-    blocks, fft = 1, step is not None
-    if fft:
-        blocks = _block_count(n_states, d)
-    else:
-        def step(rows):  # one GEMM on the states as the columns of a (d, S) array
-            return (u @ rows.T).T
+    fft = step is not None
+    blocks = _block_count(n_states, d) if fft else 1
+    if not fft:
+        step = functools.partial(_dense_rows, u.T)
 
     psi = np.empty((n_states, d), dtype=np.complex128)
     for s in range(n_states):
         psi[s] = product_state(part, rng.offset(s))
+    work = np.empty_like(psi)
     start = n_min - 1 if _takes_jump(d, n_states, n_min, window, fft=fft, dense=steps is None) else 0
     if start:  # row k of the operator U^T that multiplies the rows is the step applied to e_k
         one_step = step(np.eye(d, dtype=np.complex128), work=np.empty((d, d), dtype=np.complex128)) if fft else u.T
         power = _matrix_power(one_step, start)
         del one_step
-        psi = _product(psi, power, np.empty_like(psi))
+        _dense_rows(power, psi, work)
         del power
     out = np.empty((n_states, window))
-    iterate = functools.partial(_iterate, step, part=part, n_min=n_min, n_max=n_max, start=start, buffered=fft)
-    finals = _in_threads(iterate, blocks, np.array_split(psi, blocks), np.array_split(out, blocks))
-    psi = finals[0] if blocks == 1 else np.concatenate(finals)
+    iterate = functools.partial(_iterate, step, part=part, n_min=n_min, n_max=n_max, start=start)
+    _in_threads(iterate, blocks, *(np.array_split(a, blocks) for a in (psi, work, out)))
     drift = max_abs(np.einsum("sd,sd->s", psi, psi.conj()).real - 1.0)
     if drift > NORM_TOL:
         raise LinAlgError(f"state norms drifted by {drift:.3g} over {n_max} steps (tolerance {NORM_TOL})")
@@ -298,23 +284,27 @@ def empirical_asymptotic_distribution(
     )
 
 
-def _iterate(step, psi, out, part, n_min, n_max, start=0, buffered=False):
-    """Apply ``step`` to the rows ``psi``, which are at step ``start``, up to step ``n_max``, filling ``out`` from step ``n_min``.
+def _iterate(step, psi, work, out, part, n_min, n_max, start):
+    """Step the rows ``psi``, which are at step ``start``, in place up to step ``n_max``, filling ``out`` from step ``n_min``.
 
-    The block owns its work buffers: the entropy reduction's, and when
-    ``buffered`` the step's (the FFT step's ``work``), so neither allocates;
-    a step that is not ``buffered`` returns a new array.  Runs in a worker
-    thread when the states are blocked, so it calls private helpers only.
-    Returns the final states.
+    Every step is called as ``step(psi, work=work)``: it overwrites the
+    C-contiguous rows ``psi`` with the next step's, using ``work``, an array
+    of their shape, as scratch, and what it returns is not used.  The FFT
+    step allocates nothing, the dense step (:func:`_dense_rows`) only the
+    partial sums of :func:`_product`.  The block owns its entropy buffers,
+    so the reduction allocates nothing.  Runs in a worker thread when the
+    states are blocked, so it calls private helpers only.
     """
-    if buffered:
-        step = functools.partial(step, work=np.empty_like(psi))
     buffers = _entropy_buffers(len(psi), part)
     for n in range(start + 1, n_max + 1):
-        psi = step(psi)
+        step(psi, work=work)
         if n >= n_min:
             _batch_entropy(psi, part, buffers, out[:, n - n_min])
-    return psi
+
+
+def _dense_rows(u_t, psi, work):
+    """The dense step: overwrite the rows ``psi`` with ``psi @ u_t`` by :func:`_product`, through ``work``."""
+    np.copyto(psi, _product(psi, u_t, work))
 
 
 def _in_threads(fn, threads, *iterables):
@@ -390,12 +380,12 @@ def _block_count(n_states, d):
     return max(1, min(_worker_count(), n_states * d // _MIN_BLOCK, n_states))
 
 
-#: (S, d) complex arrays alive at once: the initial states, the states and
-#: the FFT step's work buffer (on a dense map, the new product each step
-#: returns), the entropy buffers (at most 2 S d entries) and the final
-#: states; tracemalloc reads a peak of at most 5.0 while iterating at
-#: d = 64..1024 with 1, 2 and 4 row blocks and 64 or 256 states, beyond the
-#: samples and the d x d arrays counted below
+#: (S, d) complex arrays alive at once: the states, the step's work buffer,
+#: the dense step's partial sums (at most one batch, see :func:`_product`)
+#: and the entropy buffers (at most 2 S d entries).  From the states on,
+#: tracemalloc reads a peak of at most 5.3 at d = 64..1024 with 1, 2 and 4
+#: row blocks and 16, 64 or 256 states, beyond the samples and the d x d
+#: arrays counted below
 _BATCH_COPIES = 6
 #: complex d x d arrays the burn-in jump holds: the one-step operator, its
 #: power, the scratch array of :func:`_matrix_power` and, at most as large,

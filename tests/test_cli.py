@@ -840,7 +840,7 @@ class TestMetadata:
                                       "--nmax", 4], "ep.json")
         argv, name = runs[artifact]
         assert run(*argv) == 0
-        assert int(self._read(tmp_path / name)["iteration_version"]) == bl.entropy.ITERATION_VERSION == 2  # CSV: a string
+        assert int(self._read(tmp_path / name)["iteration_version"]) == bl.entropy.ITERATION_VERSION == 3  # CSV: a string
 
     @pytest.mark.parametrize("artifact", ["ensemble", "epinf", "spectrum-check"])
     def test_artifacts_without_the_engine_do_not(self, tmp_path, artifact):

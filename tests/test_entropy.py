@@ -194,12 +194,12 @@ class TestEntanglingPowerMc:
     def test_local_map_has_zero_power(self):
         part = bl.Bipartition(3, 4)
         u = local_pair(part, bl.RngStream(14))
-        mean, se = bl.entangling_power_mc(u, part, 20, bl.RngStream(15))
+        mean, se = bl.asymptotic_power_mc(u, part, 20, 1, 1, bl.RngStream(15))
         assert abs(mean) < 1e-12
 
     def test_subsystem_swap_map_has_zero_power(self):
         part = bl.Bipartition(3, 3)
-        mean, _ = bl.entangling_power_mc(swap_subsystems(part), part, 20, bl.RngStream(16))
+        mean, _ = bl.asymptotic_power_mc(swap_subsystems(part), part, 20, 1, 1, bl.RngStream(16))
         assert abs(mean) < 1e-12
 
     def test_matches_quadrature_oracle_on_qubit_pair(self):
@@ -231,19 +231,15 @@ class TestEntanglingPowerMc:
         # quadrature self-consistency: higher orders change nothing
         assert quadrature_power(6, 12) == pytest.approx(exact, abs=1e-12)
 
-        mean, se = bl.entangling_power_mc(u, part, 4000, bl.RngStream(41))
+        mean, se = bl.asymptotic_power_mc(u, part, 4000, 1, 1, bl.RngStream(41))
         assert abs(mean - exact) < 3.0 * se
 
     def test_deterministic(self):
         part = bl.Bipartition(4, 4)
         u = bl.baker(16)
-        assert bl.entangling_power_mc(u, part, 50, bl.RngStream(42)) == bl.entangling_power_mc(
-            u, part, 50, bl.RngStream(42)
+        assert bl.asymptotic_power_mc(u, part, 50, 1, 1, bl.RngStream(42)) == bl.asymptotic_power_mc(
+            u, part, 50, 1, 1, bl.RngStream(42)
         )
-
-    def test_rejects_single_sample(self):
-        with pytest.raises(ValueError, match="2 samples"):
-            bl.entangling_power_mc(np.eye(4), bl.Bipartition(2, 2), 1, bl.RngStream(1))
 
 
 class TestEnsembleEntropies:
@@ -485,7 +481,9 @@ class TestBlockedIteration:
         step = bl.entropy._transform_step(u)
 
         def last_block_grows(rows, work=None):  # only the block of 2 of the blocks 3, 3, 2 drifts
-            return step(rows, work=work) * (1 + 1e-9) if rows.shape[0] == 2 else step(rows, work=work)
+            step(rows, work=work)
+            if rows.shape[0] == 2:
+                rows *= 1 + 1e-9
 
         monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
         monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 3)
@@ -517,7 +515,11 @@ class TestNormDriftGuard:
     def test_fires_on_a_step_that_grows_the_norm(self, monkeypatch, workers):
         monkeypatch.setattr(bl.entropy, "_worker_count", lambda: workers)
         monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
-        monkeypatch.setattr(bl.entropy, "_transform_step", lambda u: lambda rows, work=None: rows * (1 + 1e-9))
+
+        def grows(rows, work=None):
+            rows *= 1 + 1e-9
+
+        monkeypatch.setattr(bl.entropy, "_transform_step", lambda u: grows)
         with pytest.raises(np.linalg.LinAlgError, match="drifted"):
             bl.empirical_asymptotic_distribution(bl.baker(16), bl.Bipartition(4, 4), 1, 3, 5,
                                                  bl.RngStream(28))
@@ -587,10 +589,13 @@ class TestBurnInJump:
     def test_product_bits_do_not_depend_on_the_blas_thread_count(self):
         # OpenBLAS reads its thread count at start-up, so each count runs in
         # a process of its own; at d = 300 one GEMM gives other bits on one
-        # thread than on two
-        code = ("import hashlib, numpy as np, bakerlab.entropy as e; "
+        # thread than on two.  The engine run takes the dense step on B-bar
+        code = ("import hashlib, numpy as np, bakerlab as bl, bakerlab.entropy as e; "
                 "a = np.random.default_rng(62).standard_normal((300, 600)).view(complex); "
-                "print(hashlib.sha256(e._product(a, a.T.copy(), np.empty_like(a)).tobytes()).hexdigest())")
+                "print(hashlib.sha256(e._product(a, a.T.copy(), np.empty_like(a)).tobytes()).hexdigest()); "
+                "v = bl.empirical_asymptotic_distribution('bbar', bl.Bipartition(15, 20), 1, 20, 20, "
+                "bl.RngStream(63)).value; "
+                "print(hashlib.sha256(v.tobytes()).hexdigest())")
         src = str(Path(bl.__file__).resolve().parents[1])
         digests = set()
         for threads in ("1", "2"):
@@ -1211,8 +1216,8 @@ class TestAsymptoticEntanglingPower:
         u = bl.sample_cue(9, bl.RngStream(29))
         v = local_pair(part, bl.RngStream(30))
         w = local_pair(part, bl.RngStream(31))
-        m0, s0 = bl.entangling_power_mc(u, part, 800, bl.RngStream(32))
-        m1, s1 = bl.entangling_power_mc(v @ u @ w, part, 800, bl.RngStream(33))
+        m0, s0 = bl.asymptotic_power_mc(u, part, 800, 1, 1, bl.RngStream(32))
+        m1, s1 = bl.asymptotic_power_mc(v @ u @ w, part, 800, 1, 1, bl.RngStream(33))
         assert abs(m0 - m1) < 4.0 * np.hypot(s0, s1)
 
     def test_invariant_under_subsystem_swap(self):

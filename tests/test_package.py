@@ -8,7 +8,8 @@ import bakerlab as bl
 
 # the public names bakerlab exported before it re-exported the module __all__s,
 # less entropy_timeseries, which moved into tests/test_entropy.py as a reference,
-# and the callerless aliases matmul, dagger and is_unitary, which were removed
+# and the callerless aliases matmul, dagger and is_unitary and the wrapper
+# entangling_power_mc (asymptotic_power_mc's one-step window), which were removed
 LEGACY_EXPORTS = {
     "__version__",
     "EIGEN_TOL", "NORM_TOL", "UNITARY_TOL", "Bipartition", "EigenSystem", "as_matrix", "assert_unitary",
@@ -20,7 +21,7 @@ LEGACY_EXPORTS = {
     "sample_ensemble", "sample_symmetric",
     "AsymptoticValue", "CommensurabilityReport", "EntropySample", "EntropySamples", "ReducedEigenData",
     "asymptotic_entangling_power", "asymptotic_entropy", "asymptotic_power_mc", "commensurability_check",
-    "cue_mean_entropy", "empirical_asymptotic_distribution", "entangling_power_mc",
+    "cue_mean_entropy", "empirical_asymptotic_distribution",
     "linear_entropies", "linear_entropy",
     "ENTROPY_CSV_HEADER", "HistogramSummary", "cmatrix_from_dict", "cmatrix_to_dict", "load_cmatrix",
     "read_entropy_csv", "save_cmatrix", "write_entropy_csv",
