@@ -241,6 +241,10 @@ class TestEntanglingPowerMc:
             u, part, 50, 1, 1, bl.RngStream(42)
         )
 
+    def test_rejects_single_sample(self):
+        with pytest.raises(ValueError, match="2 states"):
+            bl.asymptotic_power_mc(np.eye(4), bl.Bipartition(2, 2), 1, 1, 1, bl.RngStream(1))
+
 
 class TestEnsembleEntropies:
     def test_cue_mean_matches_random_state_mean(self):
