@@ -65,18 +65,20 @@ PROFILES = {
 }
 
 #: complex d x d arrays alive at once while epinf builds, solves and checks a
-#: map, the map included.  Besides the map, tracemalloc reads at most 5.1 in
-#: ``eigensystem`` (D and D' at d = 256, whose unsplit solve holds V, S and
-#: their bases; 4.5 at d = 512, B and Bbar 3.7 and 2.8), 3.5 in the resonance
-#: scan and 3.7 in the diagnostics, the eigenvectors included; at d <= 128,
-#: where each block is the whole matrix, up to 7.1
+#: map, the map included.  tracemalloc reads at most 5.3 in ``eigensystem``
+#: (D' at d = 300 and D at 256, whose unsplit solve holds the map, V's real
+#: basis, S and eigh's arrays; 4.5 at d = 512 and 1024, B, Bbar and the
+#: complex eigh 3.4-3.8), 2.0 in the diagnostics and 3.5 in the resonance
+#: scan, which runs with the eigenvectors once the map is gone; at
+#: d <= 128, where each block is the whole matrix, up to 7.3
 _EIGEN_COPIES = 6
 #: epinf's reduced eigenvector data holds d (d_a^2 + d_b^2) complex entries,
-#: and its eigenvector blocks add at most 0.32 times that (tracemalloc at
-#: d = 64..512, splits 2x32..16x32) next to the map, the eigenvectors and the
-#: two real Grams.  Over eigensolve, scan and reduction of B, Bbar and D at
-#: d = 256, splits 16x16 and 2x128, the peak stays between 0.5 and 0.9 of the
-#: sum the two constants give (tests/test_cli.py)
+#: and its eigenvector blocks add at most 0.34 times that (tracemalloc at
+#: d = 64..1024, splits 2x128..32x32) next to the eigenvectors; the formula
+#: adds two blocks of Gram rows, no d x d array.  Over every stage of B,
+#: Bbar, D and the complex eigh at d = 256, splits 16x16 and 2x128, the peak
+#: stays between 0.5 and 1 of the larger stage the two constants give
+#: (tests/test_cli.py)
 _REDUCED_COPIES = 1.5
 #: ``load_cmatrix`` streams a map file that opens as ``save_cmatrix`` writes
 #: it into the matrix it returns, one 16 KiB chunk of entries at a time:
@@ -122,6 +124,11 @@ _REFERENCE_COPIES = 4
 #: layout 2 draws chunk c, references c * _REFERENCE_CHUNK onward, as one
 #: batch from stream _REFERENCE_STREAM_BASE + c
 REFERENCE_STREAM_LAYOUT = 2
+#: version of the epinf report's arithmetic, recorded in its metadata.
+#: Version 1 (unrecorded) summed the squares of the two d x d Gram matrices
+#: whole; version 2 sums them over row blocks (see
+#: ``entropy._gram_sums``), which moves the last bits of e_p(inf)
+_REPORT_VERSION = 2
 
 
 def parse_split(text: str) -> Bipartition:
@@ -167,14 +174,16 @@ def _split(args, d: int) -> Bipartition:
 def _check_epinf_memory(part: Bipartition, cross=None):
     """Refuse a split whose map, eigensolve and reduced data cannot fit in physical memory.
 
-    The estimate adds the eigensolve's ``_EIGEN_COPIES`` d x d arrays and the
-    reduction's ``_REDUCED_COPIES`` sets of reduced density matrices, so it
-    bounds both stages.  ``cross`` holds the ``(n_states, n_min, n_max)`` of
-    --cross-check, whose engine run is checked here too, before the
-    eigensolve instead of after it.
+    The stages do not overlap: the map is dropped after the eigensolve and
+    its certificate, the scan's arrays before the reduction.  So the
+    estimate is the larger of the eigensolve's ``_EIGEN_COPIES`` d x d
+    arrays, the map included, and the eigenvectors with the reduction's
+    ``_REDUCED_COPIES`` sets of reduced density matrices.  ``cross`` holds
+    the ``(n_states, n_min, n_max)`` of --cross-check, whose engine run is
+    checked here too, before the eigensolve instead of after it.
     """
     d = part.d
-    copies = _EIGEN_COPIES * d + _REDUCED_COPIES * (part.d_a**2 + part.d_b**2)
+    copies = max(_EIGEN_COPIES * d, d + _REDUCED_COPIES * (part.d_a**2 + part.d_b**2))
     _require_memory(16 * d * copies, f"--d {d} with split {part.d_a}x{part.d_b} needs")
     if cross is not None:
         n_states, n_min, n_max = cross
@@ -380,6 +389,10 @@ def cmd_epinf(args) -> int:
         part = _split(args, d)
         _check_epinf_memory(part, cross)
     eig = eigensystem(u)  # refuses a non-unitary u with LinAlgError (exit 3)
+    certificate = eigensystem_diagnostics(u, eig)  # eigensystem's certificate, by one hash of u
+    # the map goes once its certificate is read; a cross-check by kind iterates the kind
+    source = u if args.map_file is not None and cross is not None else args.kind
+    del u
     resonance = commensurability_check(eig.phases, tol=args.tol)
     # the reduced data is dropped before the cross-check below runs
     reduced = ReducedEigenData.from_eigensystem(eig, part)
@@ -390,18 +403,18 @@ def cmd_epinf(args) -> int:
     built = {} if args.map_file is not None else {"map_version": MAP_VERSION}
     report = {
         "metadata": _metadata(args, kind=label, d=d, split=f"{part.d_a}x{part.d_b}", tol=args.tol,
-                              **engine, **built),
+                              **engine, **built, report_version=_REPORT_VERSION),
         "entangling_power_asymptotic": power.value,
         "assumptions_violated": power.assumptions_violated,
         "resonance": resonance.to_dict(),
-        "eigensolver": eigensystem_diagnostics(u, eig),  # eigensystem's certificate, by one hash of u
+        "eigensolver": certificate,
         "cue_mean_entropy": cue_mean_entropy(part),
     }
     flag = " [resonances flagged]" if power.assumptions_violated else ""
     line = f"asymptotic entangling power of {label} ({part.d_a}x{part.d_b}): {power.value:.6f}{flag}"
     if cross is not None:
         n_states, n_min, n_max = cross
-        mc_mean, mc_se = asymptotic_power_mc(u, part, n_states, n_min, n_max, RngStream(args.seed))
+        mc_mean, mc_se = asymptotic_power_mc(source, part, n_states, n_min, n_max, RngStream(args.seed))
         report["cross_check"] = {
             "mc_mean": mc_mean,
             "mc_std_error": mc_se,

@@ -33,6 +33,7 @@ from .linalg import (
     UNITARY_TOL,
     Bipartition,
     EigenSystem,
+    _BLOCK,
     _blocks,
     as_matrix,
     assert_unitary,
@@ -350,9 +351,11 @@ def _product(a, b, out):
     Each block of ``_RUN_ROWS`` output rows is the sum, in a fixed order, of
     the products over runs of ``_RUN`` of the inner dimension; the runs cost
     10-20% over one GEMM at d = 512-768.  ``out`` must not overlap ``a`` or
-    ``b``.
+    ``b``.  The partial sums are allocated only when the inner dimension
+    has more than one run.
     """
-    part = np.empty((min(len(a), _RUN_ROWS), b.shape[1]), dtype=out.dtype)
+    if a.shape[1] > _RUN:
+        part = np.empty((min(len(a), _RUN_ROWS), b.shape[1]), dtype=out.dtype)
     for r in range(0, len(a), _RUN_ROWS):
         rows, block = a[r:r + _RUN_ROWS], out[r:r + _RUN_ROWS]
         np.matmul(rows[:, :_RUN], b[:_RUN], out=block)
@@ -583,22 +586,29 @@ class ReducedEigenData:
 
     ``rho_a[i]`` / ``rho_b[i]`` are the two reductions of eigenvector ``i``;
     ``gram_a[i, j] = tr(rho_a[i] rho_a[j])`` and likewise for ``gram_b``.
-    Both Gram matrices are real and exactly symmetric.
+    Both Gram matrices are real and exactly symmetric.  They are d x d, so
+    each is computed on first use and kept (:func:`asymptotic_entropy`
+    uses them; :func:`asymptotic_entangling_power` does not).
     """
 
     rho_a: np.ndarray
     rho_b: np.ndarray
-    gram_a: np.ndarray
-    gram_b: np.ndarray
+
+    @functools.cached_property
+    def gram_a(self) -> np.ndarray:
+        """``Re(R R^dag)`` for the rows ``R[i] = rho_a[i].ravel()``: one real
+        SYRK ``x x^T`` on the interleaved float view ``x`` of R, which is
+        exactly symmetric and needs no complex d x d product."""
+        return _gram(self.rho_a)
+
+    @functools.cached_property
+    def gram_b(self) -> np.ndarray:
+        """The Gram matrix of the ``rho_b``, as :attr:`gram_a`."""
+        return _gram(self.rho_b)
 
     @classmethod
     def from_eigensystem(cls, eig: EigenSystem, part: Bipartition) -> "ReducedEigenData":
-        """Reduce every eigenvector, a block of eigenvectors at a time.
-
-        ``gram_a`` is ``Re(R R^dag)`` for the rows ``R[i] = rho_a[i].ravel()``:
-        one real SYRK ``x x^T`` on the interleaved float view ``x`` of R, which
-        is exactly symmetric and needs no complex d x d product.
-        """
+        """Reduce every eigenvector, a block of eigenvectors at a time."""
         if eig.dim != part.d:
             raise ValueError(f"eigensystem dimension {eig.dim} does not match split {part.d_a}x{part.d_b}")
         d = part.d
@@ -615,12 +625,22 @@ class ReducedEigenData:
         traces = np.einsum("iaa->i", rho_a).real
         if herm > 1e-10 or max_abs(traces - 1.0) > 1e-10:
             raise LinAlgError("reduced eigenvector data failed hermiticity/trace checks")
-        x_a = rho_a.reshape(d, -1).view(np.float64)
-        x_b = rho_b.reshape(d, -1).view(np.float64)
-        gram_a, gram_b = x_a @ x_a.T, x_b @ x_b.T
-        for arr in (rho_a, rho_b, gram_a, gram_b):
+        for arr in (rho_a, rho_b):
             arr.setflags(write=False)
-        return cls(rho_a=rho_a, rho_b=rho_b, gram_a=gram_a, gram_b=gram_b)
+        return cls(rho_a=rho_a, rho_b=rho_b)
+
+
+def _rows(rho):
+    """The reductions ``rho`` as the rows of a real (d, 2 n^2) array: the interleaved float view of each ``rho[i].ravel()``."""
+    return rho.reshape(len(rho), -1).view(np.float64)
+
+
+def _gram(rho):
+    """``Re(R R^dag)`` for the rows ``R[i] = rho[i].ravel()``, read-only (see :attr:`ReducedEigenData.gram_a`)."""
+    x = _rows(rho)
+    gram = x @ x.T
+    gram.setflags(write=False)
+    return gram
 
 
 #: cap on the example quadruples a :class:`CommensurabilityReport` carries
@@ -823,14 +843,35 @@ def asymptotic_entangling_power(
     with ``d' = (d_a + 1)(d_b + 1)``.  The eigenvector reductions fix the
     value completely, so maps with more constrained eigenvectors (e.g. by
     symmetry) deviate further from the random-matrix baseline.
+
+    The sums run over row blocks of the Gram matrices (see
+    :func:`_gram_sums`), so no d x d array is formed.
     """
     if eig.dim != part.d:
         raise ValueError(f"eigensystem dimension {eig.dim} does not match split {part.d_a}x{part.d_b}")
     reduced, resonance = _spectral_inputs(eig, part, reduced, resonance)
     d, dp = part.d, part.d_prime
-    s = reduced.gram_a + reduced.gram_b
-    diag_term = float(np.sum(np.diagonal(reduced.gram_a) ** 2))
-    diag_s = np.sum(np.diagonal(s) ** 2)
-    off_term = float(np.sum(np.square(s, out=s)) - diag_s)  # s**2 in place
-    value = (d + 1) / dp - 2.0 * diag_term / (d * dp) - off_term / (d * dp)
+    diag_term, diag_s, total = _gram_sums(_rows(reduced.rho_a), _rows(reduced.rho_b))
+    value = (d + 1) / dp - 2.0 * diag_term / (d * dp) - (total - diag_s) / (d * dp)
     return AsymptoticValue(float(value), resonance)
+
+
+def _gram_sums(x_a, x_b):
+    """``sum_i g_ii^2``, ``sum_i s_ii^2`` and ``sum_ij s_ij^2`` for ``g = x_a x_a^T`` and ``s = g + x_b x_b^T``.
+
+    The rows are taken ``_BLOCK`` at a time, and each block is multiplied
+    only with its own rows and those after it: s is symmetric, so the
+    entries right of the diagonal block count twice.  That is about the
+    flops of the two SYRKs that form g and ``x_b x_b^T``, with one
+    ``_BLOCK`` x d block of each alive instead of two d x d matrices.
+    """
+    diag_a = diag_s = total = 0.0
+    for rows in _blocks(len(x_a), _BLOCK):
+        start, width = rows.start, rows.stop - rows.start
+        s = x_a[rows] @ x_a[start:].T  # rows of g, from the diagonal block on
+        diag_a += float(np.sum(np.diagonal(s) ** 2))
+        s += x_b[rows] @ x_b[start:].T
+        diag_s += float(np.sum(np.diagonal(s) ** 2))
+        np.square(s, out=s)
+        total += float(np.sum(s[:, :width])) + 2.0 * float(np.sum(s[:, width:]))
+    return diag_a, diag_s, total

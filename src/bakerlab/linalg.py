@@ -239,13 +239,18 @@ def eigensystem(u) -> EigenSystem:
     d = u.shape[0]
     reversible, v = _time_reversal(u)
     split = d % 2 == 0 and max_abs(u[::-1, ::-1] - u) < UNITARY_TOL
-    blocks = [(u, v)]
-    if split:
-        # every candidate V commutes with R, so Lambda^T V Lambda is block diagonal
-        blocks = list(zip(_parity_blocks(u), (None, None) if v is None else _parity_blocks(v)))
-    del v  # from here on each intermediate is dropped once it is used
-    solved = [_eigh_reversible(x, vx) if reversible else _eigenbasis(x) for x, vx in blocks]
-    del blocks
+    # every candidate V commutes with R, so Lambda^T V Lambda is block diagonal
+    blocks = list(_parity_blocks(u)) if split else [u]
+    bases = [None] * len(blocks)
+    if v is not None:  # V's real eigenbases: each block of V goes once its basis is known, before any solve
+        vs = list(_parity_blocks(v)) if split else [v]
+        del v
+        bases = []
+        while vs:
+            bases.append(_eigenbasis(vs.pop(0), real=True))
+    # from here on each intermediate is dropped once it is used
+    solved = [_eigh_reversible(x, basis) if reversible else _eigenbasis(x) for x, basis in zip(blocks, bases)]
+    del blocks, bases
     lam = np.concatenate([lam_x for lam_x, _ in solved])
     q = _from_parity_vectors(solved[0][1], solved[1][1]) if split else solved[0][1]
     del solved
@@ -354,17 +359,19 @@ def _reversal_defect(u, n):
     return max_abs(w)
 
 
-def _eigh_reversible(u, v):
+def _eigh_reversible(u, basis):
     """Eigenvalues and orthonormal eigenvectors of a unitary with ``V U* V^dag = U^dag``.
 
-    V is a symmetric unitary (None for the identity).  Its real eigenbasis
-    gives ``V = W W^T`` with ``W = O_v diag(lam_v)^(1/2)``; then
-    ``S = W^dag U W`` is a symmetric unitary, ``S = O diag(lam) O^T`` with O
-    real orthogonal, and the eigenvectors of U are ``W O``.
+    V is a symmetric unitary, given by its real eigenbasis
+    ``basis = (lam_v, O_v)`` from ``_eigenbasis(V, real=True)`` (None for
+    the identity), so V itself need not be held.  It gives ``V = W W^T``
+    with ``W = O_v diag(lam_v)^(1/2)``; then ``S = W^dag U W`` is a
+    symmetric unitary, ``S = O diag(lam) O^T`` with O real orthogonal, and
+    the eigenvectors of U are ``W O``.
     """
-    if v is None:
+    if basis is None:
         return _eigenbasis(u, real=True)
-    lam_v, o_v = _eigenbasis(v, real=True)
+    lam_v, o_v = basis
     root = np.sqrt(lam_v)
     s = _real_left(o_v.T, _real_right(u, o_v))
     np.multiply(root.conj()[:, None], s, out=s)

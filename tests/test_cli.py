@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -300,6 +301,41 @@ class TestEpinf:
         assert rc == 2
         assert "--d 16 conflicts with map file dimension 8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["kind", "kind-cross-check", "map-file"])
+    def test_map_is_dropped_before_the_reduction(self, monkeypatch, tmp_path, source):
+        # only a --map-file cross-check keeps the matrix: it iterates what it read
+        refs, seen = [], []
+        for name, fn in (("make_map", bl.make_map), ("load_cmatrix", bl.load_cmatrix)):
+            monkeypatch.setattr(f"bakerlab.cli.{name}",
+                                lambda *a, fn=fn: refs.append(weakref.ref(out := fn(*a))) or out)
+
+        class Reduced(bl.ReducedEigenData):
+            @classmethod
+            def from_eigensystem(cls, eig, part):
+                seen.append([ref() is None for ref in refs])
+                return bl.ReducedEigenData.from_eigensystem(eig, part)
+
+        monkeypatch.setattr("bakerlab.cli.ReducedEigenData", Reduced)
+        argv = ["--kind", "bbar", "--d", 16]
+        if source == "map-file":
+            bl.save_cmatrix(tmp_path / "m.json", bl.bbar(16))
+            argv = ["--map-file", tmp_path / "m.json"]
+        elif source == "kind-cross-check":
+            argv += ["--cross-check", "--states", 3, "--nmin", 2, "--nmax", 4]
+        assert run("epinf", *argv, "--split", "4x4", "--out", tmp_path / "x.json") == 0
+        assert seen == [[True]]
+
+    @pytest.mark.parametrize("kind, d, split", [("baker", 64, "8x8"), ("bbar", 64, "8x8"),
+                                                ("dmap", 256, "16x16")])
+    def test_cross_check_by_kind_matches_the_built_map(self, tmp_path, kind, d, split):
+        # the cross-check iterates the kind once the map is gone: the same samples as the matrix gives
+        out = tmp_path / "ep.json"
+        assert run("epinf", "--kind", kind, "--d", d, "--split", split, "--cross-check", "--states", 4,
+                   "--nmin", 11, "--nmax", 30, "--seed", 5, "--out", out) == 0
+        cc = json.loads(out.read_text())["cross_check"]
+        mean, se = bl.asymptotic_power_mc(bl.make_map(kind, d), parse_split(split), 4, 11, 30, bl.RngStream(5))
+        assert (cc["mc_mean"], cc["mc_std_error"]) == (mean, se)
+
     def test_stdout_json_when_out_omitted(self, capsys):
         rc = run("epinf", "--kind", "baker", "--d", 8, "--split", "2x4")
         assert rc == 0
@@ -446,8 +482,10 @@ class TestMemoryPreflight:
         assert not out.exists()
 
     def test_epinf_estimate_counts_eigensolve_and_reduced_data(self, monkeypatch, tmp_path):
+        # the larger of the two stages: at 2x8 the vectors and reductions
         part = bl.Bipartition(2, 8)
-        need = 16 * 16 * (_EIGEN_COPIES * 16 + _REDUCED_COPIES * (2**2 + 8**2))
+        need = 16 * 16 * max(_EIGEN_COPIES * 16, 16 + _REDUCED_COPIES * (2**2 + 8**2))
+        assert need > 16 * 16 * _EIGEN_COPIES * 16
 
         def physical_memory(nbytes):  # as that many 1-byte pages
             monkeypatch.setattr("os.sysconf", lambda name: nbytes if name == "SC_PHYS_PAGES" else 1)
@@ -458,6 +496,14 @@ class TestMemoryPreflight:
         physical_memory(need - 1)
         with pytest.raises(ValueError, match="--d 16 with split 2x8"):
             _check_epinf_memory(part)
+
+    def test_epinf_admits_d_8192_on_eight_gib(self, monkeypatch):
+        # the eigensolve's 6 GiB, not its sum with the 1 + 3.75 GiB of the
+        # vectors and reductions, which no stage holds beside it
+        budget = []
+        monkeypatch.setattr("bakerlab.cli._require_memory", lambda need, what: budget.append(need))
+        _check_epinf_memory(bl.Bipartition(64, 128))
+        assert budget == [16 * _EIGEN_COPIES * 8192**2] and budget[0] < 7.84 * 2**30
 
     def test_cross_check_budget_does_not_count_the_jump(self, monkeypatch):
         # the jump is taken only where its arrays fit beside this budget, so
@@ -489,9 +535,11 @@ class TestMemoryPreflight:
             return out
 
         tracemalloc.start()
-        try:
+        try:  # in cmd_epinf's order: the map goes once the eigensystem's certificate is read
             u = stage("map", bl.make_map, kind, part.d)
             eig = stage("eigensystem", bl.eigensystem, u)
+            stage("diagnostics", bl.eigensystem_diagnostics, u, eig)
+            del u
             resonance = stage("scan", bl.commensurability_check, eig.phases)
             reduced = stage("reduced", bl.ReducedEigenData.from_eigensystem, eig, part)
             stage("formula", bl.asymptotic_entangling_power, eig, part, reduced=reduced, resonance=resonance)
@@ -591,11 +639,12 @@ class TestMemoryPreflight:
 
     @pytest.mark.parametrize("command", MAP_FILE_COMMANDS)
     def test_map_file_header_budget_admits_what_fits(self, monkeypatch, tmp_path, command):
-        # the streamed reader is the smaller stage: what the eigensolve (and
-        # for epinf at a 4x4 split, the reduction) needs is the whole budget
+        # the streamed reader is the smaller stage: what the eigensolve needs
+        # (for epinf at a 4x4 split, more than the reduction) is the whole budget
         path = tmp_path / "m.json"
         bl.save_cmatrix(path, bl.baker(16))
-        need = 16 * 16 * (_EIGEN_COPIES * 16 + (_REDUCED_COPIES * (4**2 + 4**2) if command[0] == "epinf" else 0))
+        need = 16 * _EIGEN_COPIES * 16**2
+        assert need > 16 * 16 * (16 + _REDUCED_COPIES * (4**2 + 4**2))
         assert need > 16 * _READ_COPIES * 16**2
         monkeypatch.setattr("os.sysconf", lambda name: need if name == "SC_PHYS_PAGES" else 1)
         assert run(*command, path, "--out", tmp_path / "x.json") == 0
@@ -824,6 +873,14 @@ class TestMetadata:
         bl.save_cmatrix(path, bl.baker(16))
         assert run("epinf", "--map-file", path, "--split", "4x4", "--out", tmp_path / "ep.json") == 0
         assert "map_version" not in self._read(tmp_path / "ep.json")
+
+    def test_epinf_records_the_report_version_last_among_its_fields(self, tmp_path):
+        argv, name = self._runs(tmp_path)["epinf"]
+        assert run(*argv) == 0
+        assert list(self._read(tmp_path / name)) == [
+            "command", "kind", "d", "split", "tol", "map_version", "report_version", "seed", "profile", "version",
+        ]
+        assert self._read(tmp_path / name)["report_version"] == bl.cli._REPORT_VERSION == 2
 
     def test_ensemble_records_the_stream_layout_among_its_fields(self, tmp_path):
         argv, name = self._runs(tmp_path)["ensemble"]

@@ -1130,6 +1130,27 @@ class TestReducedEigenData:
         with pytest.raises(ValueError, match="does not match"):
             bl.ReducedEigenData.from_eigensystem(eig, bl.Bipartition(4, 4))
 
+    @pytest.mark.parametrize("d, split", [(64, (8, 8)), (256, (2, 128))])
+    def test_grams_are_formed_on_first_use_by_one_syrk(self, d, split):
+        part = bl.Bipartition(*split)
+        data = bl.ReducedEigenData.from_eigensystem(bl.eigensystem(bl.baker(d)), part)
+        assert "gram_a" not in vars(data) and "gram_b" not in vars(data)
+        for gram, rho in ((data.gram_a, data.rho_a), (data.gram_b, data.rho_b)):
+            x = rho.reshape(d, -1).view(np.float64)
+            assert np.array_equal(gram, x @ x.T)
+            assert not gram.flags.writeable
+        assert data.gram_a is data.gram_a  # computed once
+
+
+def dense_gram_power(eig, part):
+    """e_p(inf) from the two d x d Gram matrices, summed whole."""
+    data = bl.ReducedEigenData.from_eigensystem(eig, part)
+    d, dp = part.d, part.d_prime
+    s = data.gram_a + data.gram_b
+    diag_term = float(np.sum(np.diagonal(data.gram_a) ** 2))
+    off_term = float(np.sum(s**2) - np.sum(np.diagonal(s) ** 2))
+    return (d + 1) / dp - 2.0 * diag_term / (d * dp) - off_term / (d * dp)
+
 
 class TestAsymptoticEntropy:
     def test_eigenvectors_are_stationary(self):
@@ -1197,6 +1218,41 @@ class TestAsymptoticEntanglingPower:
         expected = (d + 1) / dp - 2.0 * diag_sum / (d * dp) - off_sum / (d * dp)
         power = bl.asymptotic_entangling_power(eig, part)
         assert power.value == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("source, split", [
+        *((f"{kind}-{d}", split) for kind in ("baker", "bbar", "dmap")
+          for d, split in ((64, (8, 8)), (256, (16, 16)), (256, (2, 128)), (512, (16, 32)))),
+        ("cue-200", (10, 20)),
+        ("kron-32", (4, 8)),
+    ])
+    def test_blocked_sums_match_the_dense_grams(self, source, split):
+        # the sums run over row blocks of 128 (and a remainder joined to the
+        # last block at d = 200), never forming a d x d Gram
+        name, d = source.split("-")
+        if name == "cue":
+            u = bl.sample_cue(int(d), bl.RngStream(71))
+        elif name == "kron":
+            u = bl.kron(bl.sample_cue(4, bl.RngStream(72)), bl.sample_cue(8, bl.RngStream(73)))
+        else:
+            u = bl.make_map(name, int(d))
+        part = bl.Bipartition(*split)
+        eig = bl.eigensystem(u)
+        power = bl.asymptotic_entangling_power(eig, part)
+        assert power.value == pytest.approx(dense_gram_power(eig, part), abs=1e-12)
+
+    def test_formula_forms_no_d_by_d_array(self):
+        d, part = 512, bl.Bipartition(16, 32)
+        eig = bl.eigensystem(bl.baker(d))
+        reduced = bl.ReducedEigenData.from_eigensystem(eig, part)
+        resonance = bl.commensurability_check(eig.phases)
+        tracemalloc.start()
+        try:
+            bl.asymptotic_entangling_power(eig, part, reduced=reduced, resonance=resonance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * d * d  # one real d x d array; two blocks of 128 rows take half that
+        assert "gram_a" not in vars(reduced)
 
     def test_matches_brute_force_average(self):
         part = bl.Bipartition(4, 4)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,6 +480,20 @@ class TestTimeReversalEigensolve:
         # the dispatch chose V: its basis is V-real, which Schur vectors are not
         assert reversal_defect(v, eig.vectors) < 1e-10
         assert reversal_defect(v, ref.vectors) > 1e-2
+
+    def test_unsplit_solve_does_not_hold_v(self):
+        # D is not reflection-symmetric, so it is solved whole with V = G_d:
+        # once V's real eigenbasis is known V is dropped, and the solve holds
+        # S, V's basis and eigh's arrays (3.6 complex d x d arrays; 4.6 with V)
+        d = 512
+        u = bl.d_map(d)
+        tracemalloc.start()
+        try:
+            bl.eigensystem(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 16 * d * d
 
     def test_symmetric_inputs_take_the_identity(self):
         u = bl.sample_symmetric(64, bl.RngStream(409))
