@@ -247,6 +247,24 @@ def _map_file_dim(path, d=None):
         return dims[0]
 
 
+def _read_map_file(path, check, d=None):
+    """Load the square map in the file ``path``, refused by ``check(dim)`` before it is parsed where that can be told.
+
+    ``check`` budgets the stages after the read.  :func:`_map_file_dim`
+    budgets the reader first and gives the header's dimension, which
+    ``check`` is run on; a file without the header is checked once parsed.
+    ``d`` is --d where given, which the file's dimension must match.
+    """
+    dim = _map_file_dim(path, d)
+    if dim is not None:
+        check(dim)
+    u = load_cmatrix(path)
+    _check_square(*u.shape, d)
+    if dim is None:
+        check(u.shape[0])
+    return u
+
+
 def _check_spectrum_memory(d):
     """Refuse a ``d`` x ``d`` map whose eigensolve, scan and diagnostics cannot fit in physical memory."""
     _require_memory(16 * _EIGEN_COPIES * d * d, f"the eigensolve of a {d}x{d} map needs")
@@ -371,23 +389,18 @@ def cmd_epinf(args) -> int:
         cross = (n_states, *_window(args, profile))
     if args.map_file is None and (args.kind is None or args.d is None):
         raise ValueError("need either --map-file or both --kind and --d")
-    part = None
+
+    def check(dim):  # with --d the file's dimension must equal it, so the file's check repeats this one
+        _check_epinf_memory(_split(args, dim), cross)
+
     if args.d is not None:  # refused before the map is built or loaded
-        part = _split(args, args.d)
-        _check_epinf_memory(part, cross)
+        check(args.d)
     if args.map_file is not None:
-        d = _map_file_dim(args.map_file, args.d)
-        if part is None and d is not None:  # the reader is budgeted; now the eigensolve
-            part = _split(args, d)
-            _check_epinf_memory(part, cross)
-        u, label = load_cmatrix(args.map_file), f"file:{args.map_file}"
-        _check_square(*u.shape, args.d)  # a file without a header is checked once parsed
+        u, label = _read_map_file(args.map_file, check, args.d), f"file:{args.map_file}"
     else:
         u, label = make_map(args.kind, args.d), args.kind
     d = u.shape[0]
-    if part is None:
-        part = _split(args, d)
-        _check_epinf_memory(part, cross)
+    part = _split(args, d)
     eig = eigensystem(u)  # refuses a non-unitary u with LinAlgError (exit 3)
     certificate = eigensystem_diagnostics(u, eig)  # eigensystem's certificate, by one hash of u
     # the map goes once its certificate is read; a cross-check by kind iterates the kind
@@ -430,13 +443,7 @@ def cmd_epinf(args) -> int:
 
 
 def cmd_spectrum_check(args) -> int:
-    d = _map_file_dim(args.map_file)
-    if d is not None:  # the reader is budgeted; now the eigensolve
-        _check_spectrum_memory(d)
-    u = load_cmatrix(args.map_file)
-    _check_square(*u.shape)
-    if d is None:  # a file without a header is checked once parsed
-        _check_spectrum_memory(u.shape[0])
+    u = _read_map_file(args.map_file, _check_spectrum_memory)
     eig = eigensystem(u)  # refuses a non-unitary u with LinAlgError (exit 3)
     resonance = commensurability_check(eig.phases, tol=args.tol)
     report = {

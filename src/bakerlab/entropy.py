@@ -22,7 +22,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -44,7 +43,6 @@ from .maps import _STEPS, MapKind, _diagonal, _unit_blocks, make_map
 __all__ = [
     "AsymptoticValue",
     "CommensurabilityReport",
-    "EntropySample",
     "EntropySamples",
     "ReducedEigenData",
     "asymptotic_entangling_power",
@@ -55,16 +53,9 @@ __all__ = [
     "empirical_asymptotic_distribution",
     "ensemble_entropies",
     "linear_entropies",
-    "linear_entropy",
 ]
 
 TWO_PI = 2.0 * np.pi
-
-
-class EntropySample(NamedTuple):
-    state_id: int
-    time_step: int
-    value: float
 
 
 @dataclass(frozen=True)
@@ -89,11 +80,6 @@ class EntropySamples:
 
     def __len__(self) -> int:
         return int(self.value.size)
-
-    def rows(self):
-        """Iterate samples as :class:`EntropySample` tuples."""
-        for sid, step, val in zip(self.state_id, self.time_step, self.value):
-            yield EntropySample(int(sid), int(step), float(val))
 
 
 def _entropy_buffers(n_states, part: Bipartition):
@@ -125,21 +111,13 @@ def _batch_entropy(rows: np.ndarray, part: Bipartition, buffers=None, out=None) 
     return np.subtract(1.0, purity.real, out=out)
 
 
-def linear_entropy(psi, part: Bipartition) -> float:
-    """Linear entropy of a normalized pure state: the one-column case of :func:`linear_entropies`."""
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape != (part.d,):
-        raise ValueError(f"state has shape {psi.shape}, expected ({part.d},) for split {part.d_a}x{part.d_b}")
-    return float(linear_entropies(psi[:, None], part)[0])
-
-
 def linear_entropies(columns, part: Bipartition) -> np.ndarray:
     """Linear entropies of many states stored as the columns of a d x S array."""
     cols = np.asarray(columns, dtype=np.complex128)
     if cols.ndim != 2 or cols.shape[0] != part.d:
         raise ValueError(f"expected states as columns of a ({part.d}, S) array, got shape {cols.shape}")
     norms = np.einsum("ds,ds->s", cols, cols.conj()).real
-    if max_abs(norms - 1.0) > NORM_TOL:
+    if not max_abs(norms - 1.0) < NORM_TOL:  # also trips on nan
         raise ValueError("every column must be a normalized state")
     return _batch_entropy(cols.T, part)
 
@@ -234,7 +212,7 @@ def empirical_asymptotic_distribution(
     Raises ``ValueError`` before any allocation when the run would need more
     than the physical memory, and ``LinAlgError`` when the map is not
     unitary within ``UNITARY_TOL`` or a final state's norm has drifted from 1
-    by more than ``NORM_TOL``.
+    by ``NORM_TOL`` or more, or is nan.
     """
     kind = MapKind(u) if isinstance(u, (str, MapKind)) else None
     if kind is None:
@@ -276,7 +254,7 @@ def empirical_asymptotic_distribution(
     iterate = functools.partial(_iterate, step, part=part, n_min=n_min, n_max=n_max, start=start)
     _in_threads(iterate, blocks, *(np.array_split(a, blocks) for a in (psi, work, out)))
     drift = max_abs(np.einsum("sd,sd->s", psi, psi.conj()).real - 1.0)
-    if drift > NORM_TOL:
+    if not drift < NORM_TOL:  # also trips on nan
         raise LinAlgError(f"state norms drifted by {drift:.3g} over {n_max} steps (tolerance {NORM_TOL})")
     return EntropySamples(
         state_id=np.repeat(np.arange(n_states, dtype=np.int64), window),
@@ -582,29 +560,15 @@ _REDUCED_BLOCKS = 8
 
 @dataclass(frozen=True)
 class ReducedEigenData:
-    """Reduced density matrices of every eigenvector and their overlaps.
+    """Reduced density matrices of every eigenvector.
 
-    ``rho_a[i]`` / ``rho_b[i]`` are the two reductions of eigenvector ``i``;
-    ``gram_a[i, j] = tr(rho_a[i] rho_a[j])`` and likewise for ``gram_b``.
-    Both Gram matrices are real and exactly symmetric.  They are d x d, so
-    each is computed on first use and kept (:func:`asymptotic_entropy`
-    uses them; :func:`asymptotic_entangling_power` does not).
+    ``rho_a[i]`` / ``rho_b[i]`` are the two reductions of eigenvector ``i``.
+    The formulas read them as the real rows of :func:`_rows`, in which
+    ``tr(rho_a[i] rho_a[j])`` is the dot product of rows i and j.
     """
 
     rho_a: np.ndarray
     rho_b: np.ndarray
-
-    @functools.cached_property
-    def gram_a(self) -> np.ndarray:
-        """``Re(R R^dag)`` for the rows ``R[i] = rho_a[i].ravel()``: one real
-        SYRK ``x x^T`` on the interleaved float view ``x`` of R, which is
-        exactly symmetric and needs no complex d x d product."""
-        return _gram(self.rho_a)
-
-    @functools.cached_property
-    def gram_b(self) -> np.ndarray:
-        """The Gram matrix of the ``rho_b``, as :attr:`gram_a`."""
-        return _gram(self.rho_b)
 
     @classmethod
     def from_eigensystem(cls, eig: EigenSystem, part: Bipartition) -> "ReducedEigenData":
@@ -614,16 +578,15 @@ class ReducedEigenData:
         d = part.d
         rho_a = np.empty((d, part.d_a, part.d_a), dtype=np.complex128)
         rho_b = np.empty((d, part.d_b, part.d_b), dtype=np.complex128)
-        herm = 0.0
+        herm = []
         for s in _blocks(d, max(1, d // _REDUCED_BLOCKS)):
             block = eig.vectors[:, s].T.reshape(-1, part.d_a, part.d_b)
             rho_a[s] = block @ np.conj(np.swapaxes(block, 1, 2))
             rho_b[s] = np.swapaxes(block, 1, 2) @ block.conj()
             # cheap sanity gates; only user-built eigensystems can trip these
-            herm = max(herm, max_abs(rho_a[s] - np.conj(np.swapaxes(rho_a[s], 1, 2))),
-                       max_abs(rho_b[s] - np.conj(np.swapaxes(rho_b[s], 1, 2))))
+            herm += [max_abs(rho[s] - np.conj(np.swapaxes(rho[s], 1, 2))) for rho in (rho_a, rho_b)]
         traces = np.einsum("iaa->i", rho_a).real
-        if herm > 1e-10 or max_abs(traces - 1.0) > 1e-10:
+        if not max_abs(herm) < 1e-10 or not max_abs(traces - 1.0) < 1e-10:  # also trips on nan
             raise LinAlgError("reduced eigenvector data failed hermiticity/trace checks")
         for arr in (rho_a, rho_b):
             arr.setflags(write=False)
@@ -631,16 +594,12 @@ class ReducedEigenData:
 
 
 def _rows(rho):
-    """The reductions ``rho`` as the rows of a real (d, 2 n^2) array: the interleaved float view of each ``rho[i].ravel()``."""
+    """The reductions ``rho`` as the rows of a real (d, 2 n^2) array: the interleaved float view of each ``rho[i].ravel()``.
+
+    For Hermitian reductions the dot product of rows i and j is
+    ``tr(rho[i] rho[j])``, so the Gram matrix of the rows is ``x x^T``.
+    """
     return rho.reshape(len(rho), -1).view(np.float64)
-
-
-def _gram(rho):
-    """``Re(R R^dag)`` for the rows ``R[i] = rho[i].ravel()``, read-only (see :attr:`ReducedEigenData.gram_a`)."""
-    x = _rows(rho)
-    gram = x @ x.T
-    gram.setflags(write=False)
-    return gram
 
 
 #: cap on the example quadruples a :class:`CommensurabilityReport` carries
@@ -809,20 +768,24 @@ def asymptotic_entropy(
     ``reduced`` / ``resonance`` data are reused when given; without them the
     scan runs at :func:`commensurability_check`'s default tolerance.  An
     eigenvector as input reproduces its stationary entropy exactly.
+
+    The sums are taken on the reductions' real rows (see :func:`_rows`), so
+    no d x d array is formed.
     """
     if eig.dim != part.d:
         raise ValueError(f"eigensystem dimension {eig.dim} does not match split {part.d_a}x{part.d_b}")
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape != (part.d,):
         raise ValueError(f"state has shape {psi.shape}, expected ({part.d},)")
-    if abs(np.vdot(psi, psi).real - 1.0) > NORM_TOL:
+    if not abs(np.vdot(psi, psi).real - 1.0) < NORM_TOL:  # also trips on nan
         raise ValueError("state is not normalized")
     reduced, resonance = _spectral_inputs(eig, part, reduced, resonance)
-    p = np.abs(eig.vectors.conj().T @ psi) ** 2
-    s = reduced.gram_a + reduced.gram_b
-    diag_a = np.diagonal(reduced.gram_a)
-    diag_s = np.diagonal(s)
-    value = 1.0 - np.dot(p**2, diag_a) - (p @ s @ p - np.dot(p**2, diag_s))
+    p = np.abs(psi.conj() @ eig.vectors) ** 2
+    x_a, x_b = _rows(reduced.rho_a), _rows(reduced.rho_b)
+    # p^T G p = |x^T p|^2 for each Gram G = x x^T; of the diagonal terms only
+    # p_i^2 tr(rho_b[i]^2) is left once the double sum takes in i = j
+    y_a, y_b = p @ x_a, p @ x_b
+    value = 1.0 - np.dot(y_a, y_a) - np.dot(y_b, y_b) + np.dot(p**2, np.einsum("ij,ij->i", x_b, x_b))
     return AsymptoticValue(float(value), resonance)
 
 

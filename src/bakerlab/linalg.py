@@ -143,9 +143,6 @@ class Bipartition:
         """The combination (d_a + 1)(d_b + 1) appearing in mean-entropy formulas."""
         return (self.d_a + 1) * (self.d_b + 1)
 
-    def swapped(self) -> "Bipartition":
-        return Bipartition(self.d_b, self.d_a)
-
 
 def partial_trace(rho, part: Bipartition, keep: str = "A") -> np.ndarray:
     """Trace out one subsystem of a d x d operator.
@@ -198,9 +195,6 @@ class EigenSystem:
     @property
     def dim(self) -> int:
         return int(self.phases.size)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.exp(1j * self.phases)
 
 
 def eigensystem(u) -> EigenSystem:

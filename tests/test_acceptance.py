@@ -223,7 +223,9 @@ def test_criterion_8_property_suite(tmp_path):
         for i, j in [(0, 1), (3, 8), (5, 11)]:
             rho_ij = bl.partial_trace(np.outer(eig.vectors[:, i], eig.vectors[:, j].conj()), part, "A")
             rho_ji = bl.partial_trace(np.outer(eig.vectors[:, j], eig.vectors[:, i].conj()), part, "A")
-            assert float(np.trace(rho_ij @ rho_ji).real) == pytest.approx(data.gram_b[i, j], abs=1e-10)
+            assert float(np.trace(rho_ij @ rho_ji).real) == pytest.approx(
+                np.trace(data.rho_b[i] @ data.rho_b[j]).real, abs=1e-10
+            )
 
         # entropy range bounds on real samples
         part16 = bl.Bipartition(4, 4)

@@ -100,6 +100,14 @@ class TestTimeseries:
                  "--states", 1, "--nmax", 2, "--out", tmp_path / "x.csv")
         assert rc == 2
 
+    def test_a_nan_state_is_a_numerical_failure(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr("bakerlab.entropy.product_state", lambda part, rng: np.full(part.d, np.nan, complex))
+        rc = run("timeseries", "--kind", "baker", "--d", 16, "--split", "4x4",
+                 "--states", 2, "--nmax", 3, "--out", tmp_path / "x.csv")
+        assert rc == 3
+        assert "drifted by nan" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestHistogram:
     def test_report_schema_and_counts(self, tmp_path):

@@ -74,7 +74,7 @@ class TestProductState:
         for split in [(2, 2), (4, 4), (3, 5)]:
             part = bl.Bipartition(*split)
             psi = bl.product_state(part, bl.RngStream(3, split[0]))
-            assert bl.linear_entropy(psi, part) < 1e-12
+            assert bl.linear_entropies(psi[:, None], part)[0] < 1e-12
 
     def test_amplitudes_factorize(self):
         part = bl.Bipartition(2, 2)

@@ -50,7 +50,7 @@ def entropy_timeseries(u, psi0, part, n_max, *, state_id=0):
     values = np.empty(n_max)
     for n in range(n_max):
         psi = u @ psi
-        values[n] = bl.linear_entropy(psi, part)
+        values[n] = bl.linear_entropies(psi[:, None], part)[0]
     return bl.EntropySamples(
         state_id=np.full(n_max, state_id), time_step=np.arange(1, n_max + 1), value=values
     )
@@ -68,11 +68,11 @@ class TestLinearEntropy:
         for split in [(2, 2), (3, 4), (4, 3)]:
             part = bl.Bipartition(*split)
             psi = bl.product_state(part, bl.RngStream(1, split[0] * split[1]))
-            assert abs(bl.linear_entropy(psi, part)) < 1e-12
+            assert abs(bl.linear_entropies(psi[:, None], part)[0]) < 1e-12
 
     def test_bell_state(self):
         psi = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
-        assert bl.linear_entropy(psi, bl.Bipartition(2, 2)) == pytest.approx(0.5, abs=1e-14)
+        assert bl.linear_entropies(psi[:, None], bl.Bipartition(2, 2))[0] == pytest.approx(0.5, abs=1e-14)
 
     @pytest.mark.parametrize("d_a,d_b", [(2, 5), (4, 4), (3, 7)])
     def test_maximally_entangled(self, d_a, d_b):
@@ -81,40 +81,47 @@ class TestLinearEntropy:
         psi = np.zeros(part.d, dtype=complex)
         for j in range(m):
             psi[j * d_b + j] = 1.0 / np.sqrt(m)
-        assert bl.linear_entropy(psi, part) == pytest.approx(1.0 - 1.0 / m, abs=1e-13)
+        assert bl.linear_entropies(psi[:, None], part)[0] == pytest.approx(1.0 - 1.0 / m, abs=1e-13)
 
     @pytest.mark.parametrize("d_a,d_b", [(2, 2), (3, 9), (9, 3), (4, 7)])
     def test_agrees_with_partial_trace_path(self, d_a, d_b):
         part = bl.Bipartition(d_a, d_b)
         psi = bl.haar_state(part.d, bl.RngStream(6, d_a * 100 + d_b))
-        assert bl.linear_entropy(psi, part) == pytest.approx(entropy_via_partial_trace(psi, part), abs=1e-10)
+        assert bl.linear_entropies(psi[:, None], part)[0] == pytest.approx(
+            entropy_via_partial_trace(psi, part), abs=1e-10
+        )
 
     def test_invariant_under_subsystem_swap(self):
         part = bl.Bipartition(3, 4)
         psi = bl.haar_state(12, bl.RngStream(61))
         swapped = swap_subsystems(part) @ psi
-        assert bl.linear_entropy(psi, part) == pytest.approx(
-            bl.linear_entropy(swapped, part.swapped()), abs=1e-12
+        assert bl.linear_entropies(psi[:, None], part)[0] == pytest.approx(
+            bl.linear_entropies(swapped[:, None], bl.Bipartition(part.d_b, part.d_a))[0], abs=1e-12
         )
 
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError, match="normalized"):
-            bl.linear_entropy(np.ones(4), bl.Bipartition(2, 2))
+            bl.linear_entropies(np.ones(4)[:, None], bl.Bipartition(2, 2))
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError, match="shape"):
-            bl.linear_entropy(np.array([1.0, 0.0]), bl.Bipartition(2, 2))
+            bl.linear_entropies(np.array([1.0, 0.0])[:, None], bl.Bipartition(2, 2))
 
     def test_batch_matches_single(self):
         part = bl.Bipartition(4, 4)
         cols = np.column_stack([bl.haar_state(16, bl.RngStream(7, i)) for i in range(5)])
         batch = bl.linear_entropies(cols, part)
-        singles = [bl.linear_entropy(cols[:, i], part) for i in range(5)]
+        singles = [bl.linear_entropies(cols[:, i:i + 1], part)[0] for i in range(5)]
         assert_allclose(batch, singles, atol=1e-13)
 
     def test_batch_rejects_unnormalized_columns(self):
         with pytest.raises(ValueError, match="normalized"):
             bl.linear_entropies(np.ones((4, 2)), bl.Bipartition(2, 2))
+
+    def test_rejects_a_nan_column(self):
+        cols = np.column_stack([bl.haar_state(4, bl.RngStream(8)), np.full(4, np.nan)])
+        with pytest.raises(ValueError, match="normalized"):
+            bl.linear_entropies(cols, bl.Bipartition(2, 2))
 
 
 class TestCueMeanEntropy:
@@ -171,14 +178,11 @@ class TestEntropyTimeseries:
 
 
 class TestEntropySamples:
-    def test_rows_iterate_typed_tuples(self):
-        samples = bl.EntropySamples(
-            state_id=np.array([0, 0, 1]),
-            time_step=np.array([1, 2, 1]),
-            value=np.array([0.1, 0.2, 0.3]),
-        )
-        rows = list(samples.rows())
-        assert rows[0] == bl.EntropySample(0, 1, 0.1)
+    def test_columns_are_typed_and_read_only(self):
+        samples = bl.EntropySamples(state_id=[0, 0, 1], time_step=[1, 2, 1], value=[0.1, 0.2, 0.3])
+        assert samples.state_id.dtype == samples.time_step.dtype == np.int64
+        assert samples.value.tolist() == [0.1, 0.2, 0.3]
+        assert not any(col.flags.writeable for col in (samples.state_id, samples.time_step, samples.value))
         assert len(samples) == 3
 
     def test_rejects_length_mismatch(self):
@@ -224,7 +228,7 @@ class TestEntanglingPowerMc:
             total = 0.0
             for wa, a in bloch_states(n_u, n_phi):
                 for wb, b in bloch_states(n_u, n_phi):
-                    total += wa * wb * bl.linear_entropy(u @ np.kron(a, b), part)
+                    total += wa * wb * bl.linear_entropies(u @ np.kron(a, b)[:, None], part)[0]
             return total
 
         exact = quadrature_power(4, 8)
@@ -527,6 +531,13 @@ class TestNormDriftGuard:
         with pytest.raises(np.linalg.LinAlgError, match="drifted"):
             bl.empirical_asymptotic_distribution(bl.baker(16), bl.Bipartition(4, 4), 1, 3, 5,
                                                  bl.RngStream(28))
+
+    @pytest.mark.parametrize("d", [16, 256])
+    def test_fires_on_a_nan_state(self, monkeypatch, d):
+        # the dense step at d = 16, the FFT step at 256
+        monkeypatch.setattr(bl.entropy, "product_state", lambda part, rng: np.full(part.d, np.nan, complex))
+        with pytest.raises(np.linalg.LinAlgError, match="drifted by nan"):
+            bl.empirical_asymptotic_distribution("baker", bl.Bipartition(4, d // 4), 1, 3, 2, bl.RngStream(28))
 
     @pytest.mark.parametrize("kind", [k.value for k in bl.MapKind])
     def test_passes_on_every_map(self, kind):
@@ -1096,22 +1107,22 @@ class TestReducedEigenData:
             assert_allclose(data.rho_a[i], rho_i, atol=1e-12)
             for j in (0, 5, 11):
                 rho_j = bl.partial_trace(np.outer(eig.vectors[:, j], eig.vectors[:, j].conj()), part, "A")
-                assert data.gram_a[i, j] == pytest.approx(float(np.trace(rho_i @ rho_j).real), abs=1e-11)
+                lhs = np.trace(data.rho_a[i] @ data.rho_a[j]).real
+                assert lhs == pytest.approx(float(np.trace(rho_i @ rho_j).real), abs=1e-11)
 
     def test_gram_matrices_are_symmetric(self):
         part = bl.Bipartition(4, 4)
-        data = bl.ReducedEigenData.from_eigensystem(bl.eigensystem(bl.d_map(16)), part)
-        assert bl.max_abs(data.gram_a - data.gram_a.T) < 1e-12
-        assert bl.max_abs(data.gram_b - data.gram_b.T) < 1e-12
+        for g in dense_grams(bl.eigensystem(bl.d_map(16)), part):
+            assert bl.max_abs(g - g.T) < 1e-12
 
     @pytest.mark.parametrize("d, split", [(512, (16, 32)), (256, (2, 128))])
-    def test_grams_are_exactly_symmetric_and_match_the_complex_product(self, d, split):
+    def test_row_products_match_the_complex_product(self, d, split):
         part = bl.Bipartition(*split)
         data = bl.ReducedEigenData.from_eigensystem(bl.eigensystem(bl.baker(d)), part)
-        for gram, rho in ((data.gram_a, data.rho_a), (data.gram_b, data.rho_b)):
-            assert np.array_equal(gram, gram.T)
+        for rho in (data.rho_a, data.rho_b):
+            x = bl.entropy._rows(rho)
             rows = rho.reshape(d, -1)
-            assert bl.max_abs(gram - (rows @ rows.conj().T).real) < 1e-15
+            assert bl.max_abs(x @ x.T - (rows @ rows.conj().T).real) < 1e-15
 
     def test_swap_identity_for_cross_reductions(self):
         # tr_A(rho_A^{ij} rho_A^{ji}) equals tr_B(rho_B^i rho_B^j)
@@ -1123,33 +1134,72 @@ class TestReducedEigenData:
             rho_a_ij = bl.partial_trace(np.outer(e_i, e_j.conj()), part, "A")
             rho_a_ji = bl.partial_trace(np.outer(e_j, e_i.conj()), part, "A")
             lhs = float(np.trace(rho_a_ij @ rho_a_ji).real)
-            assert lhs == pytest.approx(data.gram_b[i, j], abs=1e-10)
+            assert lhs == pytest.approx(np.trace(data.rho_b[i] @ data.rho_b[j]).real, abs=1e-10)
 
     def test_rejects_dimension_mismatch(self):
         eig = bl.eigensystem(bl.baker(12))
         with pytest.raises(ValueError, match="does not match"):
             bl.ReducedEigenData.from_eigensystem(eig, bl.Bipartition(4, 4))
 
-    @pytest.mark.parametrize("d, split", [(64, (8, 8)), (256, (2, 128))])
-    def test_grams_are_formed_on_first_use_by_one_syrk(self, d, split):
-        part = bl.Bipartition(*split)
-        data = bl.ReducedEigenData.from_eigensystem(bl.eigensystem(bl.baker(d)), part)
-        assert "gram_a" not in vars(data) and "gram_b" not in vars(data)
-        for gram, rho in ((data.gram_a, data.rho_a), (data.gram_b, data.rho_b)):
-            x = rho.reshape(d, -1).view(np.float64)
-            assert np.array_equal(gram, x @ x.T)
-            assert not gram.flags.writeable
-        assert data.gram_a is data.gram_a  # computed once
+    def test_holds_only_the_reductions(self):
+        data = bl.ReducedEigenData.from_eigensystem(bl.eigensystem(bl.baker(16)), bl.Bipartition(4, 4))
+        assert {name for name in dir(data) if not name.startswith("_")} == {"rho_a", "rho_b", "from_eigensystem"}
+        assert not data.rho_a.flags.writeable and not data.rho_b.flags.writeable
+
+    @pytest.mark.parametrize("column", [0, 5])
+    def test_rejects_a_nan_eigenvector(self, column):
+        # the hermiticity figure keeps a nan that comes after a finite block's
+        eig = bl.eigensystem(bl.baker(8))
+        vectors = eig.vectors.copy()
+        vectors[:, column] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="hermiticity/trace"):
+            bl.ReducedEigenData.from_eigensystem(bl.EigenSystem(eig.phases, vectors), bl.Bipartition(2, 4))
 
 
 def dense_gram_power(eig, part):
     """e_p(inf) from the two d x d Gram matrices, summed whole."""
-    data = bl.ReducedEigenData.from_eigensystem(eig, part)
+    g_a, g_b = dense_grams(eig, part)
     d, dp = part.d, part.d_prime
-    s = data.gram_a + data.gram_b
-    diag_term = float(np.sum(np.diagonal(data.gram_a) ** 2))
+    s = g_a + g_b
+    diag_term = float(np.sum(np.diagonal(g_a) ** 2))
     off_term = float(np.sum(s**2) - np.sum(np.diagonal(s) ** 2))
     return (d + 1) / dp - 2.0 * diag_term / (d * dp) - off_term / (d * dp)
+
+
+def dense_grams(eig, part):
+    """The d x d Gram matrices ``Re(R R^dag)`` of the rows ``R[i] = rho[i].ravel()``, for rho_a and rho_b."""
+    data = bl.ReducedEigenData.from_eigensystem(eig, part)
+    rows = (data.rho_a.reshape(part.d, -1), data.rho_b.reshape(part.d, -1))
+    return [(r @ r.conj().T).real for r in rows]
+
+
+def dense_gram_entropy(eig, psi, part):
+    """asymptotic_entropy's formula on the two d x d Gram matrices."""
+    g_a, g_b = dense_grams(eig, part)
+    p = np.abs(eig.vectors.conj().T @ psi) ** 2
+    s = g_a + g_b
+    return 1.0 - np.dot(p**2, np.diagonal(g_a)) - (p @ s @ p - np.dot(p**2, np.diagonal(s)))
+
+
+def spectral_source(source):
+    """The map named ``kind-d``: a built kind, ``cue-d`` or ``kron-32`` (CUE_4 x CUE_8)."""
+    name, d = source.split("-")
+    if name == "cue":
+        return bl.sample_cue(int(d), bl.RngStream(71))
+    if name == "kron":
+        return bl.kron(bl.sample_cue(4, bl.RngStream(72)), bl.sample_cue(8, bl.RngStream(73)))
+    return bl.make_map(name, int(d))
+
+
+#: the maps and splits the state and averaged formulas are checked on
+#: against the dense Grams: B, Bbar and D at four splits, a CUE matrix whose
+#: d = 200 joins a remainder to the last block of 128, and a tensor product
+SPECTRAL_CASES = [
+    *((f"{kind}-{d}", split) for kind in ("baker", "bbar", "dmap")
+      for d, split in ((64, (8, 8)), (256, (16, 16)), (256, (2, 128)), (512, (16, 32)))),
+    ("cue-200", (10, 20)),
+    ("kron-32", (4, 8)),
+]
 
 
 class TestAsymptoticEntropy:
@@ -1182,6 +1232,34 @@ class TestAsymptoticEntropy:
         eig = bl.eigensystem(bl.baker(16))
         with pytest.raises(ValueError, match="normalized"):
             bl.asymptotic_entropy(eig, np.ones(16), part)
+
+    def test_rejects_a_nan_state(self):
+        eig = bl.eigensystem(bl.baker(16))
+        with pytest.raises(ValueError, match="normalized"):
+            bl.asymptotic_entropy(eig, np.full(16, np.nan), bl.Bipartition(4, 4))
+
+    @pytest.mark.parametrize("source, split", SPECTRAL_CASES)
+    def test_matches_the_dense_grams(self, source, split):
+        part = bl.Bipartition(*split)
+        eig = bl.eigensystem(spectral_source(source))
+        for seed in (81, 82):
+            psi = bl.product_state(part, bl.RngStream(seed))
+            value = bl.asymptotic_entropy(eig, psi, part).value
+            assert value == pytest.approx(dense_gram_entropy(eig, psi, part), abs=1e-12)
+
+    def test_forms_no_d_by_d_array(self):
+        d, part = 512, bl.Bipartition(16, 32)
+        eig = bl.eigensystem(bl.baker(d))
+        reduced = bl.ReducedEigenData.from_eigensystem(eig, part)
+        resonance = bl.commensurability_check(eig.phases)
+        psi = bl.product_state(part, bl.RngStream(83))
+        tracemalloc.start()
+        try:
+            bl.asymptotic_entropy(eig, psi, part, reduced=reduced, resonance=resonance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 16 * d * d  # a tenth of one complex d x d array
 
 
 class TestAsymptoticEntanglingPower:
@@ -1219,24 +1297,12 @@ class TestAsymptoticEntanglingPower:
         power = bl.asymptotic_entangling_power(eig, part)
         assert power.value == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.parametrize("source, split", [
-        *((f"{kind}-{d}", split) for kind in ("baker", "bbar", "dmap")
-          for d, split in ((64, (8, 8)), (256, (16, 16)), (256, (2, 128)), (512, (16, 32)))),
-        ("cue-200", (10, 20)),
-        ("kron-32", (4, 8)),
-    ])
+    @pytest.mark.parametrize("source, split", SPECTRAL_CASES)
     def test_blocked_sums_match_the_dense_grams(self, source, split):
         # the sums run over row blocks of 128 (and a remainder joined to the
         # last block at d = 200), never forming a d x d Gram
-        name, d = source.split("-")
-        if name == "cue":
-            u = bl.sample_cue(int(d), bl.RngStream(71))
-        elif name == "kron":
-            u = bl.kron(bl.sample_cue(4, bl.RngStream(72)), bl.sample_cue(8, bl.RngStream(73)))
-        else:
-            u = bl.make_map(name, int(d))
         part = bl.Bipartition(*split)
-        eig = bl.eigensystem(u)
+        eig = bl.eigensystem(spectral_source(source))
         power = bl.asymptotic_entangling_power(eig, part)
         assert power.value == pytest.approx(dense_gram_power(eig, part), abs=1e-12)
 
@@ -1252,7 +1318,6 @@ class TestAsymptoticEntanglingPower:
         finally:
             tracemalloc.stop()
         assert peak < 8 * d * d  # one real d x d array; two blocks of 128 rows take half that
-        assert "gram_a" not in vars(reduced)
 
     def test_matches_brute_force_average(self):
         part = bl.Bipartition(4, 4)
@@ -1285,7 +1350,8 @@ class TestAsymptoticEntanglingPower:
         u = bl.baker(12)
         s = swap_subsystems(part)
         direct = bl.asymptotic_entangling_power(bl.eigensystem(u), part)
-        relabeled = bl.asymptotic_entangling_power(bl.eigensystem(s @ u @ s.conj().T), part.swapped())
+        relabeled = bl.asymptotic_entangling_power(bl.eigensystem(s @ u @ s.conj().T),
+                                                   bl.Bipartition(part.d_b, part.d_a))
         assert direct.value == pytest.approx(relabeled.value, abs=1e-10)
 
     def test_tensor_product_map_is_flagged(self):

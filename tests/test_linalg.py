@@ -60,7 +60,6 @@ class TestBipartition:
         part = bl.Bipartition(4, 5)
         assert part.d == 20
         assert part.d_prime == 30
-        assert part.swapped() == bl.Bipartition(5, 4)
 
     @pytest.mark.parametrize("d_a,d_b", [(1, 4), (4, 1), (0, 2), (2, -3)])
     def test_rejects_trivial_subsystems(self, d_a, d_b):
@@ -128,7 +127,7 @@ class TestEigensystem:
         eig = bl.eigensystem(np.diag([1.0, 1j]))
         assert_allclose(eig.phases, [0.0, np.pi / 2], atol=1e-14)
         assert_allclose(np.abs(eig.vectors), np.eye(2), atol=1e-14)
-        assert_allclose(eig.eigenvalues(), [1.0, 1j], atol=1e-14)
+        assert_allclose(np.exp(1j * eig.phases), [1.0, 1j], atol=1e-14)
 
     def test_pauli_x_eigenvectors(self):
         eig = bl.eigensystem(PAULI_X)

@@ -8,8 +8,10 @@ import bakerlab as bl
 
 # the public names bakerlab exported before it re-exported the module __all__s,
 # less entropy_timeseries, which moved into tests/test_entropy.py as a reference,
-# and the callerless aliases matmul, dagger and is_unitary and the wrapper
-# entangling_power_mc (asymptotic_power_mc's one-step window), which were removed
+# and the callerless aliases matmul, dagger and is_unitary and the wrappers
+# entangling_power_mc (asymptotic_power_mc's one-step window), linear_entropy
+# (one column of linear_entropies) and EntropySample (a row of EntropySamples),
+# which were removed
 LEGACY_EXPORTS = {
     "__version__",
     "EIGEN_TOL", "NORM_TOL", "UNITARY_TOL", "Bipartition", "EigenSystem", "as_matrix", "assert_unitary",
@@ -19,10 +21,10 @@ LEGACY_EXPORTS = {
     "reduce_by_symmetry", "reflection", "reflection_commutator",
     "EnsembleKind", "RngStream", "haar_state", "product_state", "sample_coe", "sample_cue",
     "sample_ensemble", "sample_symmetric",
-    "AsymptoticValue", "CommensurabilityReport", "EntropySample", "EntropySamples", "ReducedEigenData",
+    "AsymptoticValue", "CommensurabilityReport", "EntropySamples", "ReducedEigenData",
     "asymptotic_entangling_power", "asymptotic_entropy", "asymptotic_power_mc", "commensurability_check",
     "cue_mean_entropy", "empirical_asymptotic_distribution",
-    "linear_entropies", "linear_entropy",
+    "linear_entropies",
     "ENTROPY_CSV_HEADER", "HistogramSummary", "cmatrix_from_dict", "cmatrix_to_dict", "load_cmatrix",
     "read_entropy_csv", "save_cmatrix", "write_entropy_csv",
 }
