@@ -68,7 +68,7 @@ PROFILES = {
 #: map, the map included.  tracemalloc reads at most 5.3 in ``eigensystem``
 #: (D' at d = 300 and D at 256, whose unsplit solve holds the map, V's real
 #: basis, S and eigh's arrays; 4.5 at d = 512 and 1024, B, Bbar and the
-#: complex eigh 3.4-3.8), 2.0 in the diagnostics and 3.5 in the resonance
+#: complex eigh 3.4-3.8), 2.0 in the diagnostics and 3.0 in the resonance
 #: scan, which runs with the eigenvectors once the map is gone; at
 #: d <= 128, where each block is the whole matrix, up to 7.3
 _EIGEN_COPIES = 6

@@ -975,6 +975,12 @@ class TestCommensurability:
         with pytest.raises(ValueError, match="finite"):
             bl.commensurability_check(np.array([0.1, bad, 2.0]))
 
+    def test_rejects_complex_phases(self):
+        # eigenvalues passed for phases would otherwise be scanned as cos(phi)
+        eigenvalues = np.exp(1j * np.array([0.1, 1.3, 2.0]))
+        with pytest.raises(ValueError, match="phases must be real"):
+            bl.commensurability_check(eigenvalues)
+
 
 def brute_force_collisions(phases, tol):
     """Nontrivial unordered collisions of ordered phase-difference pairs, in O(d^4).
@@ -1086,15 +1092,33 @@ def scan_phase_sets():
     ).phases
     sets["d1"] = np.array([1.0])
     sets["d2"] = np.array([0.25, 4.0])
+    # every k = l row meets its trivial partners before its nontrivial ones
+    sets["clustered-64"] = 1.0 + 1e-12 * np.arange(64)
+    sets["zeros-64"] = np.zeros(64)
     return sets
 
 
 class TestResonanceScanReference:
     @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-3, 0.3])
-    @pytest.mark.parametrize("name", ["baker-512", "cue8-x-cue16", "d1", "d2", *sorted(oracle_phase_sets())])
+    @pytest.mark.parametrize("name", ["baker-512", "cue8-x-cue16", "d1", "d2", "clustered-64", "zeros-64",
+                                      *sorted(oracle_phase_sets())])
     def test_matches_the_full_length_scan(self, name, tol):
         phases = np.mod(scan_phase_sets()[name], 2 * np.pi)
         assert bl.entropy._exhaustive_resonance_scan(phases, tol) == reference_resonance_scan(phases, tol)
+
+    @pytest.mark.parametrize("tol", [1e-8, 0.99])
+    def test_peak_memory_per_phase_pair(self, tol):
+        # the sorted differences, their wrap-around head, the sort permutation
+        # and the partner counts: one copy of the differences, not two
+        d = 512
+        phases = np.random.default_rng(5).uniform(0, 2 * np.pi, d)
+        tracemalloc.start()
+        try:
+            bl.entropy._exhaustive_resonance_scan(phases, tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 34 * d * d
 
 
 class TestReducedEigenData:
