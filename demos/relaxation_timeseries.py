@@ -24,7 +24,7 @@ def main(d, n_states, n_max, seed):
         raise ValueError("this demo wants a square split; pick d a perfect square")
 
     u = bl.baker(d)
-    # state s starts from stream s of the seed; rows are state-major
+    # state s starts from stream s of the seed; samples.values[s, n - 1] is its entropy after n steps
     samples = bl.empirical_asymptotic_distribution(u, part, 1, n_max, n_states, bl.RngStream(seed))
 
     outdir = os.path.join(os.path.dirname(__file__), "out")
@@ -36,7 +36,7 @@ def main(d, n_states, n_max, seed):
     })
 
     bench = bl.cue_mean_entropy(part)
-    v = samples.value.reshape(n_states, n_max)
+    v = samples.values
     print(f"baker map, d={d}, split {part.d_a}x{part.d_b}, {n_states} states, {n_max} steps")
     print(f"random-state benchmark   : {bench:.6f}")
     print(f"mean entropy at n=1      : {v[:, 0].mean():.6f}")

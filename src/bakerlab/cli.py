@@ -101,10 +101,10 @@ _MAX_ENTRY_BYTES = 64
 #: worth at d = 256..1024, the most for D and D' at 256, whose 128 unit rows
 #: and their scratch make one more d x d array
 _GEN_MAP_COPIES = 3
-#: bytes per float64 sample summarized outside the engine (ensemble entropies,
-#: --cue-reference draws) with the summary's temporaries, and per histogram
-#: bin (counts, edges and their JSON lists): tracemalloc reads at most 28 and
-#: 57, and each count above 256 adds a 28-byte Python int
+#: bytes per float64 sample summarized (a histogram's window, ensemble
+#: entropies, --cue-reference draws) with the summary's temporaries, and per
+#: histogram bin (counts, edges and their JSON lists): tracemalloc reads at
+#: most 28 and 57, and each count above 256 adds a 28-byte Python int
 _SAMPLE_BYTES, _BIN_BYTES = 32, 96
 #: complex (S, d) state batches and d x d arrays alive at once per ensemble
 #: map: tracemalloc reads at most 3.1 and 4.1 at d = 16..256
@@ -324,15 +324,16 @@ def cmd_histogram(args) -> int:
     _count("--bins", args.bins, 1)
     n_ref = _count("--cue-reference", args.cue_reference, 0)
     chunk = 16 * _REFERENCE_COPIES * min(n_ref, _REFERENCE_CHUNK) * part.d
-    _require_memory(_SAMPLE_BYTES * n_ref + chunk + _BIN_BYTES * args.bins * (2 if n_ref else 1),
-                    f"--bins {args.bins} with --cue-reference {n_ref} need")
+    n_samples = n_states * (n_max - n_min + 1)
+    _require_memory(_SAMPLE_BYTES * (n_samples + n_ref) + chunk + _BIN_BYTES * args.bins * (2 if n_ref else 1),
+                    f"{n_samples} samples with --bins {args.bins} and --cue-reference {n_ref} need")
     samples = empirical_asymptotic_distribution(args.kind, part, n_min, n_max, n_states, RngStream(args.seed))
     metadata = _metadata(
         args, kind=args.kind, d=args.d, split=f"{part.d_a}x{part.d_b}", states=n_states,
         n_min=n_min, n_max=n_max, bins=args.bins, iteration_version=ITERATION_VERSION,
         map_version=MAP_VERSION,
     )
-    summary = HistogramSummary.from_values(samples.value, args.bins, metadata)
+    summary = HistogramSummary.from_values(samples.values, args.bins, metadata)
     report = summary.to_dict()
     report["cue_mean_entropy"] = cue_mean_entropy(part)
     report["cue_reference"] = None

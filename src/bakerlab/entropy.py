@@ -60,26 +60,25 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class EntropySamples:
-    """Columnar batch of linear-entropy samples, one row per (state, step)."""
+    """Linear entropies on a read-only grid: ``values[s, n - n_min]`` is state ``s``'s after ``n`` steps."""
 
-    state_id: np.ndarray
-    time_step: np.ndarray
-    value: np.ndarray
+    values: np.ndarray
+    n_min: int = 1
 
     def __post_init__(self):
-        sid = np.asarray(self.state_id, dtype=np.int64)
-        step = np.asarray(self.time_step, dtype=np.int64)
-        val = np.asarray(self.value, dtype=np.float64)
-        if not (sid.shape == step.shape == val.shape) or sid.ndim != 1:
-            raise ValueError("state_id, time_step and value must be 1-d arrays of equal length")
-        if not np.isfinite(val).all():
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 2 or values.size == 0:
+            raise ValueError(f"entropy values must be a non-empty (states, window) grid, got shape {values.shape}")
+        if not np.isfinite(values).all():
             raise ValueError("entropy values must be finite")
-        for name, arr in (("state_id", sid), ("time_step", step), ("value", val)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        if not isinstance(self.n_min, (int, np.integer)) or self.n_min < 1:
+            raise ValueError(f"n_min must be an integer >= 1, got {self.n_min!r}")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "n_min", int(self.n_min))
 
     def __len__(self) -> int:
-        return int(self.value.size)
+        return int(self.values.size)
 
 
 def _entropy_buffers(n_states, part: Bipartition):
@@ -173,9 +172,8 @@ def empirical_asymptotic_distribution(
 
     Each of ``n_states`` random product states (state ``s`` drawn from
     ``rng.offset(s)``) is evolved to ``n_max`` applications of the map;
-    entropies with ``n_min <= n <= n_max`` are recorded.  Rows are ordered
-    state-major, so ``value.reshape(n_states, -1)`` recovers the per-state
-    time series.
+    entropies with ``n_min <= n <= n_max`` are recorded in the grid
+    ``values[s, n - n_min]``, whose row ``s`` is state ``s``'s time series.
 
     The map ``u`` is a d x d matrix or a map kind (a
     :class:`bakerlab.maps.MapKind` or its name).  A kind is built with
@@ -256,11 +254,7 @@ def empirical_asymptotic_distribution(
     drift = max_abs(np.einsum("sd,sd->s", psi, psi.conj()).real - 1.0)
     if not drift < NORM_TOL:  # also trips on nan
         raise LinAlgError(f"state norms drifted by {drift:.3g} over {n_max} steps (tolerance {NORM_TOL})")
-    return EntropySamples(
-        state_id=np.repeat(np.arange(n_states, dtype=np.int64), window),
-        time_step=np.tile(np.arange(n_min, n_max + 1, dtype=np.int64), n_states),
-        value=out.ravel(),
-    )
+    return EntropySamples(out, n_min)
 
 
 def _iterate(step, psi, work, out, part, n_min, n_max, start):
@@ -415,18 +409,18 @@ def _takes_jump(d, n_states, n_min, window, fft, dense):
 
 def _memory_need(d, n_states, window, dense):
     """Bytes an engine run holds at its peak, the burn-in jump aside; see :func:`_check_memory`."""
-    return 24 * n_states * window + 16 * (_BATCH_COPIES * n_states * d + (2 * d * d if dense else 0))
+    return 8 * n_states * window + 16 * (_BATCH_COPIES * n_states * d + (2 * d * d if dense else 0))
 
 
 def _check_memory(d, n_states, window, dense=True):
     """Refuse a run whose arrays cannot fit in physical memory, before allocating them.
 
-    The estimate is the three ``EntropySamples`` columns (8 bytes each per
-    sample), ``_BATCH_COPIES`` complex (S, d) batches and, for a ``dense``
-    map, the two complex d x d temporaries of the unitarity and transform
-    gates.  A map iterated without a matrix holds no d x d array.  The
-    burn-in jump's arrays are not counted: it is taken only where they fit
-    beside these (see :func:`_takes_jump`).
+    The estimate is the ``EntropySamples`` grid (8 bytes per sample),
+    ``_BATCH_COPIES`` complex (S, d) batches and, for a ``dense`` map, the
+    two complex d x d temporaries of the unitarity and transform gates.  A
+    map iterated without a matrix holds no d x d array.  The burn-in jump's
+    arrays are not counted: it is taken only where they fit beside these
+    (see :func:`_takes_jump`).
     """
     _require_memory(_memory_need(d, n_states, window, dense),
                     f"{n_states} states x {window} window steps at d = {d} need")
@@ -544,7 +538,7 @@ def asymptotic_power_mc(u, part: Bipartition, n_states: int, n_min: int, n_max: 
     if n_states < 2:
         raise ValueError(f"need at least 2 states for a standard error, got {n_states}")
     samples = empirical_asymptotic_distribution(u, part, n_min, n_max, n_states, rng)
-    per_state = samples.value.reshape(n_states, -1).mean(axis=1)
+    per_state = samples.values.mean(axis=1)
     return float(per_state.mean()), float(per_state.std(ddof=1) / np.sqrt(n_states))
 
 

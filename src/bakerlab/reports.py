@@ -106,30 +106,33 @@ class HistogramSummary:
 
 
 def write_entropy_csv(path, samples: EntropySamples, metadata: dict | None = None):
-    """Write entropy samples as ``state_id,n,S_L`` rows, atomically.
+    """Write entropy samples as state-major ``state_id,n,S_L`` rows, one state at a time, atomically.
 
-    Metadata is echoed as ``# key = value`` header lines.  Values use the
-    shortest round-trip float repr.
+    Metadata is echoed as ``# key = value`` header lines; a key with ``=``
+    or a line break, or a value with a line break, would not read back and
+    raises ``ValueError``.  Values use the shortest round-trip float repr.
     """
     with atomic_write(path, newline="") as f:
         for key, value in (metadata or {}).items():
+            if "=" in str(key) or any(c in f"{key}{value}" for c in "\r\n"):
+                raise ValueError(f"metadata {key!r} = {value!r} would not read back")
             f.write(f"# {key} = {value}\n")
         f.write(ENTROPY_CSV_HEADER + "\n")
-        for sid, step, val in zip(samples.state_id, samples.time_step, samples.value):
-            f.write(f"{int(sid)},{int(step)},{float(val)!r}\n")
+        for s, row in enumerate(samples.values):
+            for n, entropy in enumerate(row.tolist(), samples.n_min):
+                f.write(f"{s},{n},{entropy!r}\n")
 
 
 def read_entropy_csv(path):
     """Read a samples CSV back; returns ``(EntropySamples, metadata_dict)``.
 
-    Metadata values come back as strings.
+    The rows must form one full state-major grid (see the README's file
+    formats); metadata values come back as strings.
     """
-    metadata: dict = {}
-    sids, steps, vals = [], [], []
+    metadata, vals, n_min, window = {}, [], 1, 0
     with open(path) as f:
-        lines = iter(f)
         header_seen = False
-        for line in lines:
+        for line in f:
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -149,14 +152,16 @@ def read_entropy_csv(path):
             fields = line.split(",")
             if len(fields) != 3:
                 raise ValueError(f"malformed sample row: {line!r}")
-            sids.append(int(fields[0]))
-            steps.append(int(fields[1]))
+            s, n, i = int(fields[0]), int(fields[1]), len(vals)
+            if not i:
+                n_min = n
+            elif s == 1 and not window:  # state 1 opens: state 0's rows are the window
+                window = i
+            if (s, n - n_min) != (divmod(i, window) if window else (0, i)):
+                raise ValueError(f"sample row {line!r} breaks the state-major grid")
             vals.append(float(fields[2]))
     if not header_seen:
         raise ValueError("missing column header")
-    samples = EntropySamples(
-        state_id=np.asarray(sids, dtype=np.int64),
-        time_step=np.asarray(steps, dtype=np.int64),
-        value=np.asarray(vals, dtype=np.float64),
-    )
-    return samples, metadata
+    if not vals or (window and len(vals) % window):
+        raise ValueError("the sample rows are not one full state-major grid")
+    return EntropySamples(np.array(vals).reshape(-1, window or len(vals)), n_min), metadata

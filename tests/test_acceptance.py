@@ -230,8 +230,8 @@ def test_criterion_8_property_suite(tmp_path):
         # entropy range bounds on real samples
         part16 = bl.Bipartition(4, 4)
         samples = bl.empirical_asymptotic_distribution(bl.baker(16), part16, 10, 200, 20, bl.RngStream(808))
-        assert (samples.value > -1e-12).all()
-        assert (samples.value < 1.0 - 1.0 / 4 + 1e-12).all()
+        assert (samples.values > -1e-12).all()
+        assert (samples.values < 1.0 - 1.0 / 4 + 1e-12).all()
         power = bl.asymptotic_entangling_power(bl.eigensystem(bl.baker(16)), part16)
         assert 0.0 <= power.value <= 1.0 - 1.0 / 4
 

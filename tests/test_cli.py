@@ -16,6 +16,7 @@ from bakerlab.cli import (
     _REFERENCE_CHUNK,
     _REFERENCE_COPIES,
     _REFERENCE_STREAM_BASE,
+    _SAMPLE_BYTES,
     PROFILES,
     _check_epinf_memory,
     _write_json,
@@ -69,7 +70,7 @@ class TestTimeseries:
         assert len(samples) == 3 * 12
         assert metadata["kind"] == "baker"
         assert metadata["seed"] == "5"
-        assert set(np.unique(samples.state_id)) == {0, 1, 2}
+        assert samples.values.shape == (3, 12) and samples.n_min == 1
 
     def test_identity_map_gives_zero_column(self, tmp_path):
         out = tmp_path / "id.csv"
@@ -79,7 +80,7 @@ class TestTimeseries:
         )
         assert rc == 0
         samples, _ = bl.read_entropy_csv(out)
-        assert (np.abs(samples.value) < 1e-12).all()
+        assert (np.abs(samples.values) < 1e-12).all()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -136,6 +137,7 @@ class TestHistogram:
         assert rc == 0
         samples, _ = bl.read_entropy_csv(raw)
         assert len(samples) == json.loads(out.read_text())["n_samples"]
+        assert samples.values.shape == (3, 10) and samples.n_min == 2
 
     def test_cue_reference_block(self, tmp_path):
         out = tmp_path / "h.json"
@@ -617,6 +619,22 @@ class TestMemoryPreflight:
                    "--cue-reference", _REFERENCE_CHUNK, "--out", tmp_path / "x.json") == 2
         assert f"--cue-reference {_REFERENCE_CHUNK}" in capsys.readouterr().err
 
+    def test_histogram_budget_counts_the_summary(self, monkeypatch, tmp_path, capsys):
+        # the engine's arrays fit, the window's samples with the summary's temporaries do not
+        d, n_states, window = 16, 10, 1000
+        engine = bl.entropy._memory_need(d, n_states, window, dense=True)
+        summary = _SAMPLE_BYTES * n_states * window
+        assert engine < summary
+        monkeypatch.setattr("bakerlab.entropy._physical_memory", lambda: (engine + summary) // 2)
+        bl.entropy._check_memory(d, n_states, window)
+        drawn = []
+        monkeypatch.setattr("bakerlab.entropy.product_state", lambda *args: drawn.append(args))
+        out = tmp_path / "x.json"
+        assert run(*TestCountsRefusedUpFront.HISTOGRAM, "--states", n_states, "--nmin", 1, "--nmax", window,
+                   "--bins", 1, "--out", out) == 2
+        assert "10000 samples with --bins 1" in capsys.readouterr().err
+        assert drawn == [] and not out.exists()
+
     MAP_FILE_COMMANDS = [
         pytest.param(["epinf", "--split", "4x4", "--map-file"], id="epinf"),
         pytest.param(["spectrum-check"], id="spectrum-check"),
@@ -766,7 +784,7 @@ class TestAtomicWrites:
                 raise RuntimeError("cannot format")
 
         out = tmp_path / "s.csv"
-        samples = bl.EntropySamples(np.array([0]), np.array([1]), np.array([0.25]))
+        samples = bl.EntropySamples([[0.25]])
         bl.write_entropy_csv(out, samples, {"seed": 1})
         before = out.read_bytes()
         with pytest.raises(RuntimeError):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import os
 import subprocess
@@ -38,8 +39,8 @@ def local_pair(part, stream):
     return bl.kron(gen_a, gen_b)
 
 
-def entropy_timeseries(u, psi0, part, n_max, *, state_id=0):
-    """Reference: linear entropy of ``u^n psi0`` for n = 1 .. n_max, one dense product per step."""
+def entropy_timeseries(u, psi0, part, n_max):
+    """Reference: linear entropy of ``u^n psi0`` for n = 1 .. n_max, one dense product per step, as a one-row grid."""
     u = bl.as_matrix(u)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -51,9 +52,7 @@ def entropy_timeseries(u, psi0, part, n_max, *, state_id=0):
     for n in range(n_max):
         psi = u @ psi
         values[n] = bl.linear_entropies(psi[:, None], part)[0]
-    return bl.EntropySamples(
-        state_id=np.full(n_max, state_id), time_step=np.arange(1, n_max + 1), value=values
-    )
+    return bl.EntropySamples(values[None])
 
 
 def entropy_via_partial_trace(psi, part):
@@ -143,26 +142,24 @@ class TestEntropyTimeseries:
         part = bl.Bipartition(4, 4)
         psi = bl.product_state(part, bl.RngStream(2))
         ts = entropy_timeseries(np.eye(16), psi, part, 20)
-        assert (np.abs(ts.value) < 1e-12).all()
-        assert np.array_equal(ts.time_step, np.arange(1, 21))
-        assert (ts.state_id == 0).all()
+        assert (np.abs(ts.values) < 1e-12).all()
+        assert ts.values.shape == (1, 20) and ts.n_min == 1
 
     def test_local_map_generates_no_entanglement(self):
         part = bl.Bipartition(3, 4)
         u = local_pair(part, bl.RngStream(9))
         psi = bl.product_state(part, bl.RngStream(10))
         ts = entropy_timeseries(u, psi, part, 30)
-        assert (np.abs(ts.value) < 1e-10).all()
+        assert (np.abs(ts.values) < 1e-10).all()
 
     def test_baker_entropy_rises_to_a_plateau_below_the_random_mean(self):
         part = bl.Bipartition(16, 16)
         u = bl.baker(256)
         psi = bl.product_state(part, bl.RngStream(12))
-        ts = entropy_timeseries(u, psi, part, 80, state_id=3)
-        plateau = ts.value[40:].mean()
-        assert ts.value[0] < plateau
+        ts = entropy_timeseries(u, psi, part, 80)
+        plateau = ts.values[0, 40:].mean()
+        assert ts.values[0, 0] < plateau
         assert 0.75 < plateau < bl.cue_mean_entropy(part)
-        assert (ts.state_id == 3).all()
 
     def test_unitarity_is_enforced(self):
         part = bl.Bipartition(2, 2)
@@ -178,20 +175,30 @@ class TestEntropyTimeseries:
 
 
 class TestEntropySamples:
-    def test_columns_are_typed_and_read_only(self):
-        samples = bl.EntropySamples(state_id=[0, 0, 1], time_step=[1, 2, 1], value=[0.1, 0.2, 0.3])
-        assert samples.state_id.dtype == samples.time_step.dtype == np.int64
-        assert samples.value.tolist() == [0.1, 0.2, 0.3]
-        assert not any(col.flags.writeable for col in (samples.state_id, samples.time_step, samples.value))
-        assert len(samples) == 3
+    def test_grid_is_typed_and_read_only(self):
+        samples = bl.EntropySamples([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], n_min=np.int64(5))
+        assert [f.name for f in dataclasses.fields(samples)] == ["values", "n_min"]
+        assert samples.values.dtype == np.float64 and samples.values.shape == (2, 3)
+        assert samples.values.tolist() == [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]
+        assert not samples.values.flags.writeable
+        assert type(samples.n_min) is int and samples.n_min == 5
+        assert len(samples) == 6
+        assert bl.EntropySamples([[0.1]]).n_min == 1
 
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            bl.EntropySamples(np.array([0]), np.array([1, 2]), np.array([0.1]))
+    @pytest.mark.parametrize("values", [[0.1, 0.2], 0.1, [[[0.1]]], [[]], np.empty((0, 3))],
+                             ids=["1-d", "0-d", "3-d", "no-steps", "no-states"])
+    def test_rejects_anything_but_a_non_empty_grid(self, values):
+        with pytest.raises(ValueError, match="grid"):
+            bl.EntropySamples(values)
 
     def test_rejects_non_finite_values(self):
         with pytest.raises(ValueError, match="finite"):
-            bl.EntropySamples(np.array([0]), np.array([1]), np.array([np.nan]))
+            bl.EntropySamples([[0.1, np.nan]])
+
+    @pytest.mark.parametrize("n_min", [0, -1, 1.0, "1", None])
+    def test_rejects_n_min_other_than_an_integer_of_at_least_one(self, n_min):
+        with pytest.raises(ValueError, match="n_min"):
+            bl.EntropySamples([[0.1]], n_min)
 
 
 class TestEntanglingPowerMc:
@@ -284,13 +291,12 @@ class TestEmpiricalAsymptoticDistribution:
         part = bl.Bipartition(2, 2)
         samples = bl.empirical_asymptotic_distribution(np.eye(4), part, 3, 7, 4, bl.RngStream(18))
         assert len(samples) == 4 * 5
-        assert (np.abs(samples.value) < 1e-12).all()
+        assert (np.abs(samples.values) < 1e-12).all()
 
     def test_sample_layout_is_state_major(self):
         part = bl.Bipartition(2, 2)
         samples = bl.empirical_asymptotic_distribution(bl.baker(4), part, 5, 14, 3, bl.RngStream(19))
-        assert np.array_equal(samples.state_id, np.repeat(np.arange(3), 10))
-        assert np.array_equal(samples.time_step, np.tile(np.arange(5, 15), 3))
+        assert samples.values.shape == (3, 10) and samples.n_min == 5
 
     # d = 16 takes the dense step; 256 and 300 (not a power of two) the FFT step
     @pytest.mark.parametrize("kind, d, d_a", [
@@ -307,8 +313,7 @@ class TestEmpiricalAsymptoticDistribution:
         for s in range(2):
             psi = bl.product_state(part, bl.RngStream(20, s))
             ts = entropy_timeseries(u, psi, part, 9)
-            got = samples.value.reshape(2, 6)[s]
-            assert_allclose(got, ts.value[3:], atol=1e-12)
+            assert_allclose(samples.values[s], ts.values[0, 3:], atol=1e-12)
 
     def test_rejects_bad_window(self):
         part = bl.Bipartition(2, 2)
@@ -357,8 +362,7 @@ class TestTransformDispatch:
         samples = bl.empirical_asymptotic_distribution(u, part, 1, 3, 2, bl.RngStream(23))
         for s in range(2):
             psi = bl.product_state(part, bl.RngStream(23, s))
-            assert_allclose(samples.value.reshape(2, 3)[s], entropy_timeseries(u, psi, part, 3).value,
-                            atol=1e-12)
+            assert_allclose(samples.values[s], entropy_timeseries(u, psi, part, 3).values[0], atol=1e-12)
 
     def test_one_phase_off_b_in_the_last_block_is_rejected(self):
         # the test above plants the phase in column d - 1, the first gate block;
@@ -401,7 +405,7 @@ class TestBlockedIteration:
         def run(workers):
             monkeypatch.setattr(bl.entropy, "_worker_count", lambda: workers)
             assert bl.entropy._block_count(7, d) == workers  # 3 workers: blocks of 3, 2 and 2 states
-            return bl.empirical_asymptotic_distribution(u, part, 3, 12, 7, bl.RngStream(24)).value
+            return bl.empirical_asymptotic_distribution(u, part, 3, 12, 7, bl.RngStream(24)).values
 
         monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
         assert np.array_equal(run(1), run(3))
@@ -436,12 +440,12 @@ class TestBlockedIteration:
         u, part = bl.baker(256), bl.Bipartition(16, 16)
         monkeypatch.setattr(bl.entropy, "_MIN_BLOCK", 1)
         monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 1)
-        one = bl.empirical_asymptotic_distribution(u, part, 1, 20, 16, bl.RngStream(32)).value
+        one = bl.empirical_asymptotic_distribution(u, part, 1, 20, 16, bl.RngStream(32)).values
         monkeypatch.setattr(bl.entropy, "_worker_count", lambda: 8)
         result = {}
 
         def run_eight():
-            result["eight"] = bl.empirical_asymptotic_distribution(u, part, 1, 20, 16, bl.RngStream(32)).value
+            result["eight"] = bl.empirical_asymptotic_distribution(u, part, 1, 20, 16, bl.RngStream(32)).values
 
         caller = threading.Thread(target=run_eight, daemon=True)
         interval = sys.getswitchinterval()
@@ -589,8 +593,8 @@ class TestBurnInJump:
         assert jumps == []
         jumped = run(True)
         assert jumps == [n_min - 1]
-        assert np.array_equal(jumped.time_step, stepped.time_step)
-        assert_allclose(jumped.value, stepped.value, rtol=0, atol=1e-12)
+        assert jumped.n_min == stepped.n_min
+        assert_allclose(jumped.values, stepped.values, rtol=0, atol=1e-12)
 
     # at d = 300 every product sums three runs of the inner dimension in two
     # blocks of rows (see entropy._product)
@@ -609,7 +613,7 @@ class TestBurnInJump:
                 "a = np.random.default_rng(62).standard_normal((300, 600)).view(complex); "
                 "print(hashlib.sha256(e._product(a, a.T.copy(), np.empty_like(a)).tobytes()).hexdigest()); "
                 "v = bl.empirical_asymptotic_distribution('bbar', bl.Bipartition(15, 20), 1, 20, 20, "
-                "bl.RngStream(63)).value; "
+                "bl.RngStream(63)).values; "
                 "print(hashlib.sha256(v.tobytes()).hexdigest())")
         src = str(Path(bl.__file__).resolve().parents[1])
         digests = set()
@@ -650,7 +654,7 @@ class TestBurnInJump:
         d = 256 if isinstance(u, str) else 64
         n_states, n_min, window = 100, 513, 10
         part = bl.Bipartition(16 if d == 256 else 8, 16 if d == 256 else 8)
-        need = 24 * n_states * window + 16 * (bl.entropy._BATCH_COPIES * n_states * d + (2 * d * d if dense else 0))
+        need = 8 * n_states * window + 16 * (bl.entropy._BATCH_COPIES * n_states * d + (2 * d * d if dense else 0))
         squares = 16 * bl.entropy._JUMP_COPIES * d * d
 
         def physical_memory(nbytes):  # as that many 1-byte pages
@@ -678,7 +682,7 @@ class TestBurnInJump:
         def run(workers):
             monkeypatch.setattr(bl.entropy, "_worker_count", lambda: workers)
             return bl.empirical_asymptotic_distribution(kind, bl.Bipartition(16, 16), 513, 520, 7,
-                                                        bl.RngStream(55)).value
+                                                        bl.RngStream(55)).values
 
         assert np.array_equal(run(1), run(3))
         assert calls == [512, 512]
@@ -752,7 +756,7 @@ class TestMemoryPreflight:
                                                  bl.RngStream(31))
 
     def test_estimate_counts_samples_batches_and_gates(self, monkeypatch):
-        need = 24 * 3 * 10 + 16 * (bl.entropy._BATCH_COPIES * 3 * 16 + 2 * 16 * 16)
+        need = 8 * 3 * 10 + 16 * (bl.entropy._BATCH_COPIES * 3 * 16 + 2 * 16 * 16)
 
         def physical_memory(nbytes):  # as that many 1-byte pages
             monkeypatch.setattr("os.sysconf", lambda name: nbytes if name == "SC_PHYS_PAGES" else 1)
@@ -784,9 +788,8 @@ class TestMatrixFreeKinds:
         part = bl.Bipartition(d_a, d // d_a)
         dense = bl.empirical_asymptotic_distribution(bl.make_map(kind, d), part, 2, 6, 5, bl.RngStream(41))
         by_kind = bl.empirical_asymptotic_distribution(kind, part, 2, 6, 5, bl.RngStream(41))
-        assert np.array_equal(by_kind.value, dense.value)
-        assert np.array_equal(by_kind.state_id, dense.state_id)
-        assert np.array_equal(by_kind.time_step, dense.time_step)
+        assert np.array_equal(by_kind.values, dense.values)
+        assert by_kind.n_min == dense.n_min
 
     @pytest.mark.parametrize("kind", ["baker", "dmap", bl.MapKind.DPRIME])
     @pytest.mark.parametrize("d, d_a", [(256, 16), (300, 15)])
@@ -816,7 +819,7 @@ class TestMatrixFreeKinds:
         by_kind = bl.empirical_asymptotic_distribution(kind, part, 1, 3, 2, bl.RngStream(43))
         assert seen == ["make_map", "assert_unitary"]
         dense = bl.empirical_asymptotic_distribution(bl.make_map(kind, d), part, 1, 3, 2, bl.RngStream(43))
-        assert np.array_equal(by_kind.value, dense.value)
+        assert np.array_equal(by_kind.values, dense.values)
 
     def test_odd_dimension_is_refused_by_the_map_builder(self):
         with pytest.raises(ValueError, match="even dimension"):
@@ -877,7 +880,7 @@ class TestMatrixFreeKinds:
 
     def test_preflight_holds_no_square_term(self, monkeypatch):
         d, n_states, window = 256, 3, 10
-        need = 24 * n_states * window + 16 * bl.entropy._BATCH_COPIES * n_states * d
+        need = 8 * n_states * window + 16 * bl.entropy._BATCH_COPIES * n_states * d
         monkeypatch.setattr("os.sysconf", lambda name: need if name == "SC_PHYS_PAGES" else 1)
         part = bl.Bipartition(16, 16)
         assert len(bl.empirical_asymptotic_distribution("baker", part, 1, window, n_states,
@@ -1237,7 +1240,7 @@ class TestAsymptoticEntropy:
             assert result.value == pytest.approx(entropy_via_partial_trace(e_k, part), abs=1e-10)
             # and the entropy really is constant in time
             ts = entropy_timeseries(u, e_k, part, 5)
-            assert_allclose(ts.value, result.value, atol=1e-10)
+            assert_allclose(ts.values, result.value, atol=1e-10)
 
     @pytest.mark.parametrize("build", [bl.baker, bl.d_map])
     def test_matches_long_time_average(self, build):
@@ -1247,7 +1250,7 @@ class TestAsymptoticEntropy:
         predicted = bl.asymptotic_entropy(bl.eigensystem(u), psi, part)
         assert not predicted.assumptions_violated
         ts = entropy_timeseries(u, psi, part, 11_000)
-        observed = ts.value[1000:].mean()
+        observed = ts.values[0, 1000:].mean()
         # late-time averages drift at the per-mille level over finite windows
         assert abs(observed - predicted.value) < 2e-3
 

@@ -307,22 +307,35 @@ class TestStreamedReader:
 
 
 class TestEntropyCsv:
-    def make_samples(self):
-        return bl.EntropySamples(
-            state_id=np.array([0, 0, 1, 1]),
-            time_step=np.array([1, 2, 1, 2]),
-            value=np.array([0.1, 0.12345678901234567, 0.0, 0.875]),
-        )
+    def make_samples(self, n_min=1):
+        return bl.EntropySamples([[0.1, 0.12345678901234567, 0.5], [0.0, 0.875, 0.25]], n_min)
 
-    def test_roundtrip(self, tmp_path):
+    @pytest.mark.parametrize("n_min", [1, 513])
+    def test_roundtrip(self, tmp_path, n_min):
         path = tmp_path / "s.csv"
-        samples = self.make_samples()
+        samples = self.make_samples(n_min)
         bl.write_entropy_csv(path, samples, {"kind": "baker", "seed": 7})
+        assert path.read_text().splitlines()[3:6] == [f"0,{n_min},0.1", f"0,{n_min + 1},{0.12345678901234567!r}",
+                                                      f"0,{n_min + 2},0.5"]
         back, metadata = bl.read_entropy_csv(path)
-        assert np.array_equal(back.state_id, samples.state_id)
-        assert np.array_equal(back.time_step, samples.time_step)
-        assert np.array_equal(back.value, samples.value)  # repr round-trips floats exactly
+        assert back.n_min == n_min
+        assert np.array_equal(back.values, samples.values)  # repr round-trips floats exactly
         assert metadata == {"kind": "baker", "seed": "7"}
+
+    @pytest.mark.parametrize("metadata", [
+        {"note": "two\nlines"},  # read back as a header line 'lines'
+        {"note": "two\rlines"},
+        {"a=b": 1},  # read back as {"a": "b = 1"}
+        {"a\nb": 1},
+    ])
+    def test_refuses_metadata_it_cannot_read_back(self, tmp_path, metadata):
+        path = tmp_path / "s.csv"
+        bl.write_entropy_csv(path, self.make_samples(), {"seed": 1})
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="would not read back"):
+            bl.write_entropy_csv(path, self.make_samples(), {"seed": 2, **metadata})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
 
     def test_header_and_comment_format(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -347,6 +360,14 @@ class TestEntropyCsv:
             "state_id,n,S_L\n# late = 1\n0,1,0.5\n",  # metadata after header
             "state_id,n,S_L\n0,1,abc\n",  # non-numeric value
             "",  # empty file
+            "# seed = 1\nstate_id,n,S_L\n",  # header only
+            "state_id,n,S_L\n0,1,0.5\n0,2,0.5\n1,1,0.5\n",  # ragged: state 1 lacks step 2
+            "state_id,n,S_L\n0,1,0.5\n1,1,0.5\n0,2,0.5\n1,2,0.5\n",  # step-major, not state-major
+            "state_id,n,S_L\n0,2,0.5\n0,1,0.5\n1,2,0.5\n1,1,0.5\n",  # steps out of order
+            "state_id,n,S_L\n1,1,0.5\n0,1,0.5\n",  # states out of order
+            "state_id,n,S_L\n0,1,0.5\n0,3,0.5\n",  # a step skipped
+            "state_id,n,S_L\n1,1,0.5\n1,2,0.5\n",  # no state 0
+            "state_id,n,S_L\n0,0,0.5\n0,1,0.5\n",  # step 0
         ],
     )
     def test_rejects_malformed_files(self, tmp_path, content):
