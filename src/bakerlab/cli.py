@@ -180,14 +180,15 @@ def _check_epinf_memory(part: Bipartition, cross=None):
     arrays, the map included, and the eigenvectors with the reduction's
     ``_REDUCED_COPIES`` sets of reduced density matrices.  ``cross`` holds
     the ``(n_states, n_min, n_max)`` of --cross-check, whose engine run is
-    checked here too, before the eigensolve instead of after it.
+    checked here too, before the eigensolve instead of after it, with the
+    map counted: built by the engine from a kind, or held from the file.
     """
     d = part.d
     copies = max(_EIGEN_COPIES * d, d + _REDUCED_COPIES * (part.d_a**2 + part.d_b**2))
     _require_memory(16 * d * copies, f"--d {d} with split {part.d_a}x{part.d_b} needs")
     if cross is not None:
         n_states, n_min, n_max = cross
-        _check_memory(d, n_states, n_max - n_min + 1)
+        _check_memory(d, n_states, n_max - n_min + 1, built=True)
 
 
 def _tolerance(text: str) -> float:

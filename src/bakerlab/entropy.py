@@ -38,7 +38,7 @@ from .linalg import (
     assert_unitary,
     max_abs,
 )
-from .maps import _STEPS, MapKind, _diagonal, _unit_blocks, make_map
+from .maps import _KINDS, MapKind, _step_rows, _unit_steps, make_map
 
 __all__ = [
     "AsymptoticValue",
@@ -178,8 +178,10 @@ def empirical_asymptotic_distribution(
     The map ``u`` is a d x d matrix or a map kind (a
     :class:`bakerlab.maps.MapKind` or its name).  A kind is built with
     :func:`bakerlab.maps.make_map`, except B, D and D' at even d of at least
-    ``_TRANSFORM_MIN_D``: those are never built, and their unitarity gate
-    runs by FFT on every CPU (see :func:`_assert_unitary_step`).
+    ``_TRANSFORM_MIN_D``: those take the step of their row of
+    ``maps._KINDS``, are never built, and their unitarity gate runs by FFT
+    on every CPU (see :func:`_assert_unitary_step`).  Only a matrix is
+    matched against the steps (see :func:`_transform_step`).
 
     A step is one dense product of the states with ``u.T`` (see
     :func:`_dense_rows`), except when the map is B, D or D' (see
@@ -222,16 +224,18 @@ def empirical_asymptotic_distribution(
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
     d, window = part.d, n_max - n_min + 1
-    steps = _STEPS.get(kind) if d % 2 == 0 and d >= _TRANSFORM_MIN_D else None
-    _check_memory(d, n_states, window, dense=steps is None)
-    if steps is not None:
-        step, step_t = steps
-        _assert_unitary_step(step, step_t, d)
-    else:
-        if kind is not None:
-            u = make_map(kind, d)
+    by_fft = d % 2 == 0 and d >= _TRANSFORM_MIN_D
+    _, step, step_t = _KINDS[kind] if by_fft and kind is not None else (None, None, None)
+    dense = step is None  # the map is held as a matrix
+    built = dense and kind is not None
+    _check_memory(d, n_states, window, dense=dense, built=built)
+    if built:
+        u = make_map(kind, d)
+    if dense:
         assert_unitary(u, name="map")
-        step = _transform_step(u)
+        step = _transform_step(u) if by_fft and kind is None else None  # a kind is never recognised
+    else:
+        _assert_unitary_step(step, step_t, d)
     fft = step is not None
     blocks = _block_count(n_states, d) if fft else 1
     if not fft:
@@ -241,9 +245,9 @@ def empirical_asymptotic_distribution(
     for s in range(n_states):
         psi[s] = product_state(part, rng.offset(s))
     work = np.empty_like(psi)
-    start = n_min - 1 if _takes_jump(d, n_states, n_min, window, fft=fft, dense=steps is None) else 0
+    start = n_min - 1 if _takes_jump(d, n_states, n_min, window, fft=fft, dense=dense, built=built) else 0
     if start:  # row k of the operator U^T that multiplies the rows is the step applied to e_k
-        one_step = step(np.eye(d, dtype=np.complex128), work=np.empty((d, d), dtype=np.complex128)) if fft else u.T
+        one_step = _step_rows(step, d, np.empty((d, d), dtype=np.complex128)) if fft else u.T
         power = _matrix_power(one_step, start)
         del one_step
         _dense_rows(power, psi, work)
@@ -394,35 +398,37 @@ def _jump_pays(d, n_states, n_min, fft):
     return jump < m * n_states * per_state
 
 
-def _takes_jump(d, n_states, n_min, window, fft, dense):
+def _takes_jump(d, n_states, n_min, window, fft, dense, built=False):
     """Whether the engine jumps the burn-in with the FFT step (``fft``) or the dense one.
 
     It does when the jump is cheaper (:func:`_jump_pays`) and its
     ``_JUMP_COPIES`` d x d arrays fit in physical memory beside what
     :func:`_check_memory` counts for the run (``dense``: the map is a
-    matrix).  So the jump never makes a run fail that check, and a host too
-    small for its arrays steps instead.
+    matrix, ``built``: from a kind).  So the jump never makes a run fail
+    that check, and a host too small for its arrays steps instead.
     """
     return (_jump_pays(d, n_states, n_min, fft)
-            and _fits(_memory_need(d, n_states, window, dense) + 16 * _JUMP_COPIES * d * d))
+            and _fits(_memory_need(d, n_states, window, dense, built) + 16 * _JUMP_COPIES * d * d))
 
 
-def _memory_need(d, n_states, window, dense):
+def _memory_need(d, n_states, window, dense, built=False):
     """Bytes an engine run holds at its peak, the burn-in jump aside; see :func:`_check_memory`."""
-    return 8 * n_states * window + 16 * (_BATCH_COPIES * n_states * d + (2 * d * d if dense else 0))
+    squares = (3 if built else 2) if dense else 0
+    return 8 * n_states * window + 16 * (_BATCH_COPIES * n_states * d + squares * d * d)
 
 
-def _check_memory(d, n_states, window, dense=True):
+def _check_memory(d, n_states, window, dense=True, built=False):
     """Refuse a run whose arrays cannot fit in physical memory, before allocating them.
 
     The estimate is the ``EntropySamples`` grid (8 bytes per sample),
     ``_BATCH_COPIES`` complex (S, d) batches and, for a ``dense`` map, the
-    two complex d x d temporaries of the unitarity and transform gates.  A
-    map iterated without a matrix holds no d x d array.  The burn-in jump's
-    arrays are not counted: it is taken only where they fit beside these
-    (see :func:`_takes_jump`).
+    two complex d x d temporaries of the unitarity gate, and the map itself
+    when it is ``built`` from a kind (a matrix passed in is its caller's).
+    A map iterated without a matrix holds no d x d array.  The burn-in
+    jump's arrays are not counted: it is taken only where they fit beside
+    these (see :func:`_takes_jump`).
     """
-    _require_memory(_memory_need(d, n_states, window, dense),
+    _require_memory(_memory_need(d, n_states, window, dense, built),
                     f"{n_states} states x {window} window steps at d = {d} need")
 
 
@@ -461,24 +467,19 @@ _GATE_ROWS = 64
 
 
 def _transform_step(u):
-    """The FFT step of ``u`` when it is B, D or D', else None.
+    """The FFT step of the even-dimensional matrix ``u`` when it is B, D or D', else None.
 
-    Each candidate (the steps of ``maps._STEPS``: B, D, D') is applied to
-    the identity, ``_GATE_ROWS`` rows at a time, and must reproduce every
-    column of ``u`` within ``UNITARY_TOL``: the map that is iterated is the
-    one that passed the unitarity gate.  The first block holds the last
-    columns, in the half where the three kinds differ, so a wrong kind is
-    refused after one block.  Inputs with d below ``_TRANSFORM_MIN_D`` or
-    odd are not tested.
+    Each candidate, a step of ``maps._KINDS``, is applied to the identity
+    ``_GATE_ROWS`` rows at a time and must reproduce every column of ``u``
+    within ``UNITARY_TOL``: the map that is iterated is the one that passed
+    the unitarity gate.  The last columns, where the three kinds differ,
+    come first, so a wrong kind is refused after one block.
     """
     d = u.shape[0]
-    if d < _TRANSFORM_MIN_D or d % 2:
-        return None
-    unit = np.empty((_GATE_ROWS, d), dtype=np.complex128)
-    work = np.empty_like(unit)
-    for step, _ in _STEPS.values():
-        if all(max_abs(step(rows, work=work[: len(rows)]) - u[:, start:start + len(rows)].T) < UNITARY_TOL
-               for start, rows in _unit_blocks(unit, _gate_starts(d, _GATE_ROWS))):
+    starts = range(0, d, _GATE_ROWS)[::-1]
+    for _, step, _ in _KINDS.values():
+        if step is not None and all(max_abs(x - u[:, k:k + len(x)].T) < UNITARY_TOL
+                                    for k, x in _unit_steps(step, d, starts, _GATE_ROWS)):
             return step
     return None
 
@@ -497,7 +498,7 @@ def _assert_unitary_step(step, step_t, d):
     count.  Raises ``LinAlgError`` unless the figure is below ``UNITARY_TOL``.
     """
     rows = max(1, _GATE_ROWS // _worker_count())
-    starts = _gate_starts(d, rows)
+    starts = range(0, d, rows)
     threads = min(_worker_count(), len(starts))
     figures = _in_threads(functools.partial(_gate_defect, step, step_t, d, rows), threads,
                           [starts[t::threads] for t in range(threads)])
@@ -509,22 +510,15 @@ def _assert_unitary_step(step, step_t, d):
 
 def _gate_defect(step, step_t, d, rows, starts):
     """max |B B^dag - 1| over the columns of the ``rows``-row unit blocks at ``starts``, nan if any entry is nan."""
-    unit = np.empty((rows, d), dtype=np.complex128)
-    work = np.empty_like(unit)
-    size = np.empty(unit.shape)
+    def columns(x, work):  # B conj(B^T x)
+        x = step_t(x, work=work)
+        return step(np.conjugate(x, out=x), work=work)
+    size = np.empty((rows, d))
     figures = []
-    for start, block in _unit_blocks(unit, starts):
-        scratch = work[: len(block)]
-        x = step_t(block, work=scratch)
-        x = step(np.conjugate(x, out=x), work=scratch)
-        _diagonal(x, start)[:] -= 1.0
+    for start, x in _unit_steps(columns, d, starts, rows):
+        np.einsum("ii->i", x[:, start:start + len(x)])[:] -= 1.0  # B B^dag - 1
         figures.append(np.abs(x, out=size[: len(x)]).max())
     return np.max(figures)
-
-
-def _gate_starts(d, rows):
-    """First rows of the ``rows``-row blocks of the d x d identity, last block first."""
-    return list(reversed(range(0, d, rows)))
 
 
 def asymptotic_power_mc(u, part: Bipartition, n_states: int, n_min: int, n_max: int, rng: RngStream):

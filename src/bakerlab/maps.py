@@ -11,11 +11,12 @@ which obeys antiperiodic boundary conditions in both position and momentum.
 
 B, D and D' are one FFT step, :func:`_baker_rows`: their matrices are that
 step applied to the identity, and Bbar is built from D and D' by the parity
-rotation.  Each kind is one row of the tables behind :func:`make_map`.
+rotation.  Each kind is one row of the table :data:`_KINDS`.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 
@@ -91,31 +92,36 @@ def baker(d: int) -> np.ndarray:
 def _baker_family(d, sign, out=None):
     """B (sign 0), D (+1) or D' (-1) as a matrix: the FFT step :func:`_baker_rows` applied to the identity.
 
-    Row k of the step applied to the unit rows is column k of the map, so the
-    map is filled ``_BLOCK`` columns at a time, into ``out`` (a d x d view)
-    when given, and equals the step bit for bit, in O(d^2 log d).
+    Column k of the map is the step applied to e_k, so :func:`_step_rows` fills
+    its transpose, into ``out`` (a d x d view) when given, and the map equals
+    the step bit for bit, in O(d^2 log d).
     """
-    if out is None:
-        out = np.empty((d, d), dtype=np.complex128)
-    unit = np.empty((min(_BLOCK, d), d), dtype=np.complex128)
-    work = np.empty_like(unit)
-    for start, rows in _unit_blocks(unit, range(0, d, _BLOCK)):
-        out[:, start:start + len(rows)] = _baker_rows(rows, sign, work[: len(rows)]).T
+    out = np.empty((d, d), dtype=np.complex128) if out is None else out
+    _step_rows(functools.partial(_baker_rows, sign=sign), d, out.T)
     return out
 
 
-def _unit_blocks(unit, starts):
-    """``(start, rows)``: e_start, e_(start+1), ... of the identity, written over the first rows of ``unit`` in turn."""
+def _step_rows(step, d, out):
+    """Fill the d x d ``out``, ``_BLOCK`` rows at a time: row k is ``step`` applied to e_k."""
+    for start, x in _unit_steps(step, d, range(0, d, _BLOCK), _BLOCK):
+        out[start:start + len(x)] = x
+    return out
+
+
+def _unit_steps(step, d, starts, rows):
+    """``(start, x)`` for each of ``starts``: ``x`` is ``step`` applied to the unit rows e_start, e_(start+1), ...
+
+    A block holds ``rows`` rows of the d x d identity, fewer where it ends.  The
+    step is called as the engine calls it, ``step(unit, work=scratch)``, on
+    one pair of buffers allocated once, so each ``x`` is overwritten by the next.
+    """
+    unit = np.empty((min(rows, d), d), dtype=np.complex128)
+    work = np.empty_like(unit)
     for start in starts:
-        rows = unit[: min(len(unit), unit.shape[1] - start)]
-        rows[:] = 0.0
-        _diagonal(rows, start)[:] = 1.0
-        yield start, rows
-
-
-def _diagonal(rows, start):
-    """Writable view of the entries ``(i, start + i)`` of ``rows``."""
-    return np.einsum("ii->i", rows[:, start:start + len(rows)])
+        x = unit[: min(len(unit), d - start)]
+        x[:] = 0.0
+        np.einsum("ii->i", x[:, start:start + len(x)])[:] = 1.0  # entry (i, start + i)
+        yield start, step(x, work=work[: len(x)])
 
 
 @functools.lru_cache(maxsize=8)
@@ -310,25 +316,27 @@ def _identity(d):
     return np.eye(d, dtype=np.complex128)
 
 
-#: the constructor of each kind, called with the dimension
-_CONSTRUCTORS = {
-    MapKind.BAKER: baker,
-    MapKind.DMAP: functools.partial(d_map, sign=+1),
-    MapKind.DPRIME: functools.partial(d_map, sign=-1),
-    MapKind.BBAR: bbar,
-    MapKind.REFLECTION: reflection,
-    MapKind.FOURIER: antiperiodic_fourier,
-    MapKind.LAMBDA: lambda_basis,
-    MapKind.IDENTITY: _identity,
-}
+#: a row of :data:`_KINDS`: the constructor, and for B, D and D' the FFT step and its transpose
+_Kind = collections.namedtuple("_Kind", ["build", "step", "step_t"], defaults=(None, None))
 
-#: the FFT step and its transpose of each kind that is applied without a matrix
-_STEPS = {
-    kind: (functools.partial(_baker_rows, sign=sign), functools.partial(_baker_rows_t, sign=sign))
-    for kind, sign in ((MapKind.BAKER, 0), (MapKind.DMAP, +1), (MapKind.DPRIME, -1))
+
+def _fft_kind(build, sign):
+    return _Kind(build, functools.partial(_baker_rows, sign=sign), functools.partial(_baker_rows_t, sign=sign))
+
+
+#: one row per kind, read by make_map and the iteration engine
+_KINDS = {
+    MapKind.BAKER: _fft_kind(baker, 0),
+    MapKind.DMAP: _fft_kind(functools.partial(d_map, sign=+1), +1),
+    MapKind.DPRIME: _fft_kind(functools.partial(d_map, sign=-1), -1),
+    MapKind.BBAR: _Kind(bbar),
+    MapKind.REFLECTION: _Kind(reflection),
+    MapKind.FOURIER: _Kind(antiperiodic_fourier),
+    MapKind.LAMBDA: _Kind(lambda_basis),
+    MapKind.IDENTITY: _Kind(_identity),
 }
 
 
 def make_map(kind, d: int) -> np.ndarray:
     """Build the map named by ``kind`` (a :class:`MapKind` or its value)."""
-    return _CONSTRUCTORS[MapKind(kind)](d)
+    return _KINDS[MapKind(kind)].build(d)

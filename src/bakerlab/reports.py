@@ -109,12 +109,14 @@ def write_entropy_csv(path, samples: EntropySamples, metadata: dict | None = Non
     """Write entropy samples as state-major ``state_id,n,S_L`` rows, one state at a time, atomically.
 
     Metadata is echoed as ``# key = value`` header lines; a key with ``=``
-    or a line break, or a value with a line break, would not read back and
+    or a line break, a value with a line break, or either with leading or
+    trailing whitespace, which the reader strips, would not read back and
     raises ``ValueError``.  Values use the shortest round-trip float repr.
     """
     with atomic_write(path, newline="") as f:
         for key, value in (metadata or {}).items():
-            if "=" in str(key) or any(c in f"{key}{value}" for c in "\r\n"):
+            texts = (str(key), str(value))
+            if "=" in texts[0] or any("\r" in t or "\n" in t or t != t.strip() for t in texts):
                 raise ValueError(f"metadata {key!r} = {value!r} would not read back")
             f.write(f"# {key} = {value}\n")
         f.write(ENTROPY_CSV_HEADER + "\n")

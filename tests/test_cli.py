@@ -450,6 +450,14 @@ class TestParsing:
             args = build_parser().parse_args([*command, "--kind", "baker", "--d", "16", "--split", "4x4"])
             assert args.nmin == 513
 
+    @pytest.mark.parametrize("text", ["ax4", "4x", "4.0x4", "x"])
+    def test_split_of_non_integers_is_a_config_error(self, tmp_path, capsys, text):
+        with pytest.raises(ValueError, match="two integers"):
+            parse_split(text)
+        assert run("timeseries", "--kind", "baker", "--d", 16, "--split", text, "--out", tmp_path / "ts.csv") == 2
+        assert "two integers" in capsys.readouterr().err
+        assert not (tmp_path / "ts.csv").exists()
+
     def test_module_entry_point(self):
         import subprocess
         import sys
@@ -594,6 +602,29 @@ class TestMemoryPreflight:
         out = tmp_path / "file.json"
         assert run("epinf", "--map-file", path, "--d", 16, "--split", "4x4", "--out", out) == 2
         assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_epinf_budgets_a_map_file_without_the_header_once_parsed(self, monkeypatch, tmp_path, capsys):
+        # without save_cmatrix's header the dimension is known only after the
+        # parse, so the stages are budgeted then: here the reader fits and
+        # the eigensolve and reduction at split 2x64 do not
+        d = 128
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"entries": bl.cmatrix_to_dict(np.eye(d))["entries"],
+                                    "dim_rows": d, "dim_cols": d}))
+        reader = 16 * _JSON_LOAD_COPIES * (path.stat().st_size // 6 + 1)
+        stages = 16 * d * max(_EIGEN_COPIES * d, d + _REDUCED_COPIES * (2**2 + 64**2))
+        assert reader < stages
+        loaded = []
+        load = bl.cli.load_cmatrix
+        TestCountsRefusedUpFront.refuse_work(monkeypatch)
+        monkeypatch.setattr("bakerlab.cli.load_cmatrix", lambda p: loaded.append(p) or load(p))
+        monkeypatch.setattr("os.sysconf", lambda name: stages - 1 if name == "SC_PHYS_PAGES" else 1)
+        out = tmp_path / "x.json"
+        assert run("epinf", "--map-file", path, "--split", "2x64", "--out", out) == 2
+        assert loaded == [str(path)]
+        err = capsys.readouterr().err
+        assert "--d 128 with split 2x64" in err and "physical memory" in err
         assert not out.exists()
 
     def test_spectrum_check_refuses_an_eigensolve_beyond_memory_before_reading(self, monkeypatch, tmp_path,

@@ -26,11 +26,12 @@ def swap_subsystems(part):
 
 
 def patch_steps(monkeypatch, rows=None, rows_t=None):
-    """Make every FFT step of the engine's step table call ``rows(psi, sign, work)``, its transposes ``rows_t``."""
-    table = {kind: (functools.partial(rows or step.func, **step.keywords),
-                    functools.partial(rows_t or step_t.func, **step_t.keywords))
-             for kind, (step, step_t) in bl.maps._STEPS.items()}
-    monkeypatch.setattr(bl.entropy, "_STEPS", table)
+    """Make every FFT step of the engine's kinds table call ``rows(psi, sign, work)``, its transposes ``rows_t``."""
+    table = {kind: row if row.step is None else
+             row._replace(step=functools.partial(rows or row.step.func, **row.step.keywords),
+                          step_t=functools.partial(rows_t or row.step_t.func, **row.step_t.keywords))
+             for kind, row in bl.maps._KINDS.items()}
+    monkeypatch.setattr(bl.entropy, "_KINDS", table)
 
 
 def local_pair(part, stream):
@@ -338,18 +339,27 @@ class TestTransformDispatch:
         d = bl.entropy._TRANSFORM_MIN_D
         u = bl.make_map(kind, d)
         step = bl.entropy._transform_step(u)
-        assert step is bl.maps._STEPS[bl.MapKind(kind)][0]
-        unit = np.empty((bl.entropy._GATE_ROWS, d), dtype=complex)
-        figure = max(bl.max_abs(step(rows) - u[:, start:start + len(rows)].T)
-                     for start, rows in bl.maps._unit_blocks(unit, bl.entropy._gate_starts(d, len(unit))))
+        assert step is bl.maps._KINDS[bl.MapKind(kind)].step
+        rows = bl.entropy._GATE_ROWS
+        figure = max(bl.max_abs(x - u[:, start:start + len(x)].T)
+                     for start, x in bl.maps._unit_steps(step, d, range(0, d, rows), rows))
         assert figure == 0.0
 
-    def test_other_inputs_take_the_dense_step(self):
+    def test_other_inputs_take_the_dense_step(self, monkeypatch):
         d = bl.entropy._TRANSFORM_MIN_D
         assert bl.entropy._transform_step(bl.sample_cue(d, bl.RngStream(22))) is None
         assert bl.entropy._transform_step(bl.bbar(d)) is None
-        assert bl.entropy._transform_step(bl.baker(d - 2)) is None
-        assert bl.entropy._transform_step(bl.baker(d // 2)) is None
+
+        def refuse(u):
+            raise AssertionError("a matrix below _TRANSFORM_MIN_D or of odd d was offered to recognition")
+
+        # B below _TRANSFORM_MIN_D, and an odd d above it, are iterated densely without being recognised
+        monkeypatch.setattr(bl.entropy, "_transform_step", refuse)
+        for u, part in ((bl.baker(d - 2), bl.Bipartition(2, 127)), (bl.baker(d // 2), bl.Bipartition(8, 16)),
+                        (bl.sample_cue(261, bl.RngStream(22)), bl.Bipartition(9, 29))):
+            samples = bl.empirical_asymptotic_distribution(u, part, 1, 3, 2, bl.RngStream(22))
+            psi = bl.product_state(part, bl.RngStream(22, 1))
+            assert_allclose(samples.values[1], entropy_timeseries(u, psi, part, 3).values[0], atol=1e-12)
 
     def test_map_one_phase_off_b_takes_the_dense_step(self):
         d = bl.entropy._TRANSFORM_MIN_D
@@ -532,8 +542,8 @@ class TestNormDriftGuard:
             rows *= 1 + 1e-9
 
         monkeypatch.setattr(bl.entropy, "_transform_step", lambda u: grows)
-        with pytest.raises(np.linalg.LinAlgError, match="drifted"):
-            bl.empirical_asymptotic_distribution(bl.baker(16), bl.Bipartition(4, 4), 1, 3, 5,
+        with pytest.raises(np.linalg.LinAlgError, match="drifted"):  # a matrix is offered to recognition from d = 256
+            bl.empirical_asymptotic_distribution(bl.baker(256), bl.Bipartition(16, 16), 1, 3, 5,
                                                  bl.RngStream(28))
 
     @pytest.mark.parametrize("d", [16, 256])
@@ -767,6 +777,28 @@ class TestMemoryPreflight:
         with pytest.raises(ValueError, match="physical memory"):
             bl.entropy._check_memory(16, 3, 10)
 
+    @pytest.mark.parametrize("kind", ["bbar", "identity", "fourier"])
+    def test_a_built_map_is_counted(self, monkeypatch, kind):
+        # the engine builds these kinds: the map and the unitarity gate's two
+        # temporaries are three d x d arrays, so a host with less memory than
+        # the run's peak refuses it
+        d, n_states, window = 512, 4, 3
+
+        def run():
+            return bl.empirical_asymptotic_distribution(kind, bl.Bipartition(16, 32), 1, window, n_states,
+                                                        bl.RngStream(60))
+
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr("os.sysconf", lambda name: peak - 1 if name == "SC_PHYS_PAGES" else 1)
+        with pytest.raises(ValueError, match="physical memory"):
+            run()
+        assert bl.entropy._memory_need(d, n_states, window, dense=True, built=True) < 1.1 * peak
+
 
 class TestMatrixFreeKinds:
     """B, D and D' given by kind at d >= 256: iterated and gated by FFT, never built."""
@@ -819,6 +851,17 @@ class TestMatrixFreeKinds:
         by_kind = bl.empirical_asymptotic_distribution(kind, part, 1, 3, 2, bl.RngStream(43))
         assert seen == ["make_map", "assert_unitary"]
         dense = bl.empirical_asymptotic_distribution(bl.make_map(kind, d), part, 1, 3, 2, bl.RngStream(43))
+        assert np.array_equal(by_kind.values, dense.values)
+
+    @pytest.mark.parametrize("kind", [k.value for k in bl.MapKind])
+    @pytest.mark.parametrize("d", [64, 256])
+    def test_a_kind_never_reaches_recognition(self, monkeypatch, kind, d):
+        # B, D and D' at 256 take their row's step; every other kind, and any kind at 64, is built and stepped densely
+        self.refuse(monkeypatch, "_transform_step")
+        part = bl.Bipartition(16, d // 16)
+        by_kind = bl.empirical_asymptotic_distribution(kind, part, 1, 2, 2, bl.RngStream(43))
+        monkeypatch.undo()
+        dense = bl.empirical_asymptotic_distribution(bl.make_map(kind, d), part, 1, 2, 2, bl.RngStream(43))
         assert np.array_equal(by_kind.values, dense.values)
 
     def test_odd_dimension_is_refused_by_the_map_builder(self):

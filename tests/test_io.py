@@ -327,6 +327,10 @@ class TestEntropyCsv:
         {"note": "two\rlines"},
         {"a=b": 1},  # read back as {"a": "b = 1"}
         {"a\nb": 1},
+        {" k": "x"},  # read back stripped, as {"k": "x"}
+        {"k ": "x"},
+        {"k": " x "},
+        {"k": "x\t"},
     ])
     def test_refuses_metadata_it_cannot_read_back(self, tmp_path, metadata):
         path = tmp_path / "s.csv"
@@ -441,6 +445,20 @@ class TestHistogramSummary:
         )
         with pytest.raises(ValueError, match="sum"):
             broken.validate()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"bin_edges": [0.0, 1.0]}, r"len\(bin_edges\) == len\(counts\) \+ 1"),
+        ({"bin_edges": [0.0, 0.5, 0.5]}, "strictly increasing"),
+        ({"counts": [4, -1]}, "nonnegative and sum"),  # sums to n_samples
+        ({"counts": [1, 1]}, "nonnegative and sum"),
+        ({"mean": 2.0}, "outside the binned range"),
+        ({"variance": -1e-3}, "variance must be nonnegative"),
+    ])
+    def test_from_dict_refuses_each_inconsistency(self, change, message):
+        good = bl.HistogramSummary.from_values([0.1, 0.2, 0.3], bins=2).to_dict()
+        assert bl.HistogramSummary.from_dict(good).to_dict() == good
+        with pytest.raises(ValueError, match=message):
+            bl.HistogramSummary.from_dict({**good, **change})
 
     def test_from_dict_rejects_missing_fields(self):
         with pytest.raises(ValueError):

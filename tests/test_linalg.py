@@ -196,6 +196,26 @@ class TestEigensystem:
         with pytest.raises(ValueError):
             eig.vectors[0, 0] = 5.0
 
+    @pytest.mark.parametrize("d", [16, 64])
+    @pytest.mark.parametrize("key, scale, message", [
+        ("max_residual", np.sqrt, "eigenvector residual"),
+        ("orthonormality_defect", lambda d: 1.0, "not orthonormal"),
+        ("reconstruction_error", lambda d: d, "reconstruction error"),
+    ])
+    def test_each_gate_refuses_its_limit_and_nan(self, monkeypatch, d, key, scale, message):
+        # the residual gate scales with sqrt(d), the reconstruction gate with d
+        limit = linalg.EIGEN_TOL * scale(d)
+        computed = linalg._diagnostics
+
+        def solve_with(figure):
+            monkeypatch.setattr(linalg, "_diagnostics", lambda u, eig: {**computed(u, eig), key: figure})
+            return bl.eigensystem(bl.baker(d))
+
+        assert solve_with(np.nextafter(limit, 0.0)).diagnostics[key] < limit
+        for figure in (limit, np.nan):
+            with pytest.raises(LinAlgError, match=message):
+                solve_with(figure)
+
 
 def schur_oracle(u):
     """The dense eigensolve: one complex Schur of the whole matrix, phase-sorted."""
