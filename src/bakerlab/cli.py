@@ -31,12 +31,13 @@ from .entropy import (
     ensemble_entropies,
     linear_entropies,
     ReducedEigenData,
-    _check_memory,
+    _STAGES,
+    _engine_stages,
     _require_memory,
 )
 from .linalg import Bipartition, eigensystem, eigensystem_diagnostics
 from .maps import MAP_VERSION, MapKind, make_map
-from .matrixio import _MIN_ENTRY_BYTES, _header_dims, atomic_write, load_cmatrix, save_cmatrix
+from .matrixio import _MAX_ENTRY_BYTES, _header_dims, atomic_write, load_cmatrix, save_cmatrix
 from .reports import HistogramSummary, write_entropy_csv
 
 EXIT_OK = 0
@@ -64,61 +65,11 @@ PROFILES = {
     },
 }
 
-#: complex d x d arrays alive at once while epinf builds, solves and checks a
-#: map, the map included.  tracemalloc reads at most 5.3 in ``eigensystem``
-#: (D' at d = 300 and D at 256, whose unsplit solve holds the map, V's real
-#: basis, S and eigh's arrays; 4.5 at d = 512 and 1024, B, Bbar and the
-#: complex eigh 3.4-3.8), 2.0 in the diagnostics and 3.0 in the resonance
-#: scan, which runs with the eigenvectors once the map is gone; at
-#: d <= 128, where each block is the whole matrix, up to 7.3
-_EIGEN_COPIES = 6
-#: epinf's reduced eigenvector data holds d (d_a^2 + d_b^2) complex entries,
-#: and its eigenvector blocks add at most 0.34 times that (tracemalloc at
-#: d = 64..1024, splits 2x128..32x32) next to the eigenvectors; the formula
-#: adds two blocks of Gram rows, no d x d array.  Over every stage of B,
-#: Bbar, D and the complex eigh at d = 256, splits 16x16 and 2x128, the peak
-#: stays between 0.5 and 1 of the larger stage the two constants give
-#: (tests/test_cli.py)
-_REDUCED_COPIES = 1.5
-#: ``load_cmatrix`` streams a map file that opens as ``save_cmatrix`` writes
-#: it into the matrix it returns, one 16 KiB chunk of entries at a time:
-#: tracemalloc reads 1.24 and 1.06 complex d x d arrays at d = 256 and 512,
-#: the chunk's ~240 KiB of Python lists beyond the matrix
-_READ_COPIES = 2
-#: a map file in any other layout is parsed whole by ``json.load``: the text
-#: and one Python ``[re, im]`` list per entry, 11.8-12.05 complex d x d
-#: arrays' worth by tracemalloc for B at d = 16..1024 and 10.9 for Bbar at
-#: d = 256, whose shorter text leaves the conversion to the array as the
-#: peak.  Either reader is done before the eigensolve starts, so a map file
-#: run needs the larger of its reader's budget and the eigensolve's
-_JSON_LOAD_COPIES = 12.5
-#: more than the 54 bytes ``save_cmatrix`` writes per entry at most; a file
-#: longer than its header's entries take at this width is budgeted from its
-#: size, like a file without the header
-_MAX_ENTRY_BYTES = 64
-#: gen-map holds the map, its builder's temporaries and one row as Python
-#: floats and JSON text: tracemalloc reads 1.0-2.4 complex d x d arrays'
-#: worth at d = 256..1024, the most for D and D' at 256, whose 128 unit rows
-#: and their scratch make one more d x d array
-_GEN_MAP_COPIES = 3
-#: bytes per float64 sample summarized (a histogram's window, ensemble
-#: entropies, --cue-reference draws) with the summary's temporaries, and per
-#: histogram bin (counts, edges and their JSON lists): tracemalloc reads at
-#: most 28 and 57, and each count above 256 adds a 28-byte Python int
-_SAMPLE_BYTES, _BIN_BYTES = 32, 96
-#: complex (S, d) state batches and d x d arrays alive at once per ensemble
-#: map: tracemalloc reads at most 3.1 and 4.1 at d = 16..256
-_ENSEMBLE_COPIES = 5
-
 # reference draws (for --cue-reference) use stream ids in a disjoint block so
 # they can never collide with the per-state streams of the main sweep
 _REFERENCE_STREAM_BASE = 2**32
 #: --cue-reference states drawn from one stream as one batch
 _REFERENCE_CHUNK = 256
-#: complex (_REFERENCE_CHUNK, d) arrays alive at once while a chunk is drawn
-#: and reduced: tracemalloc reads at most 3.0 at d = 256..1024 (at d = 16
-#: fixed overheads dominate, under 1 MB in all)
-_REFERENCE_COPIES = 4
 #: version of the --cue-reference stream layout, recorded in the report.
 #: Layout 1 (unrecorded) drew reference i from stream _REFERENCE_STREAM_BASE + i;
 #: layout 2 draws chunk c, references c * _REFERENCE_CHUNK onward, as one
@@ -171,26 +122,6 @@ def _split(args, d: int) -> Bipartition:
     return part
 
 
-def _check_epinf_memory(part: Bipartition, cross=None):
-    """Refuse a split whose map, eigensolve and reduced data cannot fit in physical memory.
-
-    The stages do not overlap: the map is dropped after the eigensolve and
-    its certificate, the scan's arrays before the reduction.  So the
-    estimate is the larger of the eigensolve's ``_EIGEN_COPIES`` d x d
-    arrays, the map included, and the eigenvectors with the reduction's
-    ``_REDUCED_COPIES`` sets of reduced density matrices.  ``cross`` holds
-    the ``(n_states, n_min, n_max)`` of --cross-check, whose engine run is
-    checked here too, before the eigensolve instead of after it, with the
-    map counted: built by the engine from a kind, or held from the file.
-    """
-    d = part.d
-    copies = max(_EIGEN_COPIES * d, d + _REDUCED_COPIES * (part.d_a**2 + part.d_b**2))
-    _require_memory(16 * d * copies, f"--d {d} with split {part.d_a}x{part.d_b} needs")
-    if cross is not None:
-        n_states, n_min, n_max = cross
-        _check_memory(d, n_states, n_max - n_min + 1, built=True)
-
-
 def _tolerance(text: str) -> float:
     """Parse --tol, refused outside (0, 1) before any map is built or loaded."""
     value = float(text)
@@ -227,22 +158,24 @@ def _check_outputs(args):
 def _map_file_dim(path, d=None):
     """Refuse a map file that ``load_cmatrix`` cannot read in physical memory, before it parses an entry.
 
-    A file that opens with the header ``save_cmatrix`` writes is budgeted at
-    ``_READ_COPIES`` per ``dim_rows`` x ``dim_cols`` entry; one without it,
-    or longer than its header's entries take, at ``_JSON_LOAD_COPIES`` per
-    ``_MIN_ENTRY_BYTES`` of its size.  A header that fails
-    :func:`_check_square` is refused here too.  Returns the dimension of the
-    header, else None.
+    A file that opens with the header ``save_cmatrix`` writes is streamed,
+    its ``read`` stage counted from the header's entries; one without it, or
+    longer than its header's entries take, is parsed whole, its
+    ``json_load`` stage counted from its size and its commas.  A header that
+    fails :func:`_check_square` is refused here too.  Returns the dimension
+    of the header, else None.
     """
     size = os.path.getsize(path)
     dims = _header_dims(path)
     if dims is not None and size > _MAX_ENTRY_BYTES * (dims[0] * dims[1] + 1):
         dims = None
     if dims is None:
-        need, what = _JSON_LOAD_COPIES * (size // _MIN_ENTRY_BYTES + 1), f"{size} bytes"
+        with open(path, "rb") as f:
+            commas = sum(chunk.count(b",") for chunk in iter(lambda: f.read(1 << 20), b""))
+        stage, what = _STAGES["json_load"](size, commas), f"{size} bytes"
     else:
-        need, what = _READ_COPIES * dims[0] * dims[1], "{}x{}".format(*dims)
-    _require_memory(16 * need, f"reading map file {path} ({what}) needs")
+        stage, what = _STAGES["read"](dims[0] * dims[1]), "{}x{}".format(*dims)
+    _require_memory(f"reading map file {path} ({what}) needs", stage)
     if dims is not None:
         _check_square(*dims, d)
         return dims[0]
@@ -251,8 +184,8 @@ def _map_file_dim(path, d=None):
 def _read_map_file(path, check, d=None):
     """Load the square map in the file ``path``, refused by ``check(dim)`` before it is parsed where that can be told.
 
-    ``check`` budgets the stages after the read.  :func:`_map_file_dim`
-    budgets the reader first and gives the header's dimension, which
+    ``check`` counts the stages after the read.  :func:`_map_file_dim`
+    counts the reader first and gives the header's dimension, which
     ``check`` is run on; a file without the header is checked once parsed.
     ``d`` is --d where given, which the file's dimension must match.
     """
@@ -264,11 +197,6 @@ def _read_map_file(path, check, d=None):
     if dim is None:
         check(u.shape[0])
     return u
-
-
-def _check_spectrum_memory(d):
-    """Refuse a ``d`` x ``d`` map whose eigensolve, scan and diagnostics cannot fit in physical memory."""
-    _require_memory(16 * _EIGEN_COPIES * d * d, f"the eigensolve of a {d}x{d} map needs")
 
 
 def _check_square(rows, cols, d=None):
@@ -296,7 +224,7 @@ def _report(args, obj, line: str):
 
 
 def cmd_gen_map(args) -> int:
-    _require_memory(16 * _GEN_MAP_COPIES * args.d**2, f"--d {args.d} needs")
+    _require_memory(f"--d {args.d} needs", _STAGES["build"](args.d, args.kind))
     matrix = make_map(args.kind, args.d)
     save_cmatrix(args.out, matrix)
     print(f"wrote {args.kind} map, dimension {args.d}, to {args.out}")
@@ -324,10 +252,12 @@ def cmd_histogram(args) -> int:
     n_min, n_max = _window(args, profile)
     _count("--bins", args.bins, 1)
     n_ref = _count("--cue-reference", args.cue_reference, 0)
-    chunk = 16 * _REFERENCE_COPIES * min(n_ref, _REFERENCE_CHUNK) * part.d
-    n_samples = n_states * (n_max - n_min + 1)
-    _require_memory(_SAMPLE_BYTES * (n_samples + n_ref) + chunk + _BIN_BYTES * args.bins * (2 if n_ref else 1),
-                    f"{n_samples} samples with --bins {args.bins} and --cue-reference {n_ref} need")
+    window = n_max - n_min + 1
+    n_samples = n_states * window
+    _require_memory(f"{n_samples} samples with --bins {args.bins} and --cue-reference {n_ref} need",
+                    *_engine_stages(args.kind, args.d, n_states, window),
+                    _STAGES["summary"](n_samples + n_ref, args.bins * (2 if n_ref else 1)),
+                    _STAGES["reference"](args.d, n_samples + n_ref, min(n_ref, _REFERENCE_CHUNK)))
     samples = empirical_asymptotic_distribution(args.kind, part, n_min, n_max, n_states, RngStream(args.seed))
     metadata = _metadata(
         args, kind=args.kind, d=args.d, split=f"{part.d_a}x{part.d_b}", states=n_states,
@@ -363,9 +293,9 @@ def cmd_ensemble(args) -> int:
     _count("--bins", args.bins, 1)
     n_maps = _count("--samples", _resolve(args.samples, profile, "ensemble_samples"), 1)
     n_states = _count("--states", _resolve(args.states, profile, "ensemble_states"), 1)
-    need = _SAMPLE_BYTES * n_maps * n_states + 16 * _ENSEMBLE_COPIES * args.d * (n_states + args.d)
-    _require_memory(need + _BIN_BYTES * args.bins,
-                    f"--samples {n_maps} x --states {n_states} at --d {args.d} with --bins {args.bins} need")
+    _require_memory(f"--samples {n_maps} x --states {n_states} at --d {args.d} with --bins {args.bins} need",
+                    _STAGES["ensemble"](args.d, n_maps, n_states, kind is EnsembleKind.SYMMETRIC),
+                    _STAGES["summary"](n_maps * n_states, args.bins))
     values = ensemble_entropies(kind, args.d, part, n_maps, n_states, RngStream(args.seed))
     metadata = _metadata(
         args, ensemble=kind.value, d=args.d, split=f"{part.d_a}x{part.d_b}", samples=n_maps,
@@ -393,7 +323,16 @@ def cmd_epinf(args) -> int:
         raise ValueError("need either --map-file or both --kind and --d")
 
     def check(dim):  # with --d the file's dimension must equal it, so the file's check repeats this one
-        _check_epinf_memory(_split(args, dim), cross)
+        part = _split(args, dim)
+        stages = [_STAGES["eigensolve"](dim), _STAGES["reduction"](dim, part.d_a, part.d_b)]
+        if args.map_file is None:
+            stages.append(_STAGES["build"](dim, args.kind))
+        _require_memory(f"--d {dim} with split {part.d_a}x{part.d_b} needs", *stages)
+        if cross is not None:  # the engine's own preflight
+            n_states, n_min, n_max = cross
+            window = n_max - n_min + 1
+            _require_memory(f"{n_states} states x {window} window steps at d = {dim} need",
+                            *_engine_stages(args.kind, dim, n_states, window))
 
     if args.d is not None:  # refused before the map is built or loaded
         check(args.d)
@@ -409,10 +348,10 @@ def cmd_epinf(args) -> int:
     source = u if args.map_file is not None and cross is not None else args.kind
     del u
     resonance = commensurability_check(eig.phases, tol=args.tol)
-    # the reduced data is dropped before the cross-check below runs
+    # the eigenvectors and the reduced data are dropped before the cross-check below runs
     reduced = ReducedEigenData.from_eigensystem(eig, part)
     power = asymptotic_entangling_power(eig, part, reduced=reduced, resonance=resonance)
-    del reduced
+    del reduced, eig
     # the engine's version is recorded only where the engine ran, the map's where a kind was built
     engine = {} if cross is None else {"iteration_version": ITERATION_VERSION}
     built = {} if args.map_file is not None else {"map_version": MAP_VERSION}
@@ -445,7 +384,10 @@ def cmd_epinf(args) -> int:
 
 
 def cmd_spectrum_check(args) -> int:
-    u = _read_map_file(args.map_file, _check_spectrum_memory)
+    def check(d):
+        _require_memory(f"the eigensolve of a {d}x{d} map needs", _STAGES["eigensolve"](d))
+
+    u = _read_map_file(args.map_file, check)
     eig = eigensystem(u)  # refuses a non-unitary u with LinAlgError (exit 3)
     resonance = commensurability_check(eig.phases, tol=args.tol)
     report = {

@@ -224,16 +224,15 @@ def empirical_asymptotic_distribution(
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
     d, window = part.d, n_max - n_min + 1
-    by_fft = d % 2 == 0 and d >= _TRANSFORM_MIN_D
-    _, step, step_t = _KINDS[kind] if by_fft and kind is not None else (None, None, None)
+    step, step_t = _fft_steps(kind, d)
     dense = step is None  # the map is held as a matrix
-    built = dense and kind is not None
-    _check_memory(d, n_states, window, dense=dense, built=built)
-    if built:
+    _require_memory(f"{n_states} states x {window} window steps at d = {d} need",
+                    *_engine_stages(kind, d, n_states, window))
+    if dense and kind is not None:
         u = make_map(kind, d)
     if dense:
         assert_unitary(u, name="map")
-        step = _transform_step(u) if by_fft and kind is None else None  # a kind is never recognised
+        step = _transform_step(u) if kind is None else None  # a kind is never recognised
     else:
         _assert_unitary_step(step, step_t, d)
     fft = step is not None
@@ -245,7 +244,7 @@ def empirical_asymptotic_distribution(
     for s in range(n_states):
         psi[s] = product_state(part, rng.offset(s))
     work = np.empty_like(psi)
-    start = n_min - 1 if _takes_jump(d, n_states, n_min, window, fft=fft, dense=dense, built=built) else 0
+    start = n_min - 1 if _takes_jump(d, n_states, n_min, window, fft=fft, dense=dense) else 0
     if start:  # row k of the operator U^T that multiplies the rows is the step applied to e_k
         one_step = _step_rows(step, d, np.empty((d, d), dtype=np.complex128)) if fft else u.T
         power = _matrix_power(one_step, start)
@@ -359,17 +358,6 @@ def _block_count(n_states, d):
     return max(1, min(_worker_count(), n_states * d // _MIN_BLOCK, n_states))
 
 
-#: (S, d) complex arrays alive at once: the states, the step's work buffer,
-#: the dense step's partial sums (at most one batch, see :func:`_product`)
-#: and the entropy buffers (at most 2 S d entries).  From the states on,
-#: tracemalloc reads a peak of at most 5.3 at d = 64..1024 with 1, 2 and 4
-#: row blocks and 16, 64 or 256 states, beyond the samples and the d x d
-#: arrays counted below
-_BATCH_COPIES = 6
-#: complex d x d arrays the burn-in jump holds: the one-step operator, its
-#: power, the scratch array of :func:`_matrix_power` and, at most as large,
-#: the partial sums of :func:`_product`
-_JUMP_COPIES = 4
 #: time of one FFT step of one state per d log2(d), in complex
 #: multiply-adds of a square :func:`_product`.  Both sides use the 2 CPUs of
 #: the host it was measured on (the steps in two row blocks, the products on
@@ -398,38 +386,71 @@ def _jump_pays(d, n_states, n_min, fft):
     return jump < m * n_states * per_state
 
 
-def _takes_jump(d, n_states, n_min, window, fft, dense, built=False):
+def _takes_jump(d, n_states, n_min, window, fft, dense):
     """Whether the engine jumps the burn-in with the FFT step (``fft``) or the dense one.
 
-    It does when the jump is cheaper (:func:`_jump_pays`) and its
-    ``_JUMP_COPIES`` d x d arrays fit in physical memory beside what
-    :func:`_check_memory` counts for the run (``dense``: the map is a
-    matrix, ``built``: from a kind).  So the jump never makes a run fail
-    that check, and a host too small for its arrays steps instead.
+    It does when the jump is cheaper (:func:`_jump_pays`) and the ``jump``
+    row of :data:`_STAGES` fits in physical memory beside the run's
+    ``engine`` row (``dense``: the map is held as a matrix).  So the jump
+    never makes a run fail the engine's preflight, and a host too small for
+    its arrays steps instead.
     """
     return (_jump_pays(d, n_states, n_min, fft)
-            and _fits(_memory_need(d, n_states, window, dense, built) + 16 * _JUMP_COPIES * d * d))
+            and _fits(_STAGES["engine"](d, n_states, window, dense) + _STAGES["jump"](d)))
 
 
-def _memory_need(d, n_states, window, dense, built=False):
-    """Bytes an engine run holds at its peak, the burn-in jump aside; see :func:`_check_memory`."""
-    squares = (3 if built else 2) if dense else 0
-    return 8 * n_states * window + 16 * (_BATCH_COPIES * n_states * d + squares * d * d)
-
-
-def _check_memory(d, n_states, window, dense=True, built=False):
-    """Refuse a run whose arrays cannot fit in physical memory, before allocating them.
-
-    The estimate is the ``EntropySamples`` grid (8 bytes per sample),
-    ``_BATCH_COPIES`` complex (S, d) batches and, for a ``dense`` map, the
-    two complex d x d temporaries of the unitarity gate, and the map itself
-    when it is ``built`` from a kind (a matrix passed in is its caller's).
-    A map iterated without a matrix holds no d x d array.  The burn-in
-    jump's arrays are not counted: it is taken only where they fit beside
-    these (see :func:`_takes_jump`).
-    """
-    _require_memory(_memory_need(d, n_states, window, dense, built),
-                    f"{n_states} states x {window} window steps at d = {d} need")
+#: live bytes of every stage that allocates in proportion to its inputs, at
+#: its peak, from the run's sizes.  A command names the stages it runs and
+#: :func:`_require_memory` counts the largest, plus ``_FIXED_BYTES``.  For
+#: every command at d = 16..1024 that estimate lies between the run's
+#: tracemalloc peak and twice the peak plus 1 MiB (tests/test_cli.py)
+_STAGES = {
+    # the map of ``kind`` and, unless it is one of _PLAIN_KINDS, its
+    # builder's rows: the min(128, d) unit rows of maps._unit_steps and
+    # their scratch (of d/2 for Bbar, or G_d's exponents), and half as many
+    # again for what tracemalloc does not see, ~1.2 MB of RSS at d = 2048
+    "build": lambda d, kind: 16 * d * (d + 2.5 * min(_BLOCK, d) * (MapKind(kind) not in _PLAIN_KINDS)),
+    # load_cmatrix streaming a file's entries into its matrix, one 16 KiB
+    # chunk of text at a time
+    "read": lambda entries: 16 * entries,
+    # load_cmatrix parsing a file of ``size`` bytes whole with json.load: the
+    # text, then per entry, which holds two commas, a Python list, two floats
+    # and the array they become
+    "json_load": lambda size, commas: size + 80 * commas,
+    # eigensystem, its certificate and the resonance scan: at most 5.3 d x d
+    # arrays, in the unsplit solves of D' at d = 300 and D at 256, and the
+    # scan's ~32 bytes per phase pair beside the eigenvectors
+    "eigensolve": lambda d: 16 * 6 * d * d,
+    # the eigenvectors and the reduced density matrices, whose blocks of
+    # products add at most a third of them; the formula adds no d x d array
+    "reduction": lambda d, d_a, d_b: 16 * d * (d + 1.5 * (d_a**2 + d_b**2)),
+    # the samples and the larger of the unitarity gate and the iteration.
+    # The gate of a map held ``dense`` holds the map and two temporaries,
+    # the FFT gate _GATE_ROWS unit rows, their scratch and magnitudes; the
+    # iteration holds the map and six (S, d) batches: the states, the step's
+    # scratch, the partial sums of _product and the entropy buffers
+    "engine": lambda d, states, window, dense: 8 * states * window + 16 * d * max(
+        3 * (d if dense else _GATE_ROWS), 6 * states + dense * d),
+    # the burn-in jump beside the engine: the one-step operator, its power,
+    # the scratch of _matrix_power and the partial sums of _product
+    "jump": lambda d: 16 * 4 * d * d,
+    # HistogramSummary of float64 samples with its temporaries, and the
+    # counts and edges of every bin with their JSON lists
+    "summary": lambda samples, bins: 32 * samples + 96 * bins,
+    # a chunk of Haar states drawn and reduced beside the samples
+    "reference": lambda d, samples, chunk: 8 * samples + 16 * 4 * chunk * d,
+    # beside the (maps x states) entropies, one ensemble map drawn beside
+    # the last (the QR of a d x d Ginibre matrix holds four d x d arrays, the
+    # ``symmetric`` ensemble's two of d/2 and their assembly under two),
+    # then applied to its product states beside it
+    "ensemble": lambda d, maps, states, symmetric: 8 * maps * states + 16 * max(
+        (3 if symmetric else 5.25) * d * d, d * d + 3.5 * states * d),
+}
+#: the kinds whose builders hold no rows beside the map: the permutations and Lambda
+_PLAIN_KINDS = (MapKind.REFLECTION, MapKind.IDENTITY, MapKind.LAMBDA)
+#: bytes every run holds beside its largest stage: the interpreter's lists,
+#: the report and the caches, which dominate below d ~ 128
+_FIXED_BYTES = 2**20
 
 
 def _physical_memory():
@@ -440,18 +461,20 @@ def _physical_memory():
         return None
 
 
-def _fits(need):
-    """Whether ``need`` bytes fit in physical memory; True where that cannot be told."""
+def _fits(*stages):
+    """Whether the largest of the ``stages``' bytes, plus ``_FIXED_BYTES``, fits in physical memory; True where that cannot be told."""
     have = _physical_memory()
-    return have is None or need <= have
+    return have is None or max(stages) + _FIXED_BYTES <= have
 
 
-def _require_memory(need, what):
-    """Raise ``ValueError`` when ``need`` bytes exceed physical memory.
+def _require_memory(what, *stages):
+    """Raise ``ValueError`` when the largest of the ``stages``' bytes (rows of :data:`_STAGES`), plus ``_FIXED_BYTES``, exceeds physical memory.
 
-    ``what`` opens the message and ends in its verb, e.g. ``"--d 64 needs"``.
+    Every preflight calls it before the stages allocate.  ``what`` opens the
+    message and ends in its verb, e.g. ``"--d 64 needs"``.
     """
-    if not _fits(need):
+    if not _fits(*stages):
+        need = max(stages) + _FIXED_BYTES
         raise ValueError(
             f"{what} ~{need / 2**30:.3g} GiB, more than the {_physical_memory() / 2**30:.3g} GiB of physical memory"
         )
@@ -466,8 +489,22 @@ _TRANSFORM_MIN_D = 256
 _GATE_ROWS = 64
 
 
+def _engine_stages(kind, d, n_states, window):
+    """The rows of :data:`_STAGES` an engine run on ``kind`` (None: a matrix) holds: its ``engine`` row, and the ``build`` of a kind it builds."""
+    dense = _fft_steps(kind, d)[0] is None
+    engine = _STAGES["engine"](d, n_states, window, dense)
+    return [engine, _STAGES["build"](d, kind)] if dense and kind is not None else [engine]
+
+
+def _fft_steps(kind, d):
+    """``(step, step_t)`` of the row of ``maps._KINDS`` that iterates ``kind`` (None: a matrix) by FFT at ``d`` without building it, else ``(None, None)``."""
+    if kind is None or d % 2 or d < _TRANSFORM_MIN_D:
+        return None, None
+    return _KINDS[MapKind(kind)][1:]
+
+
 def _transform_step(u):
-    """The FFT step of the even-dimensional matrix ``u`` when it is B, D or D', else None.
+    """The FFT step of the matrix ``u`` when it is B, D or D' at an even d of at least ``_TRANSFORM_MIN_D``, else None.
 
     Each candidate, a step of ``maps._KINDS``, is applied to the identity
     ``_GATE_ROWS`` rows at a time and must reproduce every column of ``u``
@@ -476,6 +513,8 @@ def _transform_step(u):
     come first, so a wrong kind is refused after one block.
     """
     d = u.shape[0]
+    if d % 2 or d < _TRANSFORM_MIN_D:
+        return None
     starts = range(0, d, _GATE_ROWS)[::-1]
     for _, step, _ in _KINDS.values():
         if step is not None and all(max_abs(x - u[:, k:k + len(x)].T) < UNITARY_TOL

@@ -279,9 +279,13 @@ def _fourier_kernel(d):
     value, where the float argument (up to ~2 pi d) would lose ~log2(d) bits.
     """
     odd = 2 * np.arange(d) + 1
-    m = np.multiply.outer(odd, odd)
-    m %= 4 * d
-    return (np.exp(0.5j * np.pi / d * np.arange(4 * d)) / np.sqrt(d))[m]
+    table = np.exp(0.5j * np.pi / d * np.arange(4 * d)) / np.sqrt(d)
+    out = np.empty((d, d), dtype=np.complex128)
+    for rows in _blocks(d, _BLOCK):  # m for _BLOCK rows at a time, not a d x d integer array
+        m = np.multiply.outer(odd[rows], odd)
+        m %= 4 * d
+        np.take(table, m, out=out[rows])
+    return out
 
 
 @functools.lru_cache(maxsize=8)

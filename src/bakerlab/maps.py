@@ -69,7 +69,9 @@ def reflection(d: int) -> np.ndarray:
     """Spatial reflection |j> -> |d-1-j> (an antidiagonal permutation)."""
     if d < 1:
         raise ValueError(f"reflection needs dimension >= 1, got {d}")
-    return np.eye(d, dtype=np.complex128)[::-1].copy()
+    out = np.zeros((d, d), dtype=np.complex128)
+    out[np.arange(d), np.arange(d)[::-1]] = 1.0
+    return out
 
 
 def _require_even(d: int, minimum: int, what: str):

@@ -151,6 +151,8 @@ _NOT_NUMBER_BYTES = (b'"', b"{", b"u", b"l")
 _WHITESPACE = b" \t\n\r"
 #: the fewest bytes a cmatrix-json entry takes, ``[0,0]`` and a comma
 _MIN_ENTRY_BYTES = 6
+#: more than the 54 bytes :func:`save_cmatrix` writes per entry at most
+_MAX_ENTRY_BYTES = 64
 #: bytes the streamed reader reads at a time.  One chunk's parse holds ~15
 #: bytes of text, lists and floats per byte of it, ~240 KiB; 16 KiB reads as
 #: fast as 64 KiB at d = 256 and 512

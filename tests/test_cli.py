@@ -1,3 +1,4 @@
+import errno
 import json
 import tracemalloc
 import weakref
@@ -9,21 +10,15 @@ from numpy.testing import assert_allclose
 
 import bakerlab as bl
 from bakerlab.cli import (
-    _EIGEN_COPIES,
-    _JSON_LOAD_COPIES,
-    _READ_COPIES,
-    _REDUCED_COPIES,
     _REFERENCE_CHUNK,
-    _REFERENCE_COPIES,
     _REFERENCE_STREAM_BASE,
-    _SAMPLE_BYTES,
     PROFILES,
-    _check_epinf_memory,
     _write_json,
     build_parser,
     main,
     parse_split,
 )
+from bakerlab.entropy import _FIXED_BYTES, _STAGES
 
 
 def run(*argv):
@@ -164,19 +159,6 @@ class TestHistogram:
         values = np.concatenate([bl.linear_entropies(bl.ensembles._haar_rows(s.generator(), size, 16).T, part)
                                  for s, size in zip(streams, [_REFERENCE_CHUNK, 5])])
         assert ref == bl.HistogramSummary.from_values(values, 50, ref["metadata"]).to_dict()
-
-    @pytest.mark.parametrize("split", ["16x16", "2x128"])
-    def test_cue_reference_chunk_stays_within_its_estimate(self, split):
-        part = parse_split(split)
-        budget = 16 * _REFERENCE_COPIES * _REFERENCE_CHUNK * part.d
-        tracemalloc.start()
-        try:
-            gen = bl.RngStream(1, _REFERENCE_STREAM_BASE).generator()
-            bl.linear_entropies(bl.ensembles._haar_rows(gen, _REFERENCE_CHUNK, part.d).T, part)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert budget / 2 < peak < budget
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -458,6 +440,17 @@ class TestParsing:
         assert "two integers" in capsys.readouterr().err
         assert not (tmp_path / "ts.csv").exists()
 
+    @pytest.mark.parametrize("command", ["epinf", "spectrum-check"])
+    def test_a_given_tol_reaches_the_report(self, tmp_path, command):
+        # --tol given as text is parsed by _tolerance; the default is the float 1e-8
+        path = tmp_path / "b16.json"
+        bl.save_cmatrix(path, bl.baker(16))
+        argv = ["epinf", "--map-file", path, "--split", "4x4"] if command == "epinf" else ["spectrum-check", path]
+        out = tmp_path / "r.json"
+        assert run(*argv, "--tol", "1e-6", "--out", out) == 0
+        report = json.loads(out.read_text())
+        assert report["metadata"]["tol"] == report["resonance"]["tol"] == 1e-6
+
     def test_module_entry_point(self):
         import subprocess
         import sys
@@ -467,6 +460,16 @@ class TestParsing:
         )
         assert proc.returncode == 0
         assert "bakerlab" in proc.stdout
+
+
+def physical_memory(monkeypatch, nbytes):
+    """Make ``os.sysconf`` report ``nbytes`` of physical memory, as that many 1-byte pages."""
+    monkeypatch.setattr("os.sysconf", lambda name: nbytes if name == "SC_PHYS_PAGES" else 1)
+
+
+def estimate(*stages):
+    """What the preflight compares with physical memory: the largest stage plus the fixed term."""
+    return max(stages) + _FIXED_BYTES
 
 
 class TestMemoryPreflight:
@@ -499,104 +502,62 @@ class TestMemoryPreflight:
         assert "physical memory" in err
         assert not out.exists()
 
-    def test_epinf_estimate_counts_eigensolve_and_reduced_data(self, monkeypatch, tmp_path):
+    def test_epinf_estimate_counts_eigensolve_and_reduced_data(self, monkeypatch, tmp_path, capsys):
         # the larger of the two stages: at 2x8 the vectors and reductions
-        part = bl.Bipartition(2, 8)
-        need = 16 * 16 * max(_EIGEN_COPIES * 16, 16 + _REDUCED_COPIES * (2**2 + 8**2))
-        assert need > 16 * 16 * _EIGEN_COPIES * 16
-
-        def physical_memory(nbytes):  # as that many 1-byte pages
-            monkeypatch.setattr("os.sysconf", lambda name: nbytes if name == "SC_PHYS_PAGES" else 1)
-
-        physical_memory(need)
-        _check_epinf_memory(part)
+        need = estimate(_STAGES["eigensolve"](16), _STAGES["reduction"](16, 2, 8))
+        assert need > estimate(_STAGES["eigensolve"](16))
+        physical_memory(monkeypatch, need)
         assert run("epinf", "--kind", "baker", "--d", 16, "--split", "2x8", "--out", tmp_path / "x.json") == 0
-        physical_memory(need - 1)
-        with pytest.raises(ValueError, match="--d 16 with split 2x8"):
-            _check_epinf_memory(part)
+        physical_memory(monkeypatch, need - 1)
+        out = tmp_path / "y.json"
+        assert run("epinf", "--kind", "baker", "--d", 16, "--split", "2x8", "--out", out) == 2
+        assert "--d 16 with split 2x8" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_epinf_admits_d_8192_on_eight_gib(self, monkeypatch):
+    @staticmethod
+    def preflight_needs(monkeypatch, *argv):
+        """The estimates ``argv``'s preflights compare with physical memory; the run stops before any stage."""
+        needs = []
+
+        def fits(*stages):
+            needs.append(max(stages) + _FIXED_BYTES)
+            return True
+
+        def stop(*args):
+            raise ValueError("stopped after the preflight")
+
+        monkeypatch.setattr(bl.entropy, "_fits", fits)
+        monkeypatch.setattr("bakerlab.cli.make_map", stop)
+        assert run(*argv) == 2
+        return needs
+
+    def test_epinf_admits_d_8192_on_eight_gib(self, monkeypatch, tmp_path):
         # the eigensolve's 6 GiB, not its sum with the 1 + 3.75 GiB of the
         # vectors and reductions, which no stage holds beside it
-        budget = []
-        monkeypatch.setattr("bakerlab.cli._require_memory", lambda need, what: budget.append(need))
-        _check_epinf_memory(bl.Bipartition(64, 128))
-        assert budget == [16 * _EIGEN_COPIES * 8192**2] and budget[0] < 7.84 * 2**30
+        needs = self.preflight_needs(monkeypatch, "epinf", "--kind", "baker", "--d", 8192, "--split", "64x128",
+                                     "--out", tmp_path / "x.json")
+        assert needs == [estimate(_STAGES["eigensolve"](8192))] and needs[0] < 7.84 * 2**30
 
-    def test_cross_check_budget_does_not_count_the_jump(self, monkeypatch):
-        # the jump is taken only where its arrays fit beside this budget, so
-        # a run with a burn-in is budgeted as the same window without one
-        budget = []
-        monkeypatch.setattr("bakerlab.entropy._require_memory", lambda need, what: budget.append(need))
-        part = bl.Bipartition(8, 8)
-        _check_epinf_memory(part, (100, 513, 1512))  # the desk cross-check: the dense map jumps
-        _check_epinf_memory(part, (100, 1, 1000))  # the same window without a burn-in
+    def test_cross_check_budget_does_not_count_the_jump(self, monkeypatch, tmp_path):
+        # the jump is taken only where its arrays fit beside the engine's,
+        # so a run with a burn-in is budgeted as the same window without one
+        argv = ["epinf", "--kind", "baker", "--d", 64, "--split", "8x8", "--cross-check", "--states", 100,
+                "--out", tmp_path / "x.json"]
+        jumps = self.preflight_needs(monkeypatch, *argv, "--nmin", 513, "--nmax", 1512)  # the desk cross-check
+        steps = self.preflight_needs(monkeypatch, *argv, "--nmin", 1, "--nmax", 1000)
         assert bl.entropy._jump_pays(64, 100, 513, fft=False)
-        assert budget[0] == budget[1]
-
-    @pytest.mark.parametrize("split", ["16x16", "2x128"])
-    @pytest.mark.parametrize("kind", ["baker", "bbar", "dmap", "lambda"])
-    def test_epinf_stages_stay_within_the_estimate(self, monkeypatch, kind, split):
-        # what _check_epinf_memory budgets must bound every stage that epinf
-        # runs on the map, with the map and every live array counted; lambda
-        # has no time reversal and takes the complex eigh
-        part = parse_split(split)
-        budget = []
-        monkeypatch.setattr("bakerlab.cli._require_memory", lambda need, what: budget.append(need))
-        _check_epinf_memory(part)
-        peaks = {}
-
-        def stage(name, fn, *args, **kwargs):
-            tracemalloc.reset_peak()
-            out = fn(*args, **kwargs)
-            peaks[name] = tracemalloc.get_traced_memory()[1]
-            return out
-
-        tracemalloc.start()
-        try:  # in cmd_epinf's order: the map goes once the eigensystem's certificate is read
-            u = stage("map", bl.make_map, kind, part.d)
-            eig = stage("eigensystem", bl.eigensystem, u)
-            stage("diagnostics", bl.eigensystem_diagnostics, u, eig)
-            del u
-            resonance = stage("scan", bl.commensurability_check, eig.phases)
-            reduced = stage("reduced", bl.ReducedEigenData.from_eigensystem, eig, part)
-            stage("formula", bl.asymptotic_entangling_power, eig, part, reduced=reduced, resonance=resonance)
-        finally:
-            tracemalloc.stop()
-        assert max(peaks.values()) < budget[0], {k: v / budget[0] for k, v in peaks.items()}
-        # and the estimate is not loose: it refuses only what is at most twice too large
-        assert max(peaks.values()) > budget[0] / 2, {k: v / budget[0] for k, v in peaks.items()}
-
-    @pytest.mark.parametrize("layout, copies", [
-        pytest.param("header", _READ_COPIES, id="streamed"),
-        pytest.param("reordered", _JSON_LOAD_COPIES, id="json-load"),
-    ])
-    def test_map_file_reader_stays_within_its_estimate(self, tmp_path, layout, copies):
-        d = 256
-        path = tmp_path / "m.json"
-        bl.save_cmatrix(path, bl.bbar(d))
-        if layout == "reordered":  # the keys in another order: parsed whole by json.load
-            obj = json.loads(path.read_text())
-            path.write_text(json.dumps({"entries": obj["entries"], "dim_rows": d, "dim_cols": d}))
-        tracemalloc.start()
-        try:
-            bl.load_cmatrix(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 16 * (copies - 2) * d * d < peak < 16 * copies * d * d
+        assert jumps == steps and jumps[-1] == estimate(*bl.entropy._engine_stages("baker", 64, 100, 1000))
 
     def test_epinf_with_map_file_and_d_counts_the_reader(self, monkeypatch, tmp_path, capsys):
-        # a file without save_cmatrix's header is budgeted for json.load,
-        # which needs more than the eigensolve and reduction of its --d
-        part = bl.Bipartition(4, 4)
+        # a file without save_cmatrix's header is counted as json.load reads
+        # it, which needs more than the eigensolve and reduction of its --d
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"entries": bl.cmatrix_to_dict(bl.baker(16))["entries"],
-                                    "dim_rows": 16, "dim_cols": 16}))
-        reader = 16 * _JSON_LOAD_COPIES * (path.stat().st_size // 6 + 1)
-        assert reader > 16 * 16 * (_EIGEN_COPIES * 16 + _REDUCED_COPIES * (4**2 + 4**2))
-        monkeypatch.setattr("os.sysconf", lambda name: reader - 1 if name == "SC_PHYS_PAGES" else 1)
-        _check_epinf_memory(part)
+        text = json.dumps({"entries": bl.cmatrix_to_dict(bl.baker(16))["entries"], "dim_rows": 16, "dim_cols": 16})
+        path.write_text(text)
+        reader = estimate(_STAGES["json_load"](len(text), text.count(",")))
+        assert reader > estimate(_STAGES["eigensolve"](16), _STAGES["reduction"](16, 4, 4),
+                                 _STAGES["build"](16, "baker"))
+        physical_memory(monkeypatch, reader - 1)
         assert run("epinf", "--kind", "baker", "--d", 16, "--split", "4x4", "--out", tmp_path / "kind.json") == 0
         TestCountsRefusedUpFront.refuse_work(monkeypatch)
         out = tmp_path / "file.json"
@@ -610,16 +571,16 @@ class TestMemoryPreflight:
         # the eigensolve and reduction at split 2x64 do not
         d = 128
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"entries": bl.cmatrix_to_dict(np.eye(d))["entries"],
-                                    "dim_rows": d, "dim_cols": d}))
-        reader = 16 * _JSON_LOAD_COPIES * (path.stat().st_size // 6 + 1)
-        stages = 16 * d * max(_EIGEN_COPIES * d, d + _REDUCED_COPIES * (2**2 + 64**2))
+        text = json.dumps({"entries": bl.cmatrix_to_dict(np.eye(d))["entries"], "dim_rows": d, "dim_cols": d})
+        path.write_text(text)
+        reader = estimate(_STAGES["json_load"](len(text), text.count(",")))
+        stages = estimate(_STAGES["eigensolve"](d), _STAGES["reduction"](d, 2, 64))
         assert reader < stages
         loaded = []
         load = bl.cli.load_cmatrix
         TestCountsRefusedUpFront.refuse_work(monkeypatch)
         monkeypatch.setattr("bakerlab.cli.load_cmatrix", lambda p: loaded.append(p) or load(p))
-        monkeypatch.setattr("os.sysconf", lambda name: stages - 1 if name == "SC_PHYS_PAGES" else 1)
+        physical_memory(monkeypatch, stages - 1)
         out = tmp_path / "x.json"
         assert run("epinf", "--map-file", path, "--split", "2x64", "--out", out) == 2
         assert loaded == [str(path)]
@@ -631,10 +592,10 @@ class TestMemoryPreflight:
                                                                                capsys):
         path = tmp_path / "m.json"
         bl.save_cmatrix(path, bl.baker(16))
-        eigen = 16 * _EIGEN_COPIES * 16**2
-        assert eigen > 16 * _READ_COPIES * 16**2  # the reader fits, the eigensolve does not
+        eigen = estimate(_STAGES["eigensolve"](16))
+        assert eigen > estimate(_STAGES["read"](16 * 16))  # the reader fits, the eigensolve does not
         TestCountsRefusedUpFront.refuse_work(monkeypatch)
-        monkeypatch.setattr("os.sysconf", lambda name: eigen - 1 if name == "SC_PHYS_PAGES" else 1)
+        physical_memory(monkeypatch, eigen - 1)
         out = tmp_path / "x.json"
         assert run("spectrum-check", path, "--out", out) == 2
         err = capsys.readouterr().err
@@ -642,10 +603,11 @@ class TestMemoryPreflight:
         assert not out.exists()
 
     def test_cue_reference_budget_counts_a_chunk_of_states(self, monkeypatch, tmp_path, capsys):
-        # the samples and bins fit, the chunk's complex (_REFERENCE_CHUNK, d) arrays do not
-        chunk = 16 * _REFERENCE_COPIES * _REFERENCE_CHUNK * 16
+        # the engine, the samples and bins fit, the chunk's complex (_REFERENCE_CHUNK, d) arrays do not
+        chunk = estimate(_STAGES["reference"](16, 4 + _REFERENCE_CHUNK, _REFERENCE_CHUNK))
+        assert chunk > estimate(_STAGES["engine"](16, 2, 2, True), _STAGES["summary"](4 + _REFERENCE_CHUNK, 2))
         TestCountsRefusedUpFront.refuse_work(monkeypatch)
-        monkeypatch.setattr("os.sysconf", lambda name: chunk - 1 if name == "SC_PHYS_PAGES" else 1)
+        physical_memory(monkeypatch, chunk - 1)
         assert run(*TestCountsRefusedUpFront.HISTOGRAM, "--states", 2, "--nmin", 1, "--nmax", 2, "--bins", 1,
                    "--cue-reference", _REFERENCE_CHUNK, "--out", tmp_path / "x.json") == 2
         assert f"--cue-reference {_REFERENCE_CHUNK}" in capsys.readouterr().err
@@ -653,11 +615,11 @@ class TestMemoryPreflight:
     def test_histogram_budget_counts_the_summary(self, monkeypatch, tmp_path, capsys):
         # the engine's arrays fit, the window's samples with the summary's temporaries do not
         d, n_states, window = 16, 10, 1000
-        engine = bl.entropy._memory_need(d, n_states, window, dense=True)
-        summary = _SAMPLE_BYTES * n_states * window
+        engine = _STAGES["engine"](d, n_states, window, True)
+        summary = _STAGES["summary"](n_states * window, 1)
         assert engine < summary
-        monkeypatch.setattr("bakerlab.entropy._physical_memory", lambda: (engine + summary) // 2)
-        bl.entropy._check_memory(d, n_states, window)
+        physical_memory(monkeypatch, estimate((engine + summary) // 2))
+        assert bl.entropy._fits(engine)
         drawn = []
         monkeypatch.setattr("bakerlab.entropy.product_state", lambda *args: drawn.append(args))
         out = tmp_path / "x.json"
@@ -680,14 +642,14 @@ class TestMemoryPreflight:
         if header == "header":
             bl.save_cmatrix(path, bl.baker(16))
             assert np.array_equal(bl.load_cmatrix(path), bl.baker(16))
-        elif header == "no-header":  # a valid file with its keys in another order, budgeted from its size
+        elif header == "no-header":  # a valid file with its keys in another order, counted as json.load reads it
             path.write_text(json.dumps({"entries": entries, "dim_rows": 16, "dim_cols": 16}))
             assert np.array_equal(bl.load_cmatrix(path), bl.baker(16))
-        else:  # a header that understates the entries, budgeted from the size too
+        else:  # a header that understates the entries, counted as json.load reads it too
             path.write_text(json.dumps({"dim_rows": 1, "dim_cols": 1, "entries": entries}))
-        reader = 16 * _READ_COPIES * 16**2
+        reader = estimate(_STAGES["read"](16 * 16))
         TestCountsRefusedUpFront.refuse_work(monkeypatch)
-        monkeypatch.setattr("os.sysconf", lambda name: reader - 1 if name == "SC_PHYS_PAGES" else 1)
+        physical_memory(monkeypatch, reader - 1)
         out = tmp_path / "x.json"
         assert run(*command, path, "--out", out) == 2
         err = capsys.readouterr().err
@@ -700,11 +662,145 @@ class TestMemoryPreflight:
         # (for epinf at a 4x4 split, more than the reduction) is the whole budget
         path = tmp_path / "m.json"
         bl.save_cmatrix(path, bl.baker(16))
-        need = 16 * _EIGEN_COPIES * 16**2
-        assert need > 16 * 16 * (16 + _REDUCED_COPIES * (4**2 + 4**2))
-        assert need > 16 * _READ_COPIES * 16**2
-        monkeypatch.setattr("os.sysconf", lambda name: need if name == "SC_PHYS_PAGES" else 1)
+        need = estimate(_STAGES["eigensolve"](16))
+        assert need > estimate(_STAGES["reduction"](16, 4, 4), _STAGES["read"](16 * 16))
+        physical_memory(monkeypatch, need)
         assert run(*command, path, "--out", tmp_path / "x.json") == 0
+
+    def test_physical_memory_unknown_admits_the_run(self, monkeypatch, tmp_path):
+        # without os.sysconf there is nothing to compare with: every preflight admits
+        monkeypatch.delattr("os.sysconf")
+        assert bl.entropy._physical_memory() is None
+        assert bl.entropy._fits(10**30)
+        assert run("gen-map", "--kind", "baker", "--d", 16, "--out", tmp_path / "x.json") == 0
+
+
+class TestMemoryModel:
+    """One estimate per run: the largest of its stages in ``entropy._STAGES`` plus ``_FIXED_BYTES``.
+
+    Every subcommand, at d = 16..1024, holds a tracemalloc peak between half
+    the estimate (less the fixed term's 1 MiB) and the estimate.  A run that
+    jumps the burn-in is held to its engine and jump rows together.  The
+    modules a process imports on first use are the process's, not a run's:
+    every subcommand runs once at d = 16 before the measured runs.
+    """
+
+    @pytest.fixture(scope="class", autouse=True)
+    def imported(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("imported")
+        bl.save_cmatrix(tmp / "m.json", bl.baker(16))
+        (tmp / "j.json").write_text(json.dumps({"entries": bl.cmatrix_to_dict(bl.baker(16))["entries"],
+                                                "dim_rows": 16, "dim_cols": 16}))
+        for argv in (["gen-map", "--kind", "fourier", "--d", 16],
+                     ["epinf", "--kind", "baker", "--d", 16, "--split", "4x4", "--cross-check", "--states", 2,
+                      "--nmin", 3, "--nmax", 4],
+                     ["epinf", "--map-file", tmp / "j.json", "--split", "4x4"],
+                     ["spectrum-check", tmp / "m.json"],
+                     ["timeseries", "--kind", "baker", "--d", 16, "--split", "4x4", "--states", 2, "--nmax", 2],
+                     ["histogram", "--kind", "baker", "--d", 16, "--split", "4x4", "--states", 2, "--nmin", 1,
+                      "--nmax", 2, "--cue-reference", 2, "--raw-csv", tmp / "h.csv"],
+                     ["ensemble", "--ensemble", "symmetric", "--d", 16, "--split", "4x4", "--samples", 2,
+                      "--states", 2]):
+            assert run(*argv, "--out", tmp / "out") == 0
+
+    CASES = [
+        # gen-map: the build, by unit rows for B, D, D' and Bbar; writing the
+        # file under tracemalloc takes ~12 s at d = 1024
+        ("gen-map", "--kind", "baker", "--d", 16),
+        ("gen-map", "--kind", "identity", "--d", 64),
+        ("gen-map", "--kind", "dmap", "--d", 128),
+        ("gen-map", "--kind", "bbar", "--d", 128),
+        ("gen-map", "--kind", "lambda", "--d", 128),
+        ("gen-map", "--kind", "reflection", "--d", 128),
+        ("gen-map", "--kind", "dprime", "--d", 130),
+        ("gen-map", "--kind", "fourier", "--d", 130),
+        ("gen-map", "--kind", "baker", "--d", 1024),
+        # epinf by kind: the eigensolve, or the reduction at a lopsided split
+        ("epinf", "--kind", "baker", "--d", 16, "--split", "4x4"),
+        ("epinf", "--kind", "baker", "--d", 64, "--split", "8x8"),
+        ("epinf", "--kind", "baker", "--d", 128, "--split", "8x16"),
+        ("epinf", "--kind", "baker", "--d", 130, "--split", "2x65"),
+        ("epinf", "--kind", "bbar", "--d", 256, "--split", "16x16"),
+        ("epinf", "--kind", "dmap", "--d", 256, "--split", "16x16"),
+        ("epinf", "--kind", "lambda", "--d", 256, "--split", "16x16"),
+        ("epinf", "--kind", "baker", "--d", 256, "--split", "2x128"),
+        ("epinf", "--kind", "bbar", "--d", 256, "--split", "2x128"),
+        ("epinf", "--kind", "dmap", "--d", 256, "--split", "2x128"),
+        ("epinf", "--kind", "lambda", "--d", 256, "--split", "2x128"),
+        ("epinf", "--kind", "dprime", "--d", 300, "--split", "15x20"),
+        ("epinf", "--kind", "bbar", "--d", 512, "--split", "16x32"),
+        # cross-checks: the desk one jumps the dense map, d = 256 the FFT step
+        ("epinf", "--kind", "baker", "--d", 64, "--split", "8x8", "--cross-check", "--states", 100),
+        ("epinf", "--kind", "baker", "--d", 256, "--split", "16x16", "--cross-check", "--states", 20,
+         "--nmin", 513, "--nmax", 520),
+        ("epinf", "--map-file", "baker-300-header", "--split", "15x20", "--cross-check", "--states", 10,
+         "--nmin", 1, "--nmax", 20),
+        # map files in both layouts: streamed, or parsed whole by json.load
+        ("epinf", "--map-file", "bbar-256-header", "--split", "16x16"),
+        ("epinf", "--map-file", "dmap-128-json", "--split", "2x64"),
+        ("spectrum-check", "bbar-128-header"),
+        ("spectrum-check", "baker-130-json"),
+        ("spectrum-check", "identity-64-json"),
+        # the engine: dense, FFT and jumping runs, and the summaries
+        ("timeseries", "--kind", "baker", "--d", 16, "--split", "4x4", "--states", 2, "--nmax", 10),
+        ("timeseries", "--kind", "baker", "--d", 256, "--split", "16x16"),
+        ("timeseries", "--kind", "bbar", "--d", 300, "--split", "15x20", "--states", 20, "--nmax", 20),
+        ("histogram", "--kind", "baker", "--d", 64, "--split", "8x8", "--states", 100, "--nmin", 1, "--nmax", 200),
+        ("histogram", "--kind", "baker", "--d", 128, "--split", "8x16", "--states", 4, "--nmin", 1, "--nmax", 3),
+        ("histogram", "--kind", "baker", "--d", 130, "--split", "10x13", "--states", 30, "--nmin", 2, "--nmax", 40),
+        ("histogram", "--kind", "baker", "--d", 256, "--split", "16x16", "--states", 100, "--nmin", 513,
+         "--nmax", 520),
+        ("histogram", "--kind", "bbar", "--d", 300, "--split", "15x20", "--states", 20, "--nmin", 1, "--nmax", 20,
+         "--raw-csv", "raw.csv"),
+        ("histogram", "--kind", "baker", "--d", 300, "--split", "15x20", "--states", 100, "--nmin", 513,
+         "--nmax", 520),
+        ("histogram", "--kind", "dprime", "--d", 512, "--split", "16x32", "--states", 10, "--nmin", 1, "--nmax", 5),
+        ("histogram", "--kind", "baker", "--d", 1024, "--split", "32x32", "--states", 50, "--nmin", 101,
+         "--nmax", 110, "--raw-csv", "raw.csv"),
+        ("histogram", "--kind", "baker", "--d", 16, "--split", "4x4", "--states", 2, "--nmin", 2, "--nmax", 6,
+         "--cue-reference", 300),
+        ("histogram", "--kind", "baker", "--d", 256, "--split", "16x16", "--states", 4, "--nmin", 1, "--nmax", 3,
+         "--cue-reference", 600),
+        ("histogram", "--kind", "baker", "--d", 256, "--split", "2x128", "--states", 4, "--nmin", 1, "--nmax", 3,
+         "--cue-reference", 300),
+        # the three ensembles
+        ("ensemble", "--ensemble", "cue", "--d", 64, "--split", "8x8", "--samples", 30),
+        ("ensemble", "--ensemble", "coe", "--d", 128, "--split", "8x16", "--samples", 3, "--states", 50),
+        ("ensemble", "--ensemble", "symmetric", "--d", 256, "--split", "16x16", "--samples", 5, "--states", 300),
+        ("ensemble", "--ensemble", "cue", "--d", 300, "--split", "15x20", "--samples", 3, "--states", 500),
+        ("ensemble", "--ensemble", "symmetric", "--d", 512, "--split", "16x32", "--samples", 3, "--states", 10),
+    ]
+
+    @staticmethod
+    def map_file(tmp_path, name):
+        """The map file ``kind-d-layout`` names: as save_cmatrix writes it, or its keys reordered for json.load."""
+        kind, d, layout = name.split("-")
+        path = tmp_path / f"{name}.json"
+        bl.save_cmatrix(path, bl.make_map(kind, int(d)))
+        if layout == "json":
+            obj = json.loads(path.read_text())
+            path.write_text(json.dumps({"entries": obj["entries"], "dim_rows": int(d), "dim_cols": int(d)}))
+        return path
+
+    @pytest.mark.parametrize("argv", [pytest.param(case, id="-".join(map(str, case))) for case in CASES])
+    def test_estimate_bounds_the_peak(self, monkeypatch, tmp_path, argv):
+        argv = [self.map_file(tmp_path, a) if str(a).endswith(("-header", "-json")) else a for a in argv]
+        argv = [tmp_path / a if a == "raw.csv" else a for a in argv]
+        needs = []
+        fits = bl.entropy._fits
+
+        def spy(*stages):  # the one test of memory every preflight and the jump's rule make
+            needs.append(max(stages) + _FIXED_BYTES)
+            return fits(*stages)
+
+        monkeypatch.setattr(bl.entropy, "_fits", spy)
+        tracemalloc.start()
+        try:
+            assert run(*argv, "--out", tmp_path / "out") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(needs) <= 2 * peak + 2**20, (peak, needs)
 
 
 class TestMatrixFreeCommands:
@@ -797,8 +893,25 @@ class TestCountsRefusedUpFront:
         assert argv[argv.index(flag) + 1] in err
         assert sorted(tmp_path.iterdir()) == []
 
+    def test_unwritable_directory_before_any_work(self, monkeypatch, tmp_path, capsys):
+        # os.access grants root every write, so the directory is made to read as unwritable
+        self.refuse_work(monkeypatch)
+        monkeypatch.setattr("os.access", lambda path, mode: False)
+        out = tmp_path / "x.json"
+        assert run("gen-map", "--kind", "baker", "--d", 16, "--out", out) == 2
+        assert f"cannot write --out {out}: directory {tmp_path} is not writable" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == []
+
 
 class TestAtomicWrites:
+    def test_an_error_about_another_file_is_raised_as_it_is(self, tmp_path):
+        error = OSError(errno.EIO, "Input/output error", str(tmp_path / "elsewhere"))
+        with pytest.raises(OSError) as raised:
+            with bl.matrixio.atomic_write(tmp_path / "x.json"):
+                raise error
+        assert raised.value is error
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_failed_json_dump_keeps_the_previous_file(self, tmp_path):
         out = tmp_path / "report.json"
         _write_json(out, {"metadata": {"seed": 1}})

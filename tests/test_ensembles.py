@@ -189,6 +189,10 @@ class TestCoe:
     def test_deterministic(self):
         assert np.array_equal(bl.sample_coe(6, bl.RngStream(2, 9)), bl.sample_coe(6, bl.RngStream(2, 9)))
 
+    def test_rejects_nonpositive_dimension(self):
+        with pytest.raises(ValueError, match="matrix dimension must be >= 1, got 0"):
+            bl.sample_coe(0, bl.RngStream(1))
+
 
 class TestSymmetricEnsemble:
     @pytest.mark.parametrize("d", [2, 8, 16, 64])

@@ -321,6 +321,14 @@ class TestEmpiricalAsymptoticDistribution:
         with pytest.raises(ValueError):
             bl.empirical_asymptotic_distribution(np.eye(4), part, 5, 4, 2, bl.RngStream(1))
 
+    @pytest.mark.parametrize("u, n_states, message", [
+        pytest.param(np.eye(8), 2, r"map shape \(8, 8\) does not match split 2x2", id="shape"),
+        pytest.param(np.eye(4), 0, "n_states must be >= 1, got 0", id="no-states"),
+    ])
+    def test_rejects_another_shape_and_no_states(self, u, n_states, message):
+        with pytest.raises(ValueError, match=message):
+            bl.empirical_asymptotic_distribution(u, bl.Bipartition(2, 2), 1, 2, n_states, bl.RngStream(1))
+
 
 class TestTransformDispatch:
     """Which inputs ``empirical_asymptotic_distribution`` iterates by FFT."""
@@ -350,11 +358,11 @@ class TestTransformDispatch:
         assert bl.entropy._transform_step(bl.sample_cue(d, bl.RngStream(22))) is None
         assert bl.entropy._transform_step(bl.bbar(d)) is None
 
-        def refuse(u):
-            raise AssertionError("a matrix below _TRANSFORM_MIN_D or of odd d was offered to recognition")
+        def refuse(*args):
+            raise AssertionError("a matrix below _TRANSFORM_MIN_D or of odd d was matched against a step")
 
         # B below _TRANSFORM_MIN_D, and an odd d above it, are iterated densely without being recognised
-        monkeypatch.setattr(bl.entropy, "_transform_step", refuse)
+        monkeypatch.setattr(bl.entropy, "_unit_steps", refuse)
         for u, part in ((bl.baker(d - 2), bl.Bipartition(2, 127)), (bl.baker(d // 2), bl.Bipartition(8, 16)),
                         (bl.sample_cue(261, bl.RngStream(22)), bl.Bipartition(9, 29))):
             samples = bl.empirical_asymptotic_distribution(u, part, 1, 3, 2, bl.RngStream(22))
@@ -664,8 +672,9 @@ class TestBurnInJump:
         d = 256 if isinstance(u, str) else 64
         n_states, n_min, window = 100, 513, 10
         part = bl.Bipartition(16 if d == 256 else 8, 16 if d == 256 else 8)
-        need = 8 * n_states * window + 16 * (bl.entropy._BATCH_COPIES * n_states * d + (2 * d * d if dense else 0))
-        squares = 16 * bl.entropy._JUMP_COPIES * d * d
+        engine = bl.entropy._STAGES["engine"](d, n_states, window, dense)
+        need = engine + bl.entropy._FIXED_BYTES
+        squares = bl.entropy._STAGES["jump"](d)
 
         def physical_memory(nbytes):  # as that many 1-byte pages
             monkeypatch.setattr("os.sysconf", lambda name: nbytes if name == "SC_PHYS_PAGES" else 1)
@@ -674,14 +683,16 @@ class TestBurnInJump:
         assert bl.entropy._takes_jump(d, n_states, n_min, window, fft=not dense, dense=dense)
         physical_memory(need + squares - 1)  # a run that fits without the jump still runs, stepping
         assert not bl.entropy._takes_jump(d, n_states, n_min, window, fft=not dense, dense=dense)
-        bl.entropy._check_memory(d, n_states, window, dense=dense)
         calls = self.count_jumps(monkeypatch)
-        samples = bl.empirical_asymptotic_distribution(u, part, n_min, n_min + window - 1, n_states,
-                                                       bl.RngStream(54))
-        assert len(samples) == n_states * window and calls == []
+
+        def run():
+            return bl.empirical_asymptotic_distribution(u, part, n_min, n_min + window - 1, n_states,
+                                                        bl.RngStream(54))
+
+        assert len(run()) == n_states * window and calls == []
         physical_memory(need - 1)
         with pytest.raises(ValueError, match="physical memory"):
-            bl.entropy._check_memory(d, n_states, window, dense=dense)
+            run()
 
     @pytest.mark.parametrize("kind", ["baker", "dprime"])
     def test_jumped_samples_are_the_same_at_any_worker_count(self, monkeypatch, kind):
@@ -766,23 +777,29 @@ class TestMemoryPreflight:
                                                  bl.RngStream(31))
 
     def test_estimate_counts_samples_batches_and_gates(self, monkeypatch):
-        need = 8 * 3 * 10 + 16 * (bl.entropy._BATCH_COPIES * 3 * 16 + 2 * 16 * 16)
+        # a matrix: its engine row, the dense gate and batches, plus the fixed term
+        need = bl.entropy._STAGES["engine"](16, 3, 10, True) + bl.entropy._FIXED_BYTES
 
         def physical_memory(nbytes):  # as that many 1-byte pages
             monkeypatch.setattr("os.sysconf", lambda name: nbytes if name == "SC_PHYS_PAGES" else 1)
 
+        def run():
+            return bl.empirical_asymptotic_distribution(bl.baker(16), bl.Bipartition(4, 4), 1, 10, 3,
+                                                        bl.RngStream(31))
+
         physical_memory(need)
-        bl.entropy._check_memory(16, 3, 10)
+        assert len(run()) == 30
         physical_memory(need - 1)
-        with pytest.raises(ValueError, match="physical memory"):
-            bl.entropy._check_memory(16, 3, 10)
+        with pytest.raises(ValueError, match="3 states x 10 window steps at d = 16 need"):
+            run()
 
     @pytest.mark.parametrize("kind", ["bbar", "identity", "fourier"])
     def test_a_built_map_is_counted(self, monkeypatch, kind):
         # the engine builds these kinds: the map and the unitarity gate's two
         # temporaries are three d x d arrays, so a host with less memory than
-        # the run's peak refuses it
-        d, n_states, window = 512, 4, 3
+        # the run's peak refuses it (how close the estimate comes to the
+        # peak: tests/test_cli.py::TestMemoryModel)
+        n_states, window = 4, 3
 
         def run():
             return bl.empirical_asymptotic_distribution(kind, bl.Bipartition(16, 32), 1, window, n_states,
@@ -797,7 +814,6 @@ class TestMemoryPreflight:
         monkeypatch.setattr("os.sysconf", lambda name: peak - 1 if name == "SC_PHYS_PAGES" else 1)
         with pytest.raises(ValueError, match="physical memory"):
             run()
-        assert bl.entropy._memory_need(d, n_states, window, dense=True, built=True) < 1.1 * peak
 
 
 class TestMatrixFreeKinds:
@@ -923,17 +939,17 @@ class TestMatrixFreeKinds:
 
     def test_preflight_holds_no_square_term(self, monkeypatch):
         d, n_states, window = 256, 3, 10
-        need = 8 * n_states * window + 16 * bl.entropy._BATCH_COPIES * n_states * d
+        engine = bl.entropy._STAGES["engine"](d, n_states, window, False)
+        need = engine + bl.entropy._FIXED_BYTES
         monkeypatch.setattr("os.sysconf", lambda name: need if name == "SC_PHYS_PAGES" else 1)
         part = bl.Bipartition(16, 16)
         assert len(bl.empirical_asymptotic_distribution("baker", part, 1, window, n_states,
                                                         bl.RngStream(48))) == n_states * window
         with pytest.raises(ValueError, match="physical memory"):  # a matrix adds its gate temporaries
             bl.empirical_asymptotic_distribution(bl.baker(d), part, 1, window, n_states, bl.RngStream(48))
-        bl.entropy._check_memory(d, n_states, window, dense=False)
         monkeypatch.setattr("os.sysconf", lambda name: need - 1 if name == "SC_PHYS_PAGES" else 1)
         with pytest.raises(ValueError, match="physical memory"):
-            bl.entropy._check_memory(d, n_states, window, dense=False)
+            bl.empirical_asymptotic_distribution("baker", part, 1, window, n_states, bl.RngStream(48))
 
     def test_preflight_refuses_before_the_gate(self, monkeypatch):
         self.refuse(monkeypatch, "make_map", "_assert_unitary_step", "product_state")
@@ -1015,6 +1031,10 @@ class TestCommensurability:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             bl.commensurability_check(np.array([0.1, 0.2]), tol=0.0)
+
+    def test_rejects_no_phases(self):
+        with pytest.raises(ValueError, match="at least one phase"):
+            bl.commensurability_check([])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_phases(self, bad):
@@ -1308,6 +1328,14 @@ class TestAsymptoticEntropy:
         with pytest.raises(ValueError, match="normalized"):
             bl.asymptotic_entropy(eig, np.full(16, np.nan), bl.Bipartition(4, 4))
 
+    @pytest.mark.parametrize("psi, split, message", [
+        pytest.param(np.eye(16)[0], (2, 4), "eigensystem dimension 16 does not match split 2x4", id="split"),
+        pytest.param(np.eye(8)[0], (4, 4), r"state has shape \(8,\), expected \(16,\)", id="state"),
+    ])
+    def test_rejects_another_dimension(self, psi, split, message):
+        with pytest.raises(ValueError, match=message):
+            bl.asymptotic_entropy(bl.eigensystem(bl.baker(16)), psi, bl.Bipartition(*split))
+
     @pytest.mark.parametrize("source, split", SPECTRAL_CASES)
     def test_matches_the_dense_grams(self, source, split):
         part = bl.Bipartition(*split)
@@ -1436,6 +1464,10 @@ class TestAsymptoticEntanglingPower:
             part = bl.Bipartition(*split)
             power = bl.asymptotic_entangling_power(bl.eigensystem(u), part)
             assert 0.0 <= power.value <= 1.0 - 1.0 / min(split)
+
+    def test_rejects_another_dimension(self):
+        with pytest.raises(ValueError, match="eigensystem dimension 16 does not match split 2x4"):
+            bl.asymptotic_entangling_power(bl.eigensystem(bl.baker(16)), bl.Bipartition(2, 4))
 
     def test_asymptotic_power_mc_needs_two_states(self):
         with pytest.raises(ValueError, match="2 states"):

@@ -7,7 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import bakerlab as bl
-from bakerlab.cli import _READ_COPIES, main
+from bakerlab.cli import main
+from bakerlab.entropy import _FIXED_BYTES, _STAGES
 from bakerlab.matrixio import _header_dims
 
 
@@ -297,7 +298,7 @@ class TestStreamedReader:
             tracemalloc.stop()
         assert np.array_equal(bits(streamed), bits(m))
         assert np.array_equal(bits(streamed), bits(json_load_reader(path)))
-        assert peak < _READ_COPIES * 16 * d * d
+        assert peak < _STAGES["read"](d * d) + _FIXED_BYTES
 
     def test_header_overstating_its_entries_is_refused_by_the_count(self, tmp_path):
         path = tmp_path / "m.json"
@@ -349,6 +350,13 @@ class TestEntropyCsv:
         assert lines[1] == bl.ENTROPY_CSV_HEADER
         assert lines[2] == "0,1,0.1"
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "s.csv"
+        bl.write_entropy_csv(path, self.make_samples(), {"seed": 7})
+        path.write_text("\n" + path.read_text().replace("\n", "\n\n"))
+        samples, metadata = bl.read_entropy_csv(path)
+        assert np.array_equal(samples.values, self.make_samples().values) and metadata == {"seed": "7"}
+
     def test_write_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         bl.write_entropy_csv(a, self.make_samples(), {"seed": 1})
@@ -372,6 +380,7 @@ class TestEntropyCsv:
             "state_id,n,S_L\n0,1,0.5\n0,3,0.5\n",  # a step skipped
             "state_id,n,S_L\n1,1,0.5\n1,2,0.5\n",  # no state 0
             "state_id,n,S_L\n0,0,0.5\n0,1,0.5\n",  # step 0
+            "# seed 1\nstate_id,n,S_L\n0,1,0.5\n",  # metadata line without '='
         ],
     )
     def test_rejects_malformed_files(self, tmp_path, content):

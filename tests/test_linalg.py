@@ -29,6 +29,11 @@ class TestProducts:
                     for c in range(3):
                         assert k[i * 3 + r, j * 3 + c] == pytest.approx(a[i, j] * b[r, c])
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_as_matrix_refuses_other_ndim(self, shape):
+        with pytest.raises(ValueError, match=f"expected a matrix, got an array of ndim={len(shape)}"):
+            bl.linalg.as_matrix(np.zeros(shape))
+
     def test_kron_left_factor_is_most_significant(self):
         # X on the left factor sends block 0 to block 1
         k = bl.kron(PAULI_X, np.eye(2))

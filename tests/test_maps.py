@@ -380,6 +380,10 @@ class TestMakeMap:
         with pytest.raises(ValueError):
             bl.make_map("tent", 8)
 
+    def test_rejects_an_empty_identity(self):
+        with pytest.raises(ValueError, match="identity needs dimension >= 1, got 0"):
+            bl.make_map("identity", 0)
+
 
 class TestRowTransforms:
     """The FFT actions of B, D and D' on rows, and of their transposes."""
